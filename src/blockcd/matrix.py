@@ -142,6 +142,11 @@ class SparseMatrixCSC(Matrix):
     and ending at nnz, strictly increasing row indices within each column, no
     explicitly stored zeros.  Use :meth:`from_coo` for unsorted triplet input
     (duplicates are summed; entries that cancel to exact zero are dropped).
+
+    :meth:`transpose_matvec` is a segment sum over `indptr`: the entries of a
+    column are contiguous, so entry j of A^T r is one ``np.add.reduceat``
+    segment.  numpy sums each segment pairwise rather than strictly left to
+    right, so results can differ from a sequential sum in the last bits.
     """
 
     def __init__(self, rows: int, cols: int, indptr, row_indices, values):
@@ -168,12 +173,16 @@ class SparseMatrixCSC(Matrix):
         self.values = values
         # column id of each stored entry, precomputed for the bincount kernels
         self._entry_col = np.repeat(np.arange(cols, dtype=np.int64), np.diff(indptr))
+        # columns holding at least one entry: the segments of transpose_matvec
+        self._nonempty = np.flatnonzero(np.diff(indptr))
 
         if values.size:
             same_col = self._entry_col[1:] == self._entry_col[:-1]
             if np.any(np.diff(row_indices)[same_col] <= 0):
                 raise ValueError("row indices must be strictly increasing per column")
-        for arr in (self.indptr, self.row_indices, self.values, self._entry_col):
+        for arr in (
+            self.indptr, self.row_indices, self.values, self._entry_col, self._nonempty
+        ):
             arr.flags.writeable = False
 
     @classmethod
@@ -192,7 +201,9 @@ class SparseMatrixCSC(Matrix):
         key = ci * np.int64(rows) + ri
         order = np.argsort(key, kind="stable")
         key, v = key[order], v[order]
-        uniq, start = np.unique(key, return_index=True)
+        # key is sorted, so each run of equal keys starts where the key changes
+        start = np.flatnonzero(np.r_[key.size > 0, key[1:] != key[:-1]])
+        uniq = key[start]
         summed = np.add.reduceat(v, start) if v.size else v
         keep = summed != 0.0
         uniq, summed = uniq[keep], summed[keep]
@@ -216,7 +227,12 @@ class SparseMatrixCSC(Matrix):
     def transpose_matvec(self, r):
         r = self._check_vec(r, self.rows, "transpose_matvec")
         w = self.values * r[self.row_indices]
-        return np.bincount(self._entry_col, weights=w, minlength=self.cols)
+        # a column's entries are contiguous, so s_j is one segment sum over
+        # indptr; reduceat yields w[start] for an empty segment and rejects a
+        # start equal to nnz, hence only non-empty columns are passed to it
+        s = np.zeros(self.cols)
+        s[self._nonempty] = np.add.reduceat(w, self.indptr[self._nonempty])
+        return s
 
     def restricted_matvec(self, indices, values):
         idx = self._check_indices(indices)

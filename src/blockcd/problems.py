@@ -61,7 +61,19 @@ class ProblemInstance:
             raise ValueError(
                 f"right-hand side must have length {self.A.rows}, got shape {self.b.shape}"
             )
-        norms = self.A.column_norms()
+        bad = np.flatnonzero(~np.isfinite(self.b))
+        if bad.size:
+            raise ValueError(
+                f"right-hand side has a non-finite entry at index {bad[0]}"
+            )
+        with np.errstate(over="ignore"):  # an overflow is refused just below
+            norms = self.A.column_norms()
+        # a NaN or infinity anywhere in column j makes its norm non-finite
+        bad = np.flatnonzero(~np.isfinite(norms))
+        if bad.size:
+            raise ValueError(
+                f"matrix column {bad[0]} has a non-finite entry or overflowing norm"
+            )
         zero = np.flatnonzero(norms == 0.0)
         if zero.size:
             raise ValueError(f"matrix has a zero column at index {zero[0]}")

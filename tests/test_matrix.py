@@ -47,6 +47,35 @@ class TestTransposeMatvec:
         with pytest.raises(ValueError, match="transpose_matvec"):
             DenseMatrix(np.eye(3)).transpose_matvec(np.ones(2))
 
+    @pytest.mark.parametrize(
+        "empty", [[0], [2], [4], [1, 2], [0, 3, 4], [0, 1, 2, 3, 4]]
+    )
+    def test_sparse_with_empty_columns(self, empty):
+        # leading, interior, trailing and all-empty columns: an empty CSC
+        # segment must give exactly 0, never a neighbouring column's entry
+        a, _, _ = random_sparse(8, 5, 0.6, seed=len(empty))
+        a[:, empty] = 0.0
+        sp = SparseMatrixCSC.from_dense(a)
+        r = np.random.default_rng(4).standard_normal(8)
+        s = sp.transpose_matvec(r)
+        assert_allclose(s, a.T @ r, rtol=1e-12, atol=1e-12)
+        assert np.all(s[empty] == 0.0)
+
+    @pytest.mark.parametrize("seed", range(3))
+    def test_sparse_matches_sequential_column_sums(self, seed):
+        _, _, sp = random_sparse(400, 30, 0.3, seed=seed)
+        r = np.random.default_rng(seed).standard_normal(400)
+        s = sp.transpose_matvec(r)
+        for j in range(sp.cols):
+            lo, hi = sp.indptr[j], sp.indptr[j + 1]
+            terms = sp.values[lo:hi] * r[sp.row_indices[lo:hi]]
+            seq = 0.0
+            for t in terms:
+                seq += t
+            # every order lies within (len - 1) * eps/2 * sum|terms| of the exact sum
+            bound = 2 * (hi - lo) * np.finfo(np.float64).eps * np.abs(terms).sum()
+            assert abs(s[j] - seq) <= bound
+
 
 class TestRestrictedMatvec:
     def test_identity_single_column(self):
@@ -162,6 +191,30 @@ class TestConstruction:
         )
         assert A.nnz == 1
         assert_allclose(A.to_dense(), [[0.0, 0.0], [2.0, 0.0]])
+
+    @pytest.mark.parametrize("seed", range(8))
+    def test_from_coo_matches_unique_reference(self, seed):
+        rng = np.random.default_rng(seed)
+        m, n, k = 6, 5, 60 * (seed % 4)  # seed % 4 == 0 is the empty-triplet case
+        ri = rng.integers(m, size=k)
+        ci = rng.integers(n, size=k)
+        # small integers make many duplicates sum, and some cancel, exactly
+        v = rng.choice([-2.0, -1.0, 1.0, 2.0, 0.5], size=k)
+        A = SparseMatrixCSC.from_coo(m, n, ri, ci, v)
+
+        key = ci * m + ri
+        order = np.argsort(key, kind="stable")
+        key, vs = key[order], v[order]
+        uniq, start = np.unique(key, return_index=True)
+        summed = np.add.reduceat(vs, start) if vs.size else vs
+        keep = summed != 0.0
+        uniq, summed = uniq[keep], summed[keep]
+        indptr = np.zeros(n + 1, dtype=np.int64)
+        np.cumsum(np.bincount(uniq // m, minlength=n), out=indptr[1:])
+
+        np.testing.assert_array_equal(A.indptr, indptr)
+        np.testing.assert_array_equal(A.row_indices, uniq % m)
+        np.testing.assert_array_equal(A.values, summed)
 
     def test_rejects_explicit_zeros(self):
         with pytest.raises(ValueError, match="zero values"):

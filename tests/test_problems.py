@@ -99,6 +99,22 @@ class TestProblemInstanceValidation:
         with pytest.raises(ValueError, match="zero column at index 1"):
             ProblemInstance(A=DenseMatrix(a), b=np.ones(3))
 
+    def test_non_finite_rhs_named(self):
+        b = np.ones(3)
+        b[2] = np.nan
+        with pytest.raises(ValueError, match="non-finite entry at index 2"):
+            ProblemInstance(A=DenseMatrix(np.eye(3)), b=b)
+
+    @pytest.mark.parametrize("bad", [np.inf, np.nan, 1e200])
+    def test_non_finite_matrix_column_named(self, bad):
+        a = np.eye(3)
+        a[0, 1] = bad
+        for A in (DenseMatrix(a), SparseMatrixCSC.from_dense(a)):
+            with pytest.raises(
+                ValueError, match="column 1 has a non-finite entry or overflowing norm"
+            ):
+                ProblemInstance(A=A, b=np.ones(3))
+
     def test_rhs_length(self):
         with pytest.raises(ValueError, match="length 2"):
             ProblemInstance(A=DenseMatrix(np.eye(2)), b=np.ones(3))
