@@ -51,15 +51,14 @@ from .solvers import (
     MethodParams,
     SolverState,
     StoppingRule,
-    cd_step,
+    block_rule,
     compute_rse,
-    fbcd_step,
-    madbcd_step,
-    mrbgs_step,
+    line_search_update,
     run_solver,
     select_block_fbcd,
     select_block_madbcd,
     select_block_mrbgs,
+    subsolve_update,
 )
 from .bench import (
     BenchRow,
@@ -70,6 +69,8 @@ from .bench import (
     emit_outputs,
     read_curve_csv,
     read_summary_csv,
+    run_cell,
     run_experiment,
     sweep_beta,
+    write_curve_csv,
 )

@@ -17,7 +17,7 @@ import json
 import os
 import re
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import asdict, dataclass
+from dataclasses import asdict, dataclass, replace
 
 import numpy as np
 
@@ -40,11 +40,13 @@ __all__ = [
     "ExperimentConfig",
     "BenchRow",
     "build_problem",
+    "run_cell",
     "run_experiment",
     "sweep_beta",
     "compute_speedup",
     "emit_outputs",
     "read_summary_csv",
+    "write_curve_csv",
     "read_curve_csv",
 ]
 
@@ -84,12 +86,15 @@ class MethodSpec:
                 raise ValueError("cs-madbcd needs exactly one of 'd' or 'd_factor'")
         elif self.d is not None or self.d_factor is not None:
             raise ValueError(f"method {self.method!r} does not take a sketch dimension")
-        # delegate the remaining validation (method name, beta range)
-        MethodParams(self.base_method, self.beta, self.mrbgs_fraction)
+        self.params()  # delegate the remaining validation (method name, beta range)
 
     @property
     def base_method(self) -> str:
         return "madbcd" if self.method == "cs-madbcd" else self.method
+
+    def params(self) -> MethodParams:
+        """What run_solver runs: cs-madbcd is madbcd on the sketched problem."""
+        return MethodParams(self.base_method, self.beta, self.mrbgs_fraction)
 
     def sketch_rows(self, n: int) -> int | None:
         if self.method != "cs-madbcd":
@@ -210,19 +215,21 @@ def build_problem(spec: dict, seed) -> ProblemInstance:
     raise ValueError(f"unknown problem kind {kind!r}")
 
 
-def _run_cell(
+def run_cell(
     problem: ProblemInstance, spec: MethodSpec, stop: StoppingRule, sketch_seed: int
 ) -> ConvergenceReport:
-    if spec.method == "cs-madbcd":
-        d = spec.sketch_rows(problem.A.cols)
-        sketched, prep = cs_prepare(problem, d, sketch_seed)
-        report = run_solver(sketched, MethodParams("madbcd", spec.beta), stop)
-        report.method = "cs-madbcd"
-        report.prep_seconds = prep
-        report.problem_label = problem.label
-        return report
-    params = MethodParams(spec.method, spec.beta, spec.mrbgs_fraction)
-    return run_solver(problem, params, stop)
+    """Run one method cell on `problem`.
+
+    A cs-madbcd cell first compresses the problem with a count sketch drawn
+    from `sketch_seed`; its report still names the cell's method and the
+    unsketched problem, and carries the sketching time as prep seconds.
+    """
+    d = spec.sketch_rows(problem.A.cols)
+    if d is None:
+        return run_solver(problem, spec.params(), stop)
+    sketched, prep = cs_prepare(problem, d, sketch_seed)
+    report = run_solver(sketched, spec.params(), stop)
+    return replace(report, method=spec.method, prep_seconds=prep, problem_label=problem.label)
 
 
 def run_experiment(config: ExperimentConfig):
@@ -254,7 +261,7 @@ def run_experiment(config: ExperimentConfig):
         mi, rep = cell
         spec = config.methods[mi]
         sketch_seed = int(seed_table[rep, 1]) + mi
-        return cell, _run_cell(problems[rep], spec, config.stopping, sketch_seed)
+        return cell, run_cell(problems[rep], spec, config.stopping, sketch_seed)
 
     if config.serial_timing:
         for cell in cells:
@@ -372,19 +379,7 @@ def emit_outputs(rows, report_lists, directory, config: ExperimentConfig | None 
     os.makedirs(curves_dir, exist_ok=True)
     for label, runs in report_lists.items():
         path = os.path.join(curves_dir, f"{_safe_name(label)}.csv")
-        with open(path, "w", encoding="utf-8", newline="") as fh:
-            writer = csv.writer(fh)
-            writer.writerow(CURVE_COLUMNS)
-            for rec in runs[0].records:
-                writer.writerow(
-                    [
-                        rec.k,
-                        _fmt(rec.rse),
-                        _fmt(rec.grad_norm),
-                        rec.block_size,
-                        _fmt(rec.elapsed_s),
-                    ]
-                )
+        write_curve_csv(path, runs[0].records)
         written.append(path)
 
     manifest = {
@@ -412,6 +407,17 @@ def emit_outputs(rows, report_lists, directory, config: ExperimentConfig | None 
         fh.write("\n")
     written.append(manifest_path)
     return written
+
+
+def write_curve_csv(path, records) -> None:
+    """One CURVE_COLUMNS line per iteration record."""
+    with open(path, "w", encoding="utf-8", newline="") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(CURVE_COLUMNS)
+        for rec in records:
+            writer.writerow(
+                [rec.k, _fmt(rec.rse), _fmt(rec.grad_norm), rec.block_size, _fmt(rec.elapsed_s)]
+            )
 
 
 def _config_echo(config: ExperimentConfig) -> dict:

@@ -15,7 +15,16 @@ import sys
 
 import numpy as np
 
-from .bench import ExperimentConfig, build_problem, emit_outputs, run_experiment, sweep_beta
+from .bench import (
+    ExperimentConfig,
+    MethodSpec,
+    build_problem,
+    emit_outputs,
+    run_cell,
+    run_experiment,
+    sweep_beta,
+    write_curve_csv,
+)
 from .oracle import (
     RankDeficiencyError,
     beta_feasible_max,
@@ -24,7 +33,6 @@ from .oracle import (
     run_contraction_bounds,
 )
 from .problems import write_problem_bundle
-from .sketch import cs_prepare
 from .solvers import MethodParams, StoppingRule, run_solver
 
 EXIT_OK = 0
@@ -138,42 +146,28 @@ def _cmd_solve(args) -> int:
         max_iterations=args.max_it,
         time_budget_s=args.time_budget,
     )
-    prep = 0.0
-    method = args.method
-    beta = args.beta or 0.0
-    if args.beta is not None and method not in ("madbcd", "cs-madbcd"):
-        raise ValueError(f"--beta applies to madbcd/cs-madbcd, not {method}")
-    if method == "cs-madbcd":
-        d = args.d_factor * problem.A.cols
-        problem, prep = cs_prepare(problem, d, args.seed + 1)
-        params = MethodParams("madbcd", beta)
-    else:
-        params = MethodParams(method, beta)
-    report = run_solver(problem, params, stop)
-    report.method = method
-    report.prep_seconds = prep
+    cell = MethodSpec(
+        args.method,
+        beta=args.beta or 0.0,
+        d_factor=args.d_factor if args.method == "cs-madbcd" else None,
+    )
+    report = run_cell(problem, cell, stop, sketch_seed=args.seed + 1)
 
     final = report.records[-1]
     rse_txt = f"rse={final.rse:.3e}" if final.rse is not None else f"grad={final.grad_norm:.3e}"
     print(
-        f"{method} on {problem.label}: {report.stop_reason} after "
+        f"{report.method} on {report.problem_label}: {report.stop_reason} after "
         f"{report.iterations} iterations ({rse_txt}, "
-        f"{prep + report.solve_seconds:.4f} s)"
+        f"{report.prep_seconds + report.solve_seconds:.4f} s)"
     )
     if args.out:
         os.makedirs(args.out, exist_ok=True)
-        with open(os.path.join(args.out, "curve.csv"), "w", encoding="utf-8") as fh:
-            fh.write("k,rse,normal_residual,block_size,elapsed_s\n")
-            for rec in report.records:
-                rse = repr(rec.rse) if rec.rse is not None else ""
-                fh.write(
-                    f"{rec.k},{rse},{rec.grad_norm!r},{rec.block_size},{rec.elapsed_s!r}\n"
-                )
+        write_curve_csv(os.path.join(args.out, "curve.csv"), report.records)
         with open(os.path.join(args.out, "report.json"), "w", encoding="utf-8") as fh:
             json.dump(
                 {
-                    "method": method,
-                    "problem": problem.label,
+                    "method": report.method,
+                    "problem": report.problem_label,
                     "iterations": report.iterations,
                     "converged": report.converged,
                     "stop_reason": report.stop_reason,

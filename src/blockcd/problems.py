@@ -39,6 +39,12 @@ __all__ = [
 CONSISTENCY_RTOL = 1e-10
 
 
+def _refuse_non_finite(what: str, v: np.ndarray) -> None:
+    bad = np.flatnonzero(~np.isfinite(v))
+    if bad.size:
+        raise ValueError(f"{what} has a non-finite entry at index {bad[0]}")
+
+
 @dataclass
 class ProblemInstance:
     """A least-squares instance: coefficients, right-hand side, optional truth."""
@@ -61,11 +67,7 @@ class ProblemInstance:
             raise ValueError(
                 f"right-hand side must have length {self.A.rows}, got shape {self.b.shape}"
             )
-        bad = np.flatnonzero(~np.isfinite(self.b))
-        if bad.size:
-            raise ValueError(
-                f"right-hand side has a non-finite entry at index {bad[0]}"
-            )
+        _refuse_non_finite("right-hand side", self.b)
         with np.errstate(over="ignore"):  # an overflow is refused just below
             norms = self.A.column_norms()
         # a NaN or infinity anywhere in column j makes its norm non-finite
@@ -83,6 +85,12 @@ class ProblemInstance:
                 raise ValueError(
                     f"reference solution must have length {self.A.cols}, "
                     f"got shape {self.x_star.shape}"
+                )
+            _refuse_non_finite("reference solution", self.x_star)
+            if not self.x_star.any():
+                raise ValueError(
+                    "reference solution is all zeros, so the relative solution "
+                    "error is undefined; omit x_star to stop on the normal residual"
                 )
         if self.consistent:
             if self.x_star is None:

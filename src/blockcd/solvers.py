@@ -1,15 +1,19 @@
 """Iterative least-squares solvers behind one driver.
 
-Methods: greedy single-coordinate descent (cd), the fast block method with
-its averaged threshold (fbcd), a maximal-residual block baseline that solves
-a small least-squares subproblem per step (mrbgs), and the adaptive
-deterministic block method with heavy-ball momentum (madbcd).
+cd, fbcd and madbcd are one step: an exact line search along the direction
+that carries the gradient entries s = A^T r on a block, plus the heavy-ball
+term beta (x_k - x_{k-1}) (beta = 0 for cd and fbcd).  They differ only in
+the block rule: the singleton {argmax |s_j|} (greedy coordinate descent,
+cd), the averaged threshold of the fast block method (fbcd), or the mean
+||s||^2 / n threshold of the adaptive method (madbcd).  The maximal-residual
+block baseline (mrbgs) swaps the line search for an exact least-squares
+subsolve on its block.
 
 All methods share the same bookkeeping: the residual r = b - A x and the
 difference image w = A(x - x_prev) are updated incrementally each step and
 recomputed from scratch every ``RESIDUAL_REFRESH`` steps to bound drift.
-The gradient of the half squared residual, s = A^T r, is recomputed fresh
-every iteration since block updates touch unpredictable column subsets.
+The gradient s is recomputed fresh every iteration since block updates
+touch unpredictable column subsets.
 """
 
 from __future__ import annotations
@@ -17,7 +21,7 @@ from __future__ import annotations
 import math
 import time
 from dataclasses import dataclass, field
-from typing import NamedTuple
+from typing import Callable
 
 import numpy as np
 
@@ -36,10 +40,9 @@ __all__ = [
     "select_block_madbcd",
     "select_block_fbcd",
     "select_block_mrbgs",
-    "cd_step",
-    "fbcd_step",
-    "madbcd_step",
-    "mrbgs_step",
+    "block_rule",
+    "line_search_update",
+    "subsolve_update",
     "run_solver",
     "compute_rse",
 ]
@@ -54,7 +57,7 @@ RESIDUAL_REFRESH = 50
 class BlockIndexSet:
     """Selected column indices with the driving gradient entries.
 
-    `values` are exactly the entries of s at `indices`; for the threshold
+    `values` are exactly the entries of s at `indices`; for the line-search
     methods they are also the nonzeros of the update direction.
     """
 
@@ -141,13 +144,15 @@ class SolverState:
             r = b - A.matvec(x)
         return cls(x_curr=x, x_prev=x.copy(), residual=r, diff_image=np.zeros(m), k=0)
 
-
-class StepInfo(NamedTuple):
-    """What a step did, for the run records."""
-
-    block: BlockIndexSet
-    s_norm_sq: float
-    eta_dot_s: float
+    def advance(self, x_next: np.ndarray, w_next: np.ndarray) -> "SolverState":
+        """The next iterate, given x_{k+1} and w = A (x_{k+1} - x_k)."""
+        return SolverState(
+            x_curr=x_next,
+            x_prev=self.x_curr,
+            residual=self.residual - w_next,
+            diff_image=w_next,
+            k=self.k + 1,
+        )
 
 
 @dataclass(frozen=True)
@@ -243,10 +248,35 @@ def select_block_mrbgs(s: np.ndarray, fraction: float = 0.3) -> BlockIndexSet:
     return BlockIndexSet(indices=idx, values=s[idx])
 
 
-def _threshold_update(
-    state: SolverState, A: Matrix, block: BlockIndexSet, beta: float, s_norm_sq: float
-) -> tuple[SolverState, StepInfo]:
-    """Shared exact-line-search update along the gradient-carried direction."""
+def block_rule(params: MethodParams, A: Matrix) -> Callable[[np.ndarray], BlockIndexSet]:
+    """The method's block selector s -> BlockIndexSet, with its constants of A bound.
+
+    Looks the selectors up per run, not at import time, so that one rebound on
+    this module (as perfbench's tracer does) is the one used.
+    """
+    if params.method == "madbcd":
+        return select_block_madbcd
+    if params.method == "fbcd":
+        col_norms, frobenius = A.column_norms(), A.frobenius_norm()
+        return lambda s: select_block_fbcd(s, col_norms, frobenius)[1]
+    if params.method == "mrbgs":
+        return lambda s: select_block_mrbgs(s, params.mrbgs_fraction)
+
+    def singleton(s: np.ndarray) -> BlockIndexSet:
+        idx = np.array([int(np.argmax(np.abs(s)))], dtype=np.int64)
+        return BlockIndexSet(indices=idx, values=s[idx])
+
+    return singleton
+
+
+def line_search_update(
+    state: SolverState, A: Matrix, block: BlockIndexSet, beta: float
+) -> tuple[SolverState, float]:
+    """Exact line search along eta (block.values on block.indices) plus momentum.
+
+    Returns the next state and eta^T s.  With beta = 0 this is the plain block
+    step; on a singleton block it is the coordinate step s_j / ||a_j||^2.
+    """
     a_eta = A.restricted_matvec(block.indices, block.values)
     denom = float(np.dot(a_eta, a_eta))
     if denom == 0.0:
@@ -264,91 +294,11 @@ def _threshold_update(
         x_next = state.x_curr.copy()
         w_next = c * a_eta
     x_next[block.indices] += c * block.values
-    next_state = SolverState(
-        x_curr=x_next,
-        x_prev=state.x_curr,
-        residual=state.residual - w_next,
-        diff_image=w_next,
-        k=state.k + 1,
-    )
-    return next_state, StepInfo(block=block, s_norm_sq=s_norm_sq, eta_dot_s=eta_dot_s)
+    return state.advance(x_next, w_next), eta_dot_s
 
 
-def _gradient(state: SolverState, A: Matrix, s: np.ndarray | None) -> np.ndarray:
-    return A.transpose_matvec(state.residual) if s is None else s
-
-
-def madbcd_step(
-    state: SolverState, A: Matrix, beta: float, *, s: np.ndarray | None = None
-) -> tuple[SolverState, StepInfo]:
-    """One adaptive-block momentum step; pass `s` to reuse a computed gradient."""
-    s = _gradient(state, A, s)
-    block = select_block_madbcd(s)
-    return _threshold_update(state, A, block, beta, float(np.dot(s, s)))
-
-
-def fbcd_step(
-    state: SolverState,
-    A: Matrix,
-    *,
-    col_norms: np.ndarray | None = None,
-    frobenius: float | None = None,
-    s: np.ndarray | None = None,
-) -> tuple[SolverState, StepInfo]:
-    """One fast-block step (no momentum)."""
-    s = _gradient(state, A, s)
-    if col_norms is None:
-        col_norms = A.column_norms()
-    if frobenius is None:
-        frobenius = A.frobenius_norm()
-    _, block = select_block_fbcd(s, col_norms, frobenius)
-    return _threshold_update(state, A, block, 0.0, float(np.dot(s, s)))
-
-
-def cd_step(
-    state: SolverState,
-    A: Matrix,
-    j: int,
-    *,
-    s: np.ndarray | None = None,
-    col_norm_sq: float | None = None,
-) -> tuple[SolverState, StepInfo]:
-    """Single-coordinate update on column j."""
-    s = _gradient(state, A, s)
-    a_j = A.restricted_matvec(np.array([j], dtype=np.int64), np.array([1.0]))
-    if col_norm_sq is None:
-        col_norm_sq = float(np.dot(a_j, a_j))
-    if col_norm_sq == 0.0:
-        raise ValueError(f"coordinate step on zero column {j}")
-    block = BlockIndexSet(
-        indices=np.array([j], dtype=np.int64), values=np.array([s[j]])
-    )
-    c = s[j] / col_norm_sq
-    x_next = state.x_curr.copy()
-    x_next[j] += c
-    w_next = c * a_j
-    next_state = SolverState(
-        x_curr=x_next,
-        x_prev=state.x_curr,
-        residual=state.residual - w_next,
-        diff_image=w_next,
-        k=state.k + 1,
-    )
-    return next_state, StepInfo(
-        block=block, s_norm_sq=float(np.dot(s, s)), eta_dot_s=float(s[j] * s[j])
-    )
-
-
-def mrbgs_step(
-    state: SolverState,
-    A: Matrix,
-    fraction: float = 0.3,
-    *,
-    s: np.ndarray | None = None,
-) -> tuple[SolverState, StepInfo]:
-    """Maximal-residual block step: exact subsolve on the gathered columns."""
-    s = _gradient(state, A, s)
-    block = select_block_mrbgs(s, fraction)
+def subsolve_update(state: SolverState, A: Matrix, block: BlockIndexSet) -> SolverState:
+    """Maximal-residual block step: exact least-squares subsolve on the block's columns."""
     a_tau = A.gather_columns(block.indices)
     try:
         d = householder_lstsq(a_tau, state.residual)
@@ -361,17 +311,7 @@ def mrbgs_step(
         ) from exc
     x_next = state.x_curr.copy()
     x_next[block.indices] += d
-    w_next = a_tau @ d
-    next_state = SolverState(
-        x_curr=x_next,
-        x_prev=state.x_curr,
-        residual=state.residual - w_next,
-        diff_image=w_next,
-        k=state.k + 1,
-    )
-    return next_state, StepInfo(
-        block=block, s_norm_sq=float(np.dot(s, s)), eta_dot_s=math.nan
-    )
+    return state.advance(x_next, a_tau @ d)
 
 
 def run_solver(
@@ -393,7 +333,6 @@ def run_solver(
     A: Matrix = problem.A
     b = problem.b
     x_star = problem.x_star
-    n = A.shape[1]
 
     use_rse = stop.rse_threshold is not None and x_star is not None
     grad_threshold = stop.grad_threshold
@@ -402,9 +341,7 @@ def run_solver(
         grad_threshold = stop.rse_threshold
     atb_norm = float(np.linalg.norm(A.transpose_matvec(b))) if grad_threshold else 0.0
 
-    col_norms = A.column_norms() if params.method in ("cd", "fbcd") else None
-    col_norms_sq = col_norms * col_norms if col_norms is not None else None
-    frobenius = A.frobenius_norm() if params.method == "fbcd" else None
+    select = block_rule(params, A)
 
     state = SolverState.initial(A, b, x0)
     records: list[IterationRecord] = []
@@ -447,33 +384,27 @@ def run_solver(
             )
             break
 
-        if params.method == "madbcd":
-            state, info = madbcd_step(state, A, params.beta, s=s)
-        elif params.method == "fbcd":
-            state, info = fbcd_step(
-                state, A, col_norms=col_norms, frobenius=frobenius, s=s
-            )
-        elif params.method == "cd":
-            j = int(np.argmax(np.abs(s)))
-            state, info = cd_step(state, A, j, s=s, col_norm_sq=float(col_norms_sq[j]))
+        block = select(s)
+        if params.method == "mrbgs":
+            state, eta_dot_s = subsolve_update(state, A, block), math.nan
         else:
-            state, info = mrbgs_step(state, A, params.mrbgs_fraction, s=s)
+            state, eta_dot_s = line_search_update(state, A, block, params.beta)
 
         records.append(
             IterationRecord(
                 k=state.k - 1,
                 rse=rse,
                 grad_norm=grad_norm,
-                block_size=len(info.block),
+                block_size=len(block),
                 elapsed_s=elapsed,
-                eta_dot_s=info.eta_dot_s,
-                s_norm_sq=info.s_norm_sq,
+                eta_dot_s=eta_dot_s,
+                s_norm_sq=s_norm_sq,
             )
         )
         if iterates is not None:
             iterates.append(state.x_curr.copy())
         if blocks is not None:
-            blocks.append(np.array(info.block.indices))
+            blocks.append(np.array(block.indices))
 
         if state.k % RESIDUAL_REFRESH == 0:
             fresh = b - A.matvec(state.x_curr)

@@ -25,13 +25,14 @@ from blockcd import (
     gram_extremal_singular_values,
     default_tomo_geometry,
     make_consistent_problem,
-    mrbgs_step,
     q_from_recurrence,
     read_matrix_market,
     reference_lsq_solve,
     run_experiment,
     run_solver,
+    select_block_mrbgs,
     sketch_apply_vector,
+    subsolve_update,
     sweep_beta,
     write_matrix_market,
 )
@@ -297,8 +298,9 @@ def test_criterion_09_mrbgs_subsolve_optimality():
             s = prob.A.transpose_matvec(state.residual)
             if float(np.dot(s, s)) == 0.0:
                 break
-            state, info = mrbgs_step(state, prob.A, 0.3, s=s)
-            a_tau = prob.A.gather_columns(info.block.indices)
+            block = select_block_mrbgs(s, 0.3)
+            state = subsolve_update(state, prob.A, block)
+            a_tau = prob.A.gather_columns(block.indices)
             resid = float(np.linalg.norm(a_tau.T @ state.residual))
             bound = 1e-10 * float(np.linalg.norm(a_tau)) * r_before
             worst = max(worst, resid / bound if bound > 0 else 0.0)
@@ -309,21 +311,24 @@ def test_criterion_09_mrbgs_subsolve_optimality():
     )
 
 
+DETERMINISM_CONFIG = {
+    "label": "determinism",
+    "problem": {"kind": "gaussian", "m": 500, "n": 80},
+    "methods": [
+        {"method": "madbcd", "beta": 0.1},
+        {"method": "fbcd"},
+        {"method": "cd"},
+        {"method": "mrbgs"},
+        {"method": "cs-madbcd", "beta": 0.3, "d_factor": 4},
+    ],
+    "stopping": {"rse_threshold": 1e-6, "max_iterations": 50000},
+    "repeats": 3,
+    "master_seed": MASTER_SEED,
+}
+
+
 def test_criterion_10_determinism(tmp_path):
-    base = {
-        "label": "determinism",
-        "problem": {"kind": "gaussian", "m": 500, "n": 80},
-        "methods": [
-            {"method": "madbcd", "beta": 0.1},
-            {"method": "fbcd"},
-            {"method": "cd"},
-            {"method": "mrbgs"},
-            {"method": "cs-madbcd", "beta": 0.3, "d_factor": 4},
-        ],
-        "stopping": {"rse_threshold": 1e-6, "max_iterations": 50000},
-        "repeats": 3,
-        "master_seed": MASTER_SEED,
-    }
+    base = DETERMINISM_CONFIG
 
     import csv
     import io
@@ -359,6 +364,23 @@ def test_criterion_10_determinism(tmp_path):
     report_line(
         10, ok, f"{len(outputs[0])} CSV files byte-identical after dropping timing columns"
     )
+
+
+def test_criterion_10_pinned_iteration_counts():
+    # the behaviour contract: exact per-repeat counts and stop reasons under the
+    # master seed; a change that moves any of them must say so and re-pin them
+    pinned = {
+        "madbcd_b0.1": [14, 12, 12],
+        "fbcd": [53, 45, 52],
+        "cd": [314, 280, 312],
+        "mrbgs_f0.3": [20, 20, 20],
+        "cs-madbcd_b0.3_d4n": [23, 26, 28],
+    }
+    _, reports = run_experiment(ExperimentConfig.from_dict(DETERMINISM_CONFIG))
+    got = {label: [r.iterations for r in runs] for label, runs in reports.items()}
+    reasons = {r.stop_reason for runs in reports.values() for r in runs}
+    ok = got == pinned and reasons == {"converged: rse threshold"}
+    report_line(10, ok, f"per-repeat iteration counts {got}, stop reasons {sorted(reasons)}")
 
 
 def test_criterion_11_matrix_market_round_trip(tmp_path):

@@ -2,8 +2,10 @@ import json
 import subprocess
 import sys
 
+import numpy as np
 import pytest
 
+from blockcd import build_problem, read_curve_csv
 from blockcd.cli import main
 
 
@@ -88,6 +90,31 @@ def test_cs_method_through_cli(tmp_path):
         ]
     )
     assert code == 0
+
+
+@pytest.mark.parametrize("method", ["cd", "fbcd", "mrbgs", "madbcd", "cs-madbcd"])
+def test_solve_every_method_reports_its_cell(tmp_path, method):
+    out = tmp_path / method
+    code = main(
+        ["solve", "--problem", "gaussian:400:40", "--method", method, "--seed", "6",
+         "--out", str(out)]
+    )
+    assert code == 0
+    report = json.loads((out / "report.json").read_text())
+    # a sketched cell still names the problem it was asked to solve
+    assert report["problem"] == build_problem({"kind": "gaussian", "m": 400, "n": 40}, 6).label
+    assert report["method"] == method
+    assert (report["prep_seconds"] > 0) == (method == "cs-madbcd")
+    curve = read_curve_csv(out / "curve.csv")
+    assert [row["k"] for row in curve] == list(range(report["iterations"] + 1))
+
+
+def test_all_zero_reference_solution_exit_one(tmp_path, capsys):
+    bundle = tmp_path / "bundle"
+    assert main(["gen", "--problem", "gaussian:30:5", "--seed", "1", "--out", str(bundle)]) == 0
+    np.savetxt(bundle / "x_star.txt", np.zeros(5))
+    assert main(["solve", "--problem", str(bundle)]) == 1
+    assert "all zeros" in capsys.readouterr().err
 
 
 def test_gen_then_solve_bundle(tmp_path, capsys):

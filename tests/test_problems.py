@@ -115,6 +115,19 @@ class TestProblemInstanceValidation:
             ):
                 ProblemInstance(A=A, b=np.ones(3))
 
+    @pytest.mark.parametrize("bad", [np.inf, np.nan])
+    def test_non_finite_reference_solution_named(self, bad):
+        x_star = np.ones(3)
+        x_star[1] = bad
+        with pytest.raises(
+            ValueError, match="reference solution has a non-finite entry at index 1"
+        ):
+            ProblemInstance(A=DenseMatrix(np.eye(3)), b=np.ones(3), x_star=x_star)
+
+    def test_all_zero_reference_solution_refused(self):
+        with pytest.raises(ValueError, match="all zeros.*undefined.*omit x_star"):
+            ProblemInstance(A=DenseMatrix(np.eye(3)), b=np.ones(3), x_star=np.zeros(3))
+
     def test_rhs_length(self):
         with pytest.raises(ValueError, match="length 2"):
             ProblemInstance(A=DenseMatrix(np.eye(2)), b=np.ones(3))

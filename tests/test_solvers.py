@@ -9,18 +9,17 @@ from blockcd import (
     SolverState,
     SparseMatrixCSC,
     StoppingRule,
-    cd_step,
+    block_rule,
     compute_rse,
-    fbcd_step,
     gen_gaussian_dense,
-    madbcd_step,
+    line_search_update,
     make_consistent_problem,
-    mrbgs_step,
     reference_lsq_solve,
     run_solver,
     select_block_fbcd,
     select_block_madbcd,
     select_block_mrbgs,
+    subsolve_update,
 )
 from blockcd.solvers import RESIDUAL_REFRESH
 
@@ -29,6 +28,14 @@ def identity_problem(b):
     b = np.asarray(b, dtype=float)
     A = DenseMatrix(np.eye(len(b)))
     return ProblemInstance(A=A, b=b, x_star=b.copy(), consistent=True)
+
+
+def step(state, A, method, beta=0.0):
+    """One step of `method` from `state`, built as run_solver builds it."""
+    block = block_rule(MethodParams(method, beta), A)(A.transpose_matvec(state.residual))
+    if method == "mrbgs":
+        return subsolve_update(state, A, block), block
+    return line_search_update(state, A, block, beta)[0], block
 
 
 class TestSelectMadbcd:
@@ -144,13 +151,13 @@ class TestMadbcdStep:
         problem = identity_problem([1.0, 2.0])
         state = SolverState.initial(problem.A, problem.b)
         # s = (1, 2), threshold 2.5 -> block {1}, step length 1
-        state, info = madbcd_step(state, problem.A, beta=0.0)
-        assert info.block.indices.tolist() == [1]
+        state, block = step(state, problem.A, "madbcd")
+        assert block.indices.tolist() == [1]
         assert_allclose(state.x_curr, [0.0, 2.0])
         assert_allclose(state.residual, [1.0, 0.0])
         # s = (1, 0) -> block {0}, lands on the solution
-        state, info = madbcd_step(state, problem.A, beta=0.0)
-        assert info.block.indices.tolist() == [0]
+        state, block = step(state, problem.A, "madbcd")
+        assert block.indices.tolist() == [0]
         assert_allclose(state.x_curr, [1.0, 2.0])
         assert_allclose(
             state.x_curr, reference_lsq_solve(problem.A, problem.b), atol=1e-15
@@ -165,8 +172,8 @@ class TestMadbcdStep:
             diff_image=np.array([0.0, 2.0]),
             k=1,
         )
-        state, info = madbcd_step(state, A, beta=0.5)
-        assert info.block.indices.tolist() == [0]
+        state, block = step(state, A, "madbcd", beta=0.5)
+        assert block.indices.tolist() == [0]
         assert_allclose(state.x_curr, [1.0, 3.0])
 
     def test_fixed_point_stops_driver(self):
@@ -186,7 +193,7 @@ class TestFbcdStep:
     def test_orthonormal_one_step(self):
         problem = identity_problem([1.0, 0.0])
         state = SolverState.initial(problem.A, problem.b)
-        state, info = fbcd_step(state, problem.A)
+        state, _ = step(state, problem.A, "fbcd")
         assert_allclose(state.x_curr, [1.0, 0.0])
 
     def test_energy_decrease_against_reference(self, rng):
@@ -198,7 +205,7 @@ class TestFbcdStep:
         x_ref = reference_lsq_solve(a, problem.b)
         state = SolverState.initial(problem.A, problem.b)
         before = np.linalg.norm(a @ (state.x_curr - x_ref))
-        state, _ = fbcd_step(state, problem.A)
+        state, _ = step(state, problem.A, "fbcd")
         after = np.linalg.norm(a @ (state.x_curr - x_ref))
         assert after < before
 
@@ -207,13 +214,14 @@ class TestCdStep:
     def test_identity_single_coordinate(self):
         problem = identity_problem([1.0, 2.0])
         state = SolverState.initial(problem.A, problem.b)
-        state, _ = cd_step(state, problem.A, j=1)
+        state, block = step(state, problem.A, "cd")
+        assert block.indices.tolist() == [1]
         assert_allclose(state.x_curr, [0.0, 2.0])
 
     def test_rank_one_averaging(self):
         A = DenseMatrix([[1.0], [1.0]])
         state = SolverState.initial(A, np.array([0.0, 2.0]))
-        state, _ = cd_step(state, A, j=0)
+        state, _ = step(state, A, "cd")
         assert_allclose(state.x_curr, [1.0])
 
     def test_matches_madbcd_on_singleton_blocks(self):
@@ -225,10 +233,9 @@ class TestCdStep:
         block = select_block_madbcd(s0)
         assert len(block) == 1
 
-        st_cd = SolverState.initial(A, b)
-        st_cd, _ = cd_step(st_cd, A, j=int(block.indices[0]))
-        st_mb = SolverState.initial(A, b)
-        st_mb, _ = madbcd_step(st_mb, A, beta=0.0)
+        st_cd, cd_block = step(SolverState.initial(A, b), A, "cd")
+        assert cd_block.indices.tolist() == block.indices.tolist()
+        st_mb, _ = step(SolverState.initial(A, b), A, "madbcd")
         assert_allclose(st_cd.x_curr, st_mb.x_curr, rtol=1e-15, atol=0)
         assert_allclose(st_cd.residual, st_mb.residual, rtol=1e-15, atol=0)
 
@@ -238,23 +245,22 @@ class TestMrbgsStep:
         # s = (1, 2): cutoff 0.3 * 4 = 1.2 excludes the first coordinate
         problem = identity_problem([1.0, 2.0])
         state = SolverState.initial(problem.A, problem.b)
-        state, info = mrbgs_step(state, problem.A, fraction=0.3)
-        assert info.block.indices.tolist() == [1]
+        state, block = step(state, problem.A, "mrbgs")
+        assert block.indices.tolist() == [1]
         assert_allclose(state.x_curr, [0.0, 2.0])
 
     def test_orthonormal_one_step(self):
         problem = identity_problem([1.0, 1.0])
         state = SolverState.initial(problem.A, problem.b)
-        state, info = mrbgs_step(state, problem.A, fraction=0.3)
-        assert info.block.indices.tolist() == [0, 1]
+        state, block = step(state, problem.A, "mrbgs")
+        assert block.indices.tolist() == [0, 1]
         assert_allclose(state.x_curr, [1.0, 1.0])
 
     def test_singleton_equals_cd(self):
         problem = identity_problem([1.0, 2.0])
-        st_m = SolverState.initial(problem.A, problem.b)
-        st_m, info = mrbgs_step(st_m, problem.A, fraction=0.3)
-        st_c = SolverState.initial(problem.A, problem.b)
-        st_c, _ = cd_step(st_c, problem.A, j=int(info.block.indices[0]))
+        st_m, block = step(SolverState.initial(problem.A, problem.b), problem.A, "mrbgs")
+        st_c, cd_block = step(SolverState.initial(problem.A, problem.b), problem.A, "cd")
+        assert cd_block.indices.tolist() == block.indices.tolist()
         assert_allclose(st_m.x_curr, st_c.x_curr, rtol=1e-14)
 
     @pytest.mark.parametrize("seed", range(5))
@@ -265,8 +271,8 @@ class TestMrbgsStep:
         b = rng.standard_normal(12)
         state = SolverState.initial(A, b)
         r_before = np.linalg.norm(state.residual)
-        state, info = mrbgs_step(state, A, fraction=0.3)
-        a_tau = a[:, info.block.indices]
+        state, block = step(state, A, "mrbgs")
+        a_tau = a[:, block.indices]
         bound = 1e-10 * np.linalg.norm(a_tau) * r_before
         assert np.linalg.norm(a_tau.T @ state.residual) <= bound
 
