@@ -16,8 +16,7 @@ import csv
 import json
 import os
 import re
-from concurrent.futures import ThreadPoolExecutor
-from dataclasses import asdict, dataclass, replace
+from dataclasses import asdict, dataclass, fields, replace
 
 import numpy as np
 
@@ -113,11 +112,15 @@ class MethodSpec:
 
     @classmethod
     def from_dict(cls, raw: dict) -> "MethodSpec":
-        known = {"method", "beta", "mrbgs_fraction", "d", "d_factor"}
-        extra = set(raw) - known
-        if extra:
-            raise ValueError(f"unknown method keys {sorted(extra)}")
+        _refuse_unknown_keys("method", raw, cls)
         return cls(**raw)
+
+
+def _refuse_unknown_keys(what: str, raw: dict, cls) -> None:
+    """A ValueError naming every key of `raw` that is not a field of `cls`."""
+    extra = set(raw) - {f.name for f in fields(cls)}
+    if extra:
+        raise ValueError(f"unknown {what} keys {sorted(extra)}")
 
 
 @dataclass(frozen=True)
@@ -132,8 +135,6 @@ class ExperimentConfig:
     master_seed: int = 0
     output_dir: str = "bench-out"
     label: str = "experiment"
-    serial_timing: bool = True
-    workers: int = 4
 
     def __post_init__(self):
         if self.repeats < 1:
@@ -148,10 +149,12 @@ class ExperimentConfig:
 
     @classmethod
     def from_dict(cls, raw: dict) -> "ExperimentConfig":
+        _refuse_unknown_keys("config", raw, cls)
         raw = dict(raw)
         methods = tuple(MethodSpec.from_dict(m) for m in raw.pop("methods", []))
-        stopping = StoppingRule(**raw.pop("stopping", {}))
-        return cls(methods=methods, stopping=stopping, **raw)
+        stopping = raw.pop("stopping", {})
+        _refuse_unknown_keys("stopping", stopping, StoppingRule)
+        return cls(methods=methods, stopping=StoppingRule(**stopping), **raw)
 
     @classmethod
     def from_json(cls, path) -> "ExperimentConfig":
@@ -176,6 +179,16 @@ class BenchRow:
     speedup_vs_madbcd: float | None
 
 
+# the fields each problem kind cannot do without
+PROBLEM_FIELDS = {
+    "gaussian": ("m", "n"),
+    "sparse-gaussian": ("m", "n", "density"),
+    "tomography": ("grid_side",),
+    "mtx": ("path",),
+    "bundle": ("path",),
+}
+
+
 def build_problem(spec: dict, seed) -> ProblemInstance:
     """Realize a problem spec for one seed.
 
@@ -184,7 +197,12 @@ def build_problem(spec: dict, seed) -> ProblemInstance:
     mtx (path, optional transpose; right-hand side generated from the seed),
     bundle (path; A, b and any reference solution come from disk).
     """
-    kind = spec["kind"]
+    kind = spec.get("kind")
+    if kind not in PROBLEM_FIELDS:
+        raise ValueError(f"unknown problem kind {kind!r}")
+    missing = [name for name in PROBLEM_FIELDS[kind] if name not in spec]
+    if missing:
+        raise ValueError(f"problem kind {kind!r} needs field(s) {missing}")
     ss = np.random.SeedSequence(seed)
     mat_seed, rhs_seed = (int(s) for s in ss.generate_state(2))
     if kind == "gaussian":
@@ -210,9 +228,7 @@ def build_problem(spec: dict, seed) -> ProblemInstance:
         return make_consistent_problem(
             A, rhs_seed, label=name + ("^T" if transpose else "")
         )
-    if kind == "bundle":
-        return read_problem_bundle(spec["path"])
-    raise ValueError(f"unknown problem kind {kind!r}")
+    return read_problem_bundle(spec["path"])
 
 
 def run_cell(
@@ -233,49 +249,33 @@ def run_cell(
 
 
 def run_experiment(config: ExperimentConfig):
-    """Run every method x repeat cell; aggregate rows and keep all reports.
+    """Run every method cell on every repeat; aggregate rows and keep all reports.
 
-    Per repeat, every method sees the same problem realization.  A run that
-    hits its iteration or time limit is kept and flagged, never fatal.
+    Repeats run serially, one problem realization at a time: every method
+    sees the same realization, which is dropped before the next repeat's is
+    built.  A run that hits its iteration or time limit is kept and flagged,
+    never fatal.
     """
     ss = np.random.SeedSequence(config.master_seed)
     seed_table = ss.generate_state(config.repeats * 2).reshape(config.repeats, 2)
-    if config.fresh_problem_per_repeat:
-        problems = [
-            build_problem(config.problem, int(seed_table[rep, 0]))
-            for rep in range(config.repeats)
-        ]
-    else:
+    shared = None
+    if not config.fresh_problem_per_repeat:
         shared = build_problem(config.problem, int(seed_table[0, 0]))
-        problems = [shared] * config.repeats
-    n = problems[0].A.cols
-
-    cells = [
-        (mi, rep)
-        for mi in range(len(config.methods))
-        for rep in range(config.repeats)
-    ]
-    reports: dict[tuple[int, int], ConvergenceReport] = {}
-
-    def work(cell):
-        mi, rep = cell
-        spec = config.methods[mi]
-        sketch_seed = int(seed_table[rep, 1]) + mi
-        return cell, run_cell(problems[rep], spec, config.stopping, sketch_seed)
-
-    if config.serial_timing:
-        for cell in cells:
-            key, rep_ = work(cell)
-            reports[key] = rep_
-    else:
-        with ThreadPoolExecutor(max_workers=config.workers) as pool:
-            for key, rep_ in pool.map(work, cells):
-                reports[key] = rep_
+    reports: list[list[ConvergenceReport]] = [[] for _ in config.methods]
+    for rep in range(config.repeats):
+        if shared is not None:
+            problem = shared
+        else:
+            problem = build_problem(config.problem, int(seed_table[rep, 0]))
+        n = problem.A.cols
+        for mi, spec in enumerate(config.methods):
+            sketch_seed = int(seed_table[rep, 1]) + mi
+            reports[mi].append(run_cell(problem, spec, config.stopping, sketch_seed))
+        del problem  # free this realization before the next one is built
 
     rows: list[BenchRow] = []
     report_lists: dict[str, list[ConvergenceReport]] = {}
-    for mi, spec in enumerate(config.methods):
-        runs = [reports[(mi, rep)] for rep in range(config.repeats)]
+    for spec, runs in zip(config.methods, reports):
         label = spec.label()
         report_lists[label] = runs
         prep = float(np.mean([r.prep_seconds for r in runs]))
@@ -299,13 +299,9 @@ def run_experiment(config: ExperimentConfig):
     baseline = next((r for r in rows if r.method == "madbcd"), None)
     if baseline is not None:
         rows = [
-            BenchRow(
-                **{
-                    **asdict(row),
-                    "speedup_vs_madbcd": compute_speedup(
-                        row.mean_total_s, baseline.mean_total_s
-                    ),
-                }
+            replace(
+                row,
+                speedup_vs_madbcd=compute_speedup(row.mean_total_s, baseline.mean_total_s),
             )
             for row in rows
         ]
@@ -326,24 +322,28 @@ def sweep_beta(
     master_seed: int = 0,
     repeats: int = 1,
 ):
-    """Iteration counts and solve seconds of the momentum method per beta."""
-    ss = np.random.SeedSequence(master_seed)
-    seeds = [int(s) for s in ss.generate_state(repeats)]
-    problems = [build_problem(problem_spec, s) for s in seeds]
-    out = []
-    for beta in betas:
-        runs = [
-            run_solver(p, MethodParams("madbcd", float(beta)), stop) for p in problems
-        ]
-        out.append(
-            {
-                "beta": float(beta),
-                "mean_it": float(np.mean([r.iterations for r in runs])),
-                "mean_solve_s": float(np.mean([r.solve_seconds for r in runs])),
-                "n_converged": sum(r.converged for r in runs),
-            }
-        )
-    return out
+    """Iteration counts and solve seconds of the momentum method per beta.
+
+    A run_experiment suite with one madbcd cell per beta, so the betas must
+    be distinct.
+    """
+    config = ExperimentConfig(
+        problem=problem_spec,
+        methods=tuple(MethodSpec("madbcd", float(beta)) for beta in betas),
+        stopping=stop,
+        repeats=repeats,
+        master_seed=master_seed,
+    )
+    rows, _ = run_experiment(config)
+    return [
+        {
+            "beta": row.beta,
+            "mean_it": row.mean_it,
+            "mean_solve_s": row.mean_solve_s,
+            "n_converged": row.n_converged,
+        }
+        for row in rows
+    ]
 
 
 def _fmt(v) -> str:

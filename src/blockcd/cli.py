@@ -114,8 +114,6 @@ def _build_parser() -> _Parser:
     pb = sub.add_parser("bench", help="run a configured experiment suite")
     pb.add_argument("--config", required=True)
     pb.add_argument("--out", default=None, help="override the config output_dir")
-    pb.add_argument("--parallel", action="store_true",
-                    help="run cells on worker threads (timing comparisons become unfair)")
 
     pw = sub.add_parser("sweep-beta", help="momentum parameter grid for madbcd")
     pw.add_argument("--problem", required=True)
@@ -190,8 +188,6 @@ def _cmd_bench(args) -> int:
         base = json.load(fh)
     if args.out:
         base["output_dir"] = args.out
-    if args.parallel:
-        base["serial_timing"] = False
     config = ExperimentConfig.from_dict(base)
     rows, reports = run_experiment(config)
     written = emit_outputs(rows, reports, config.output_dir, config)

@@ -1,6 +1,8 @@
 import csv
 import io
 import json
+import weakref
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -17,7 +19,10 @@ from blockcd import (
     run_experiment,
     sweep_beta,
 )
+from blockcd import bench
 from blockcd.bench import CURVE_COLUMNS, SUMMARY_COLUMNS, TIMING_COLUMNS
+
+CONFIG_DIR = Path(__file__).resolve().parents[1] / "configs"
 
 
 def small_config(tmp_path, **overrides):
@@ -64,6 +69,24 @@ class TestConfig:
         with pytest.raises(ValueError, match="unknown method keys"):
             MethodSpec.from_dict({"method": "fbcd", "gamma": 1})
 
+    @pytest.mark.parametrize(
+        "overrides, message",
+        [
+            ({"serial_timng": True}, r"unknown config keys \['serial_timng'\]"),
+            ({"serial_timing": False, "workers": 3}, r"\['serial_timing', 'workers'\]"),
+            ({"stopping": {"max_iter": 100}}, r"unknown stopping keys \['max_iter'\]"),
+        ],
+    )
+    def test_unknown_keys_rejected(self, tmp_path, overrides, message):
+        with pytest.raises(ValueError, match=message):
+            small_config(tmp_path, **overrides)
+
+    def test_every_shipped_config_loads(self):
+        paths = sorted(CONFIG_DIR.glob("*.json"))
+        assert paths
+        for path in paths:
+            assert ExperimentConfig.from_json(path).methods
+
     def test_cs_needs_exactly_one_dimension_spec(self):
         with pytest.raises(ValueError, match="exactly one"):
             MethodSpec(method="cs-madbcd", beta=0.1)
@@ -107,6 +130,12 @@ class TestBuildProblem:
         assert tomo.A.cols == 64
         with pytest.raises(ValueError, match="kind"):
             build_problem({"kind": "toeplitz"}, 0)
+
+    def test_missing_field_names_kind_and_field(self):
+        with pytest.raises(ValueError, match=r"'gaussian' needs field\(s\) \['n'\]"):
+            build_problem({"kind": "gaussian", "m": 50}, 0)
+        with pytest.raises(ValueError, match=r"'sparse-gaussian' .*\['density'\]"):
+            build_problem({"kind": "sparse-gaussian", "m": 50, "n": 8}, 0)
 
     def test_mtx_kind_with_transpose(self, tmp_path):
         from blockcd import SparseMatrixCSC, gen_sparse_gaussian, write_matrix_market
@@ -165,12 +194,36 @@ class TestRunExperiment:
         its = {r.iterations for r in runs}
         assert len(its) == 1  # identical problem, identical deterministic run
 
-    def test_parallel_gives_same_iteration_counts(self, tmp_path):
-        serial = small_config(tmp_path)
-        threaded = small_config(tmp_path, serial_timing=False, workers=3)
-        rows_s, _ = run_experiment(serial)
-        rows_t, _ = run_experiment(threaded)
-        assert [r.mean_it for r in rows_s] == [r.mean_it for r in rows_t]
+
+class TestOneRealizationAtATime:
+    @pytest.fixture
+    def alive_at_build(self, monkeypatch):
+        """Per build_problem call, how many earlier realizations are still alive."""
+        real = bench.build_problem
+        built, alive = [], []
+
+        def tracking(spec, seed):
+            alive.append(sum(ref() is not None for ref in built))
+            problem = real(spec, seed)
+            built.append(weakref.ref(problem))
+            return problem
+
+        monkeypatch.setattr(bench, "build_problem", tracking)
+        return alive
+
+    def test_run_experiment(self, tmp_path, alive_at_build):
+        run_experiment(small_config(tmp_path, repeats=3))
+        assert alive_at_build == [0, 0, 0]
+
+    def test_sweep_beta(self, alive_at_build):
+        sweep_beta(
+            {"kind": "gaussian", "m": 120, "n": 40},
+            [0.0, 0.3],
+            StoppingRule(rse_threshold=1e-6, max_iterations=5000),
+            master_seed=3,
+            repeats=3,
+        )
+        assert alive_at_build == [0, 0, 0]
 
 
 class TestSpeedup:
@@ -246,6 +299,7 @@ def test_sweep_beta_runs_grid():
     )
     assert [r["beta"] for r in rows] == [0.0, 0.3, 0.5]
     assert all(r["n_converged"] == 1 for r in rows)
+    assert [r["mean_it"] for r in rows] == [27.0, 18.0, 25.0]
 
 
 def test_sweep_beta_tall_problems_prefer_small_momentum():

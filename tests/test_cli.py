@@ -144,6 +144,49 @@ def test_bench_subcommand(tmp_path, capsys):
     assert "speedup" in out
 
 
+def write_small_config(tmp_path, **overrides):
+    cfg = {
+        "problem": {"kind": "gaussian", "m": 150, "n": 25},
+        "methods": [{"method": "madbcd", "beta": 0.1}],
+        "stopping": {"rse_threshold": 1e-6, "max_iterations": 5000},
+        "repeats": 1,
+        "output_dir": str(tmp_path / "bench-out"),
+        **overrides,
+    }
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps(cfg))
+    return path
+
+
+@pytest.mark.parametrize(
+    "change, named",
+    [
+        ({"serial_timng": True}, "serial_timng"),
+        ({"serial_timing": True, "workers": 2}, "serial_timing"),
+        ({"stopping": {"max_iter": 100}}, "max_iter"),
+        ({"problem": {"kind": "gaussian", "m": 50}}, "'n'"),
+    ],
+    ids=["typo-key", "removed-key", "stopping-key", "missing-problem-field"],
+)
+def test_bad_bench_config_exit_one(tmp_path, capsys, change, named):
+    path = write_small_config(tmp_path, **change)
+    assert main(["bench", "--config", str(path)]) == 1
+    assert named in capsys.readouterr().err
+    assert not (tmp_path / "bench-out").exists()
+
+
+def test_bench_parallel_flag_is_gone(tmp_path, capsys):
+    path = write_small_config(tmp_path)
+    assert main(["bench", "--config", str(path), "--parallel"]) == 1
+    assert "--parallel" in capsys.readouterr().err
+
+
+def test_sweep_beta_duplicate_betas_exit_one(capsys):
+    code = main(["sweep-beta", "--problem", "gaussian:150:50", "--betas", "0.1,0.1"])
+    assert code == 1
+    assert "distinct" in capsys.readouterr().err
+
+
 def test_sweep_beta_subcommand(tmp_path, capsys):
     code = main(
         [
