@@ -14,9 +14,11 @@ from __future__ import annotations
 
 import csv
 import json
+import numbers
 import os
 import re
-from dataclasses import asdict, dataclass, fields, replace
+from dataclasses import asdict, dataclass, replace
+from typing import get_args, get_type_hints
 
 import numpy as np
 
@@ -75,16 +77,15 @@ class MethodSpec:
 
     method: str
     beta: float = 0.0
-    mrbgs_fraction: float = 0.3
-    d: int | None = None  # sketch rows (cs-madbcd only) ...
-    d_factor: int | None = None  # ... or as a multiple of n
+    d_factor: int | None = None  # sketch rows as a multiple of n (cs-madbcd only)
 
     def __post_init__(self):
-        if self.method == "cs-madbcd":
-            if (self.d is None) == (self.d_factor is None):
-                raise ValueError("cs-madbcd needs exactly one of 'd' or 'd_factor'")
-        elif self.d is not None or self.d_factor is not None:
-            raise ValueError(f"method {self.method!r} does not take a sketch dimension")
+        if (self.d_factor is None) == (self.method == "cs-madbcd"):
+            raise ValueError(
+                "'d_factor' (sketch rows as a multiple of n) is required for cs-madbcd "
+                f"and refused for every other method; got method {self.method!r} "
+                f"with d_factor {self.d_factor}"
+            )
         self.params()  # delegate the remaining validation (method name, beta range)
 
     @property
@@ -93,34 +94,46 @@ class MethodSpec:
 
     def params(self) -> MethodParams:
         """What run_solver runs: cs-madbcd is madbcd on the sketched problem."""
-        return MethodParams(self.base_method, self.beta, self.mrbgs_fraction)
+        return MethodParams(self.base_method, self.beta)
 
     def sketch_rows(self, n: int) -> int | None:
-        if self.method != "cs-madbcd":
-            return None
-        return self.d if self.d is not None else self.d_factor * n
+        return None if self.d_factor is None else self.d_factor * n
 
     def label(self) -> str:
         parts = [self.method]
         if self.base_method == "madbcd":
             parts.append(f"b{self.beta:g}")
-        if self.method == "mrbgs":
-            parts.append(f"f{self.mrbgs_fraction:g}")
-        if self.method == "cs-madbcd":
-            parts.append(f"d{self.d}" if self.d is not None else f"d{self.d_factor}n")
+        if self.d_factor is not None:
+            parts.append(f"d{self.d_factor}n")
         return "_".join(parts)
 
     @classmethod
     def from_dict(cls, raw: dict) -> "MethodSpec":
-        _refuse_unknown_keys("method", raw, cls)
+        _check_fields("method", raw, get_type_hints(cls))
         return cls(**raw)
 
 
-def _refuse_unknown_keys(what: str, raw: dict, cls) -> None:
-    """A ValueError naming every key of `raw` that is not a field of `cls`."""
-    extra = set(raw) - {f.name for f in fields(cls)}
+def _check_fields(what: str, raw: dict, declared: dict) -> None:
+    """A ValueError naming the keys of `raw` that are not in `declared`
+    (name -> type), or the first key whose value does not have its type.
+
+    Any integer (numpy's too) passes where an int is declared and any real
+    number where a float is; a boolean passes only where a bool is.
+    """
+    if not isinstance(raw, dict):
+        raise ValueError(f"{what} must be a JSON object, got {raw!r}")
+    extra = set(raw) - set(declared)
     if extra:
         raise ValueError(f"unknown {what} keys {sorted(extra)}")
+    for key, value in raw.items():
+        declared_type = declared[key]
+        types = tuple(
+            {int: numbers.Integral, float: numbers.Real}.get(t, t)
+            for t in get_args(declared_type) or (declared_type,)
+        )
+        if not isinstance(value, types) or (isinstance(value, bool) and bool not in types):
+            name = getattr(declared_type, "__name__", str(declared_type))
+            raise ValueError(f"{what} key {key!r} must be {name}, got {value!r}")
 
 
 @dataclass(frozen=True)
@@ -131,7 +144,6 @@ class ExperimentConfig:
     methods: tuple[MethodSpec, ...]
     stopping: StoppingRule
     repeats: int = 10
-    fresh_problem_per_repeat: bool = True
     master_seed: int = 0
     output_dir: str = "bench-out"
     label: str = "experiment"
@@ -149,11 +161,12 @@ class ExperimentConfig:
 
     @classmethod
     def from_dict(cls, raw: dict) -> "ExperimentConfig":
-        _refuse_unknown_keys("config", raw, cls)
+        # methods and stopping arrive as their JSON forms
+        _check_fields("config", raw, {**get_type_hints(cls), "methods": list, "stopping": dict})
         raw = dict(raw)
         methods = tuple(MethodSpec.from_dict(m) for m in raw.pop("methods", []))
         stopping = raw.pop("stopping", {})
-        _refuse_unknown_keys("stopping", stopping, StoppingRule)
+        _check_fields("stopping", stopping, get_type_hints(StoppingRule))
         return cls(methods=methods, stopping=StoppingRule(**stopping), **raw)
 
     @classmethod
@@ -179,13 +192,16 @@ class BenchRow:
     speedup_vs_madbcd: float | None
 
 
-# the fields each problem kind cannot do without
+# per problem kind: the fields it cannot do without, and the ones it may take
 PROBLEM_FIELDS = {
-    "gaussian": ("m", "n"),
-    "sparse-gaussian": ("m", "n", "density"),
-    "tomography": ("grid_side",),
-    "mtx": ("path",),
-    "bundle": ("path",),
+    "gaussian": ({"m": int, "n": int}, {}),
+    "sparse-gaussian": ({"m": int, "n": int, "density": float}, {}),
+    "tomography": (
+        {"grid_side": int},
+        {"n_angles": int, "n_detectors": int, "detector_spacing": float, "phantom": str},
+    ),
+    "mtx": ({"path": str}, {"transpose": bool}),
+    "bundle": ({"path": str}, {}),
 }
 
 
@@ -193,16 +209,19 @@ def build_problem(spec: dict, seed) -> ProblemInstance:
     """Realize a problem spec for one seed.
 
     Kinds: gaussian (m, n), sparse-gaussian (m, n, density),
-    tomography (grid_side, optional n_angles/n_detectors/spacing/phantom),
+    tomography (grid_side, optional n_angles/n_detectors/detector_spacing/phantom),
     mtx (path, optional transpose; right-hand side generated from the seed),
-    bundle (path; A, b and any reference solution come from disk).
+    bundle (path; A, b and any reference solution come from disk).  Any other
+    key, or a value of the wrong type, is refused with a ValueError naming it.
     """
     kind = spec.get("kind")
     if kind not in PROBLEM_FIELDS:
         raise ValueError(f"unknown problem kind {kind!r}")
-    missing = [name for name in PROBLEM_FIELDS[kind] if name not in spec]
+    required, optional = PROBLEM_FIELDS[kind]
+    missing = [name for name in required if name not in spec]
     if missing:
         raise ValueError(f"problem kind {kind!r} needs field(s) {missing}")
+    _check_fields("problem", spec, {"kind": str, **required, **optional})
     ss = np.random.SeedSequence(seed)
     mat_seed, rhs_seed = (int(s) for s in ss.generate_state(2))
     if kind == "gaussian":
@@ -258,15 +277,9 @@ def run_experiment(config: ExperimentConfig):
     """
     ss = np.random.SeedSequence(config.master_seed)
     seed_table = ss.generate_state(config.repeats * 2).reshape(config.repeats, 2)
-    shared = None
-    if not config.fresh_problem_per_repeat:
-        shared = build_problem(config.problem, int(seed_table[0, 0]))
     reports: list[list[ConvergenceReport]] = [[] for _ in config.methods]
     for rep in range(config.repeats):
-        if shared is not None:
-            problem = shared
-        else:
-            problem = build_problem(config.problem, int(seed_table[rep, 0]))
+        problem = build_problem(config.problem, int(seed_table[rep, 0]))
         n = problem.A.cols
         for mi, spec in enumerate(config.methods):
             sketch_seed = int(seed_table[rep, 1]) + mi
@@ -306,6 +319,18 @@ def run_experiment(config: ExperimentConfig):
             for row in rows
         ]
     return rows, report_lists
+
+
+def run_summary(report: ConvergenceReport) -> dict:
+    """The per-run fields that report.json and the manifest's runs record."""
+    return {
+        "problem": report.problem_label,
+        "iterations": report.iterations,
+        "converged": report.converged,
+        "stop_reason": report.stop_reason,
+        "prep_seconds": report.prep_seconds,
+        "solve_seconds": report.solve_seconds,
+    }
 
 
 def compute_speedup(cpu_method: float, cpu_madbcd: float) -> float:
@@ -387,18 +412,7 @@ def emit_outputs(rows, report_lists, directory, config: ExperimentConfig | None 
         "config": _config_echo(config) if config is not None else None,
         "rows": [asdict(r) for r in rows],
         "runs": {
-            label: [
-                {
-                    "iterations": r.iterations,
-                    "converged": r.converged,
-                    "stop_reason": r.stop_reason,
-                    "problem": r.problem_label,
-                    "prep_seconds": r.prep_seconds,
-                    "solve_seconds": r.solve_seconds,
-                }
-                for r in runs
-            ]
-            for label, runs in report_lists.items()
+            label: [run_summary(r) for r in runs] for label, runs in report_lists.items()
         },
     }
     manifest_path = os.path.join(directory, "manifest.json")

@@ -22,6 +22,7 @@ from .bench import (
     emit_outputs,
     run_cell,
     run_experiment,
+    run_summary,
     sweep_beta,
     write_curve_csv,
 )
@@ -86,6 +87,8 @@ def _parse_betas(text: str):
     """'a:b:step' grid or a comma-separated list."""
     if ":" in text:
         lo, hi, step = (float(p) for p in text.split(":"))
+        if step <= 0.0 or hi < lo:
+            raise ValueError(f"beta grid {text!r} needs lo <= hi and step > 0")
         count = int(round((hi - lo) / step)) + 1
         return [round(lo + i * step, 10) for i in range(count)]
     return [float(p) for p in text.split(",")]
@@ -162,19 +165,7 @@ def _cmd_solve(args) -> int:
         os.makedirs(args.out, exist_ok=True)
         write_curve_csv(os.path.join(args.out, "curve.csv"), report.records)
         with open(os.path.join(args.out, "report.json"), "w", encoding="utf-8") as fh:
-            json.dump(
-                {
-                    "method": report.method,
-                    "problem": report.problem_label,
-                    "iterations": report.iterations,
-                    "converged": report.converged,
-                    "stop_reason": report.stop_reason,
-                    "prep_seconds": report.prep_seconds,
-                    "solve_seconds": report.solve_seconds,
-                },
-                fh,
-                indent=2,
-            )
+            json.dump({"method": report.method, **run_summary(report)}, fh, indent=2)
             fh.write("\n")
         if problem.provenance.get("generator") == "tomography":
             side = problem.provenance["grid_side"]

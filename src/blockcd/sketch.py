@@ -38,7 +38,6 @@ class CountSketch:
     m: int
     h: np.ndarray
     signs: np.ndarray
-    seed: int | None = None
 
     def __post_init__(self):
         if not 1 <= self.d <= self.m:
@@ -69,7 +68,7 @@ def build_count_sketch(d: int, m: int, seed: int) -> CountSketch:
     ss_h, ss_signs = np.random.SeedSequence(seed).spawn(2)
     h = np.random.default_rng(ss_h).integers(0, d, size=m, dtype=np.int64)
     signs = np.where(np.random.default_rng(ss_signs).random(m) < 0.5, -1.0, 1.0)
-    return CountSketch(d=d, m=m, h=h, signs=signs, seed=seed)
+    return CountSketch(d=d, m=m, h=h, signs=signs)
 
 
 def sketch_apply_vector(sketch: CountSketch, v: np.ndarray) -> np.ndarray:

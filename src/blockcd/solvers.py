@@ -80,7 +80,6 @@ class MethodParams:
 
     method: str
     beta: float = 0.0
-    mrbgs_fraction: float = 0.3
 
     def __post_init__(self):
         if self.method not in METHODS:
@@ -90,23 +89,21 @@ class MethodParams:
                 raise ValueError(f"momentum weight must lie in [0, 0.9], got {self.beta}")
         elif self.beta != 0.0:
             raise ValueError(f"method {self.method!r} does not take a momentum weight")
-        if not 0.0 < self.mrbgs_fraction <= 1.0:
-            raise ValueError(f"mrbgs fraction must lie in (0, 1], got {self.mrbgs_fraction}")
 
 
 @dataclass(frozen=True)
 class StoppingRule:
-    """Run limits; at least one of the three hard limits must be set.
+    """Run limits; at least one of the three must be set.
 
-    When the problem carries no reference solution, `grad_threshold` replaces
-    the relative-solution-error rule: stop once ||A^T r|| / ||A^T b|| falls
-    below it (flagged in the report as a fallback).
+    `rse_threshold` bounds the relative solution error when the problem
+    carries a reference solution.  Without one it bounds the normalized
+    gradient ||A^T r|| / ||A^T b|| instead (stop reason "converged: gradient
+    fallback threshold").
     """
 
     rse_threshold: float | None = 1e-6
     max_iterations: int | None = None
     time_budget_s: float | None = None
-    grad_threshold: float | None = None
 
     def __post_init__(self):
         if (
@@ -115,7 +112,7 @@ class StoppingRule:
             and self.time_budget_s is None
         ):
             raise ValueError("at least one stopping limit must be finite")
-        for name in ("rse_threshold", "time_budget_s", "grad_threshold"):
+        for name in ("rse_threshold", "time_budget_s"):
             v = getattr(self, name)
             if v is not None and v <= 0.0:
                 raise ValueError(f"{name} must be positive, got {v}")
@@ -260,7 +257,7 @@ def block_rule(params: MethodParams, A: Matrix) -> Callable[[np.ndarray], BlockI
         col_norms, frobenius = A.column_norms(), A.frobenius_norm()
         return lambda s: select_block_fbcd(s, col_norms, frobenius)[1]
     if params.method == "mrbgs":
-        return lambda s: select_block_mrbgs(s, params.mrbgs_fraction)
+        return select_block_mrbgs
 
     def singleton(s: np.ndarray) -> BlockIndexSet:
         idx = np.array([int(np.argmax(np.abs(s)))], dtype=np.int64)
@@ -334,12 +331,10 @@ def run_solver(
     b = problem.b
     x_star = problem.x_star
 
-    use_rse = stop.rse_threshold is not None and x_star is not None
-    grad_threshold = stop.grad_threshold
-    if stop.rse_threshold is not None and x_star is None and grad_threshold is None:
-        # no ground truth: fall back to the normalized gradient criterion
-        grad_threshold = stop.rse_threshold
-    atb_norm = float(np.linalg.norm(A.transpose_matvec(b))) if grad_threshold else 0.0
+    # no ground truth: rse_threshold bounds ||A^T r|| / ||A^T b|| instead
+    grad_floor = None
+    if x_star is None and stop.rse_threshold is not None:
+        grad_floor = stop.rse_threshold * float(np.linalg.norm(A.transpose_matvec(b)))
 
     select = block_rule(params, A)
 
@@ -361,13 +356,13 @@ def run_solver(
 
         if not math.isfinite(s_norm_sq):
             stop_reason = "diverged: non-finite normal-equation residual"
-        elif use_rse and rse is not None and rse < stop.rse_threshold:
+        elif rse is not None and stop.rse_threshold is not None and rse < stop.rse_threshold:
             stop_reason = "converged: rse threshold"
             converged = True
         elif s_norm_sq == 0.0:
             stop_reason = "converged: zero normal-equation residual"
             converged = True
-        elif grad_threshold is not None and atb_norm > 0.0 and grad_norm <= grad_threshold * atb_norm:
+        elif grad_floor is not None and grad_floor > 0.0 and grad_norm <= grad_floor:
             stop_reason = "converged: gradient fallback threshold"
             converged = True
         elif stop.max_iterations is not None and state.k >= stop.max_iterations:

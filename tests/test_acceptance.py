@@ -373,7 +373,7 @@ def test_criterion_10_pinned_iteration_counts():
         "madbcd_b0.1": [14, 12, 12],
         "fbcd": [53, 45, 52],
         "cd": [314, 280, 312],
-        "mrbgs_f0.3": [20, 20, 20],
+        "mrbgs": [20, 20, 20],
         "cs-madbcd_b0.3_d4n": [23, 26, 28],
     }
     _, reports = run_experiment(ExperimentConfig.from_dict(DETERMINISM_CONFIG))

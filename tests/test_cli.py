@@ -175,6 +175,55 @@ def test_bad_bench_config_exit_one(tmp_path, capsys, change, named):
     assert not (tmp_path / "bench-out").exists()
 
 
+@pytest.mark.parametrize(
+    "change, message",
+    [
+        ({"methods": [{"method": "madbcd", "beta": "0.1"}]}, "method key 'beta' must be float"),
+        ({"repeats": "2"}, "config key 'repeats' must be int"),
+        ({"repeats": 2.5}, "config key 'repeats' must be int"),
+        ({"problem": {"kind": "gaussian", "m": "60", "n": 10}}, "problem key 'm' must be int"),
+        (
+            {"methods": [{"method": "cs-madbcd", "beta": 0.3, "d_factor": 2.5}]},
+            "method key 'd_factor' must be int | None",
+        ),
+        ({"stopping": {"rse_threshold": "1e-6"}}, "stopping key 'rse_threshold' must be float"),
+        ({"methods": 5}, "config key 'methods' must be list"),
+        ({"methods": [5]}, "method must be a JSON object, got 5"),
+        ({"stopping": 5}, "config key 'stopping' must be dict"),
+        (
+            {"problem": {"kind": "gaussian", "m": 60, "n": 10, "densty": 0.1}},
+            "unknown problem keys ['densty']",
+        ),
+        (
+            {"problem": {"kind": "tomography", "grid_side": 8, "detector_spacng": 2.0}},
+            "unknown problem keys ['detector_spacng']",
+        ),
+    ],
+    ids=["beta-string", "repeats-string", "repeats-float", "m-string", "d_factor-float",
+         "rse_threshold-string", "methods-not-list", "method-not-object",
+         "stopping-not-object", "gaussian-problem-typo", "tomography-problem-typo"],
+)
+def test_bad_config_value_exit_one(tmp_path, capsys, change, message):
+    path = write_small_config(tmp_path, **change)
+    assert main(["bench", "--config", str(path)]) == 1
+    assert message in capsys.readouterr().err
+    assert not (tmp_path / "bench-out").exists()
+
+
+def test_report_json_and_manifest_share_run_fields(tmp_path):
+    assert main(["solve", "--problem", "gaussian:150:25", "--out", str(tmp_path / "solve")]) == 0
+    report = json.loads((tmp_path / "solve" / "report.json").read_text())
+    path = write_small_config(tmp_path)
+    assert main(["bench", "--config", str(path)]) == 0
+    manifest = json.loads((tmp_path / "bench-out" / "manifest.json").read_text())
+    (run,) = manifest["runs"]["madbcd_b0.1"]
+    assert list(report) == [
+        "method", "problem", "iterations", "converged", "stop_reason",
+        "prep_seconds", "solve_seconds",
+    ]
+    assert set(run) == set(report) - {"method"}
+
+
 def test_bench_parallel_flag_is_gone(tmp_path, capsys):
     path = write_small_config(tmp_path)
     assert main(["bench", "--config", str(path), "--parallel"]) == 1
@@ -185,6 +234,13 @@ def test_sweep_beta_duplicate_betas_exit_one(capsys):
     code = main(["sweep-beta", "--problem", "gaussian:150:50", "--betas", "0.1,0.1"])
     assert code == 1
     assert "distinct" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("grid", ["0:0.9:0", "0:0.9:-0.1", "0.9:0:0.1"])
+def test_sweep_beta_bad_grid_exit_one(capsys, grid):
+    code = main(["sweep-beta", "--problem", "gaussian:150:50", "--betas", grid])
+    assert code == 1
+    assert "needs lo <= hi and step > 0" in capsys.readouterr().err
 
 
 def test_sweep_beta_subcommand(tmp_path, capsys):

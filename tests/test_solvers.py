@@ -181,7 +181,7 @@ class TestMadbcdStep:
         report = run_solver(
             problem,
             MethodParams("madbcd", 0.0),
-            StoppingRule(rse_threshold=None, max_iterations=50, grad_threshold=1e-12),
+            StoppingRule(rse_threshold=None, max_iterations=50),
             x0=problem.x_star,
         )
         assert report.iterations == 0
