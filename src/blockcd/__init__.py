@@ -64,6 +64,7 @@ from .bench import (
     BenchRow,
     ExperimentConfig,
     MethodSpec,
+    beta_sweep_config,
     build_problem,
     compute_speedup,
     emit_outputs,
@@ -71,6 +72,5 @@ from .bench import (
     read_summary_csv,
     run_cell,
     run_experiment,
-    sweep_beta,
     write_curve_csv,
 )

@@ -17,7 +17,7 @@ import json
 import numbers
 import os
 import re
-from dataclasses import asdict, dataclass, replace
+from dataclasses import asdict, dataclass, fields, replace
 from typing import get_args, get_type_hints
 
 import numpy as np
@@ -33,7 +33,7 @@ from .problems import (
     read_matrix_market,
     read_problem_bundle,
 )
-from .sketch import cs_prepare
+from .sketch import check_sketch_dimension, cs_prepare
 from .solvers import ConvergenceReport, MethodParams, StoppingRule, run_solver
 
 __all__ = [
@@ -43,26 +43,12 @@ __all__ = [
     "build_problem",
     "run_cell",
     "run_experiment",
-    "sweep_beta",
+    "beta_sweep_config",
     "compute_speedup",
     "emit_outputs",
     "read_summary_csv",
     "write_curve_csv",
     "read_curve_csv",
-]
-
-SUMMARY_COLUMNS = [
-    "label",
-    "method",
-    "beta",
-    "sketch_d",
-    "repeats",
-    "n_converged",
-    "mean_it",
-    "mean_prep_s",
-    "mean_solve_s",
-    "mean_total_s",
-    "speedup_vs_madbcd",
 ]
 
 CURVE_COLUMNS = ["k", "rse", "normal_residual", "block_size", "elapsed_s"]
@@ -86,6 +72,8 @@ class MethodSpec:
                 f"and refused for every other method; got method {self.method!r} "
                 f"with d_factor {self.d_factor}"
             )
+        if self.d_factor is not None and self.d_factor < 1:
+            raise ValueError(f"'d_factor' must be >= 1, got {self.d_factor}")
         self.params()  # delegate the remaining validation (method name, beta range)
 
     @property
@@ -192,6 +180,9 @@ class BenchRow:
     speedup_vs_madbcd: float | None
 
 
+SUMMARY_COLUMNS = [f.name for f in fields(BenchRow)]
+
+
 # per problem kind: the fields it cannot do without, and the ones it may take
 PROBLEM_FIELDS = {
     "gaussian": ({"m": int, "n": int}, {}),
@@ -281,6 +272,9 @@ def run_experiment(config: ExperimentConfig):
     for rep in range(config.repeats):
         problem = build_problem(config.problem, int(seed_table[rep, 0]))
         n = problem.A.cols
+        for spec in config.methods:  # refuse a bad sketch size before any cell runs
+            if spec.d_factor is not None:
+                check_sketch_dimension(spec.sketch_rows(n), *problem.A.shape)
         for mi, spec in enumerate(config.methods):
             sketch_seed = int(seed_table[rep, 1]) + mi
             reports[mi].append(run_cell(problem, spec, config.stopping, sketch_seed))
@@ -340,35 +334,22 @@ def compute_speedup(cpu_method: float, cpu_madbcd: float) -> float:
     return cpu_method / cpu_madbcd
 
 
-def sweep_beta(
+def beta_sweep_config(
     problem_spec: dict,
     betas,
     stop: StoppingRule,
     master_seed: int = 0,
     repeats: int = 1,
-):
-    """Iteration counts and solve seconds of the momentum method per beta.
-
-    A run_experiment suite with one madbcd cell per beta, so the betas must
-    be distinct.
-    """
-    config = ExperimentConfig(
+) -> ExperimentConfig:
+    """The suite with one madbcd cell per beta, so the betas must be distinct."""
+    return ExperimentConfig(
         problem=problem_spec,
         methods=tuple(MethodSpec("madbcd", float(beta)) for beta in betas),
         stopping=stop,
         repeats=repeats,
         master_seed=master_seed,
+        label="beta-sweep",
     )
-    rows, _ = run_experiment(config)
-    return [
-        {
-            "beta": row.beta,
-            "mean_it": row.mean_it,
-            "mean_solve_s": row.mean_solve_s,
-            "n_converged": row.n_converged,
-        }
-        for row in rows
-    ]
 
 
 def _fmt(v) -> str:
@@ -409,7 +390,7 @@ def emit_outputs(rows, report_lists, directory, config: ExperimentConfig | None 
 
     manifest = {
         "version": __version__,
-        "config": _config_echo(config) if config is not None else None,
+        "config": asdict(config) if config is not None else None,
         "rows": [asdict(r) for r in rows],
         "runs": {
             label: [run_summary(r) for r in runs] for label, runs in report_lists.items()
@@ -434,41 +415,20 @@ def write_curve_csv(path, records) -> None:
             )
 
 
-def _config_echo(config: ExperimentConfig) -> dict:
-    echo = asdict(config)
-    echo["methods"] = [asdict(m) for m in config.methods]
-    echo["stopping"] = asdict(config.stopping)
-    return echo
-
-
 def read_summary_csv(path) -> list[BenchRow]:
-    """Parse a summary back into rows (float round-trip is exact)."""
-    rows = []
+    """Parse a summary back into rows (float round-trip is exact).
+
+    Each cell is converted by its BenchRow field type; an empty cell is None.
+    """
+    convert = {name: (get_args(t) or (t,))[0] for name, t in get_type_hints(BenchRow).items()}
     with open(path, "r", encoding="utf-8", newline="") as fh:
         reader = csv.DictReader(fh)
         if reader.fieldnames != SUMMARY_COLUMNS:
             raise ValueError(f"unexpected summary columns {reader.fieldnames}")
-        for rec in reader:
-            rows.append(
-                BenchRow(
-                    label=rec["label"],
-                    method=rec["method"],
-                    beta=float(rec["beta"]),
-                    sketch_d=int(rec["sketch_d"]) if rec["sketch_d"] else None,
-                    repeats=int(rec["repeats"]),
-                    n_converged=int(rec["n_converged"]),
-                    mean_it=float(rec["mean_it"]),
-                    mean_prep_s=float(rec["mean_prep_s"]),
-                    mean_solve_s=float(rec["mean_solve_s"]),
-                    mean_total_s=float(rec["mean_total_s"]),
-                    speedup_vs_madbcd=(
-                        float(rec["speedup_vs_madbcd"])
-                        if rec["speedup_vs_madbcd"]
-                        else None
-                    ),
-                )
-            )
-    return rows
+        return [
+            BenchRow(**{k: convert[k](v) if v else None for k, v in rec.items()})
+            for rec in reader
+        ]
 
 
 def read_curve_csv(path) -> list[dict]:

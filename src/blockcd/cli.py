@@ -12,18 +12,19 @@ import argparse
 import json
 import os
 import sys
+from dataclasses import replace
 
 import numpy as np
 
 from .bench import (
     ExperimentConfig,
     MethodSpec,
+    beta_sweep_config,
     build_problem,
     emit_outputs,
     run_cell,
     run_experiment,
     run_summary,
-    sweep_beta,
     write_curve_csv,
 )
 from .oracle import (
@@ -125,7 +126,7 @@ def _build_parser() -> _Parser:
     pw.add_argument("--max-it", type=int, default=100000)
     pw.add_argument("--seed", type=int, default=0)
     pw.add_argument("--repeats", type=int, default=1)
-    pw.add_argument("--out", default=None, help="write beta_sweep.csv here")
+    pw.add_argument("--out", default=None, help="write the bench output files here")
 
     pv = sub.add_parser("verify", help="run the convergence-theory oracle audits")
     pv.add_argument("--seed", type=int, default=0)
@@ -174,46 +175,33 @@ def _cmd_solve(args) -> int:
     return EXIT_OK if report.converged else EXIT_NO_CONVERGENCE
 
 
-def _cmd_bench(args) -> int:
-    with open(args.config, "r", encoding="utf-8") as fh:
-        base = json.load(fh)
-    if args.out:
-        base["output_dir"] = args.out
-    config = ExperimentConfig.from_dict(base)
+def _run_suite(config: ExperimentConfig, out: str | None) -> int:
+    """Run a suite, print one line per summary row, and write its outputs under `out`."""
     rows, reports = run_experiment(config)
-    written = emit_outputs(rows, reports, config.output_dir, config)
     for row in rows:
         speed = f" speedup={row.speedup_vs_madbcd:.2f}" if row.speedup_vs_madbcd else ""
         print(
             f"{row.label}: IT={row.mean_it:.1f} total={row.mean_total_s:.4f}s "
             f"converged {row.n_converged}/{row.repeats}{speed}"
         )
-    print(f"wrote {len(written)} files under {config.output_dir}")
+    if out is not None:
+        written = emit_outputs(rows, reports, out, replace(config, output_dir=out))
+        print(f"wrote {len(written)} files under {out}")
     return EXIT_OK
+
+
+def _cmd_bench(args) -> int:
+    config = ExperimentConfig.from_json(args.config)
+    return _run_suite(config, args.out or config.output_dir)
 
 
 def _cmd_sweep_beta(args) -> int:
-    spec = _parse_problem(args.problem)
     stop = StoppingRule(rse_threshold=args.tol, max_iterations=args.max_it)
-    grid = _parse_betas(args.betas)
-    rows = sweep_beta(spec, grid, stop, master_seed=args.seed, repeats=args.repeats)
-    for row in rows:
-        print(
-            f"beta={row['beta']:.2f}: IT={row['mean_it']:.1f} "
-            f"solve={row['mean_solve_s']:.4f}s converged {row['n_converged']}/{args.repeats}"
-        )
-    if args.out:
-        os.makedirs(args.out, exist_ok=True)
-        path = os.path.join(args.out, "beta_sweep.csv")
-        with open(path, "w", encoding="utf-8") as fh:
-            fh.write("beta,mean_it,mean_solve_s,n_converged\n")
-            for row in rows:
-                fh.write(
-                    f"{row['beta']!r},{row['mean_it']!r},"
-                    f"{row['mean_solve_s']!r},{row['n_converged']}\n"
-                )
-        print(f"wrote {path}")
-    return EXIT_OK
+    config = beta_sweep_config(
+        _parse_problem(args.problem), _parse_betas(args.betas), stop,
+        master_seed=args.seed, repeats=args.repeats,
+    )
+    return _run_suite(config, args.out)
 
 
 def _cmd_verify(args) -> int:

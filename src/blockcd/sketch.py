@@ -22,6 +22,7 @@ __all__ = [
     "build_count_sketch",
     "sketch_apply_vector",
     "sketch_apply_matrix",
+    "check_sketch_dimension",
     "cs_prepare",
 ]
 
@@ -107,6 +108,17 @@ def sketch_apply_matrix(sketch: CountSketch, A: Matrix) -> Matrix:
     return DenseMatrix(out)
 
 
+def check_sketch_dimension(d: int, m: int, n: int) -> None:
+    """Refuse d sketch rows for an m x n matrix unless n <= d < m."""
+    if d >= m:
+        raise ValueError(f"sketch would not compress: d={d} >= m={m}")
+    if d < n:
+        raise ValueError(
+            f"sketch dimension d={d} below the column count {n} cannot "
+            "preserve full column rank"
+        )
+
+
 def cs_prepare(problem, d: int, seed: int):
     """Compress (A, b) to (SA, Sb), returning the new instance and prep seconds.
 
@@ -115,13 +127,7 @@ def cs_prepare(problem, d: int, seed: int):
     system the sketched system stays consistent with the same solution.
     """
     A: Matrix = problem.A
-    if d >= A.rows:
-        raise ValueError(f"sketch would not compress: d={d} >= m={A.rows}")
-    if d < A.cols:
-        raise ValueError(
-            f"sketch dimension d={d} below the column count {A.cols} cannot "
-            "preserve full column rank"
-        )
+    check_sketch_dimension(d, A.rows, A.cols)
     if not problem.consistent:
         warnings.warn(
             "count-sketch preprocessing of an inconsistent system: the sketched "

@@ -114,8 +114,8 @@ class StoppingRule:
             raise ValueError("at least one stopping limit must be finite")
         for name in ("rse_threshold", "time_budget_s"):
             v = getattr(self, name)
-            if v is not None and v <= 0.0:
-                raise ValueError(f"{name} must be positive, got {v}")
+            if v is not None and not (math.isfinite(v) and v > 0.0):
+                raise ValueError(f"{name} must be finite and positive, got {v}")
         if self.max_iterations is not None and self.max_iterations < 1:
             raise ValueError("max_iterations must be >= 1")
 

@@ -16,6 +16,7 @@ from blockcd import (
     SolverState,
     StoppingRule,
     beta_feasible_max,
+    beta_sweep_config,
     build_count_sketch,
     build_problem,
     cs_prepare,
@@ -33,7 +34,6 @@ from blockcd import (
     select_block_mrbgs,
     sketch_apply_vector,
     subsolve_update,
-    sweep_beta,
     write_matrix_market,
 )
 from blockcd.bench import TIMING_COLUMNS
@@ -84,13 +84,14 @@ def test_criterion_01_table1_desk_reproduction():
 
 def test_criterion_02_momentum_benefit_on_squareish_problems():
     betas = [0.0, 0.1, 0.2, 0.3, 0.4, 0.5, 0.6, 0.7]
-    rows = sweep_beta(
+    config = beta_sweep_config(
         {"kind": "gaussian", "m": 1200, "n": 600},
         betas,
         StoppingRule(rse_threshold=1e-6, max_iterations=200000),
         master_seed=MASTER_SEED,
     )
-    its = [r["mean_it"] for r in rows]
+    rows, _ = run_experiment(config)
+    its = [r.mean_it for r in rows]
     best = int(np.argmin(its))
     ratio = its[best] / its[0]
     ok = 0.3 <= betas[best] <= 0.7 and ratio <= 0.6

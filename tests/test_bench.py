@@ -11,13 +11,13 @@ from blockcd import (
     ExperimentConfig,
     MethodSpec,
     StoppingRule,
+    beta_sweep_config,
     build_problem,
     compute_speedup,
     emit_outputs,
     read_curve_csv,
     read_summary_csv,
     run_experiment,
-    sweep_beta,
 )
 from blockcd import bench
 from blockcd.bench import CURVE_COLUMNS, SUMMARY_COLUMNS, TIMING_COLUMNS
@@ -108,6 +108,11 @@ class TestConfig:
             MethodSpec(method="cs-madbcd", beta=0.1)
         with pytest.raises(ValueError, match="refused for every other method; got method 'fbcd'"):
             MethodSpec(method="fbcd", d_factor=2)
+
+    @pytest.mark.parametrize("d_factor", [0, -2])
+    def test_sketch_factor_below_one_refused(self, d_factor):
+        with pytest.raises(ValueError, match=f"'d_factor' must be >= 1, got {d_factor}"):
+            MethodSpec(method="cs-madbcd", beta=0.3, d_factor=d_factor)
 
     def test_json_round_trip(self, tmp_path):
         cfg = small_config(tmp_path)
@@ -245,13 +250,14 @@ class TestOneRealizationAtATime:
         assert alive_at_build == [0, 0, 0]
 
     def test_sweep_beta(self, alive_at_build):
-        sweep_beta(
+        config = beta_sweep_config(
             {"kind": "gaussian", "m": 120, "n": 40},
             [0.0, 0.3],
             StoppingRule(rse_threshold=1e-6, max_iterations=5000),
             master_seed=3,
             repeats=3,
         )
+        run_experiment(config)
         assert alive_at_build == [0, 0, 0]
 
 
@@ -320,28 +326,30 @@ class TestEmitOutputs:
 
 
 def test_sweep_beta_runs_grid():
-    rows = sweep_beta(
+    config = beta_sweep_config(
         {"kind": "gaussian", "m": 120, "n": 40},
         [0.0, 0.3, 0.5],
         StoppingRule(rse_threshold=1e-6, max_iterations=5000),
         master_seed=3,
     )
-    assert [r["beta"] for r in rows] == [0.0, 0.3, 0.5]
-    assert all(r["n_converged"] == 1 for r in rows)
-    assert [r["mean_it"] for r in rows] == [27.0, 18.0, 25.0]
+    rows, _ = run_experiment(config)
+    assert [r.beta for r in rows] == [0.0, 0.3, 0.5]
+    assert all(r.n_converged == 1 for r in rows)
+    assert [r.mean_it for r in rows] == [27.0, 18.0, 25.0]
 
 
 def test_sweep_beta_tall_problems_prefer_small_momentum():
     # for very overdetermined instances the iteration count is flat in beta up
     # to ~0.5 and the minimizer sits low; past 0.5 momentum starts to hurt
     betas = [0.0, 0.1, 0.2, 0.3, 0.4, 0.5, 0.6, 0.7]
-    rows = sweep_beta(
+    config = beta_sweep_config(
         {"kind": "gaussian", "m": 2500, "n": 250},
         betas,
         StoppingRule(rse_threshold=1e-6, max_iterations=100000),
         master_seed=7,
     )
-    its = [r["mean_it"] for r in rows]
+    rows, _ = run_experiment(config)
+    its = [r.mean_it for r in rows]
     assert betas[int(np.argmin(its))] <= 0.3
     assert its[5] <= 2.0 * its[0]  # flat region through beta = 0.5
     assert its[7] > its[3]  # large momentum degrades

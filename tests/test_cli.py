@@ -5,7 +5,7 @@ import sys
 import numpy as np
 import pytest
 
-from blockcd import build_problem, read_curve_csv
+from blockcd import bench, build_problem, read_curve_csv, read_summary_csv
 from blockcd.cli import main
 
 
@@ -258,8 +258,52 @@ def test_sweep_beta_subcommand(tmp_path, capsys):
         ]
     )
     assert code == 0
-    text = (tmp_path / "beta_sweep.csv").read_text()
-    assert text.startswith("beta,mean_it,mean_solve_s,n_converged")
+    # the bench output files, with the same counts the earlier beta_sweep.csv held
+    rows = read_summary_csv(tmp_path / "summary.csv")
+    assert [(r.beta, r.mean_it) for r in rows] == [(0.0, 33.0), (0.3, 24.0)]
+    assert sorted(p.name for p in (tmp_path / "curves").iterdir()) == [
+        "madbcd_b0.3.csv", "madbcd_b0.csv",
+    ]
+    manifest = json.loads((tmp_path / "manifest.json").read_text())
+    assert manifest["config"]["master_seed"] == 2
+    assert not (tmp_path / "beta_sweep.csv").exists()
+    assert "madbcd_b0.3: IT=24.0" in capsys.readouterr().out
+
+
+def test_sweep_beta_without_out_writes_nothing(tmp_path, monkeypatch, capsys):
+    monkeypatch.chdir(tmp_path)
+    assert main(["sweep-beta", "--problem", "gaussian:150:50", "--betas", "0,0.3"]) == 0
+    assert list(tmp_path.iterdir()) == []
+    assert "wrote" not in capsys.readouterr().out
+
+
+@pytest.mark.parametrize("tol", ["nan", "inf"])
+def test_non_finite_tolerance_exit_one(capsys, tol):
+    code = main(["solve", "--problem", "gaussian:60:10", "--tol", tol, "--max-it", "200"])
+    assert code == 1
+    assert "rse_threshold must be finite and positive" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("field", ["rse_threshold", "time_budget_s"])
+def test_non_finite_stopping_limit_in_config_exit_one(tmp_path, capsys, field):
+    path = write_small_config(tmp_path, stopping={"max_iterations": 200, field: float("nan")})
+    assert main(["bench", "--config", str(path)]) == 1
+    assert f"{field} must be finite and positive, got nan" in capsys.readouterr().err
+    assert not (tmp_path / "bench-out").exists()
+
+
+def test_bad_sketch_size_refused_before_any_cell_runs(tmp_path, capsys, monkeypatch):
+    calls = []
+    monkeypatch.setattr(bench, "run_solver", lambda *a, **k: calls.append(a))
+    path = write_small_config(
+        tmp_path,
+        problem={"kind": "gaussian", "m": 300, "n": 60},
+        methods=[{"method": "madbcd", "beta": 0.1}, {"method": "cs-madbcd", "d_factor": 5}],
+    )
+    assert main(["bench", "--config", str(path)]) == 1
+    assert "d=300 >= m=300" in capsys.readouterr().err
+    assert calls == []
+    assert not (tmp_path / "bench-out").exists()
 
 
 def test_verify_subcommand(capsys):

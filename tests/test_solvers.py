@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose
@@ -311,6 +313,12 @@ class TestParamsValidation:
         with pytest.raises(ValueError, match="stopping limit"):
             StoppingRule(rse_threshold=None)
         StoppingRule(rse_threshold=None, max_iterations=10)
+
+    @pytest.mark.parametrize("value", [math.nan, math.inf])
+    @pytest.mark.parametrize("field", ["rse_threshold", "time_budget_s"])
+    def test_non_finite_limit_refused(self, field, value):
+        with pytest.raises(ValueError, match=f"{field} must be finite and positive"):
+            StoppingRule(max_iterations=10, **{field: value})
 
 
 class TestRunSolver:
