@@ -9,7 +9,6 @@ __version__ = "0.1.0"
 
 from .matrix import DenseMatrix, Matrix, SparseMatrixCSC
 from .oracle import (
-    SketchedContractionBounds,
     RankDeficiencyError,
     ContractionBounds,
     beta_feasible_max,
@@ -20,7 +19,6 @@ from .oracle import (
     reference_lsq_solve,
     run_contraction_bounds,
     contraction_bounds,
-    sketched_contraction_bounds,
 )
 from .problems import (
     MatrixMarketError,
@@ -45,7 +43,6 @@ from .sketch import (
     sketch_apply_vector,
 )
 from .solvers import (
-    BlockIndexSet,
     ConvergenceReport,
     IterationRecord,
     MethodParams,

@@ -327,11 +327,11 @@ def run_summary(report: ConvergenceReport) -> dict:
     }
 
 
-def compute_speedup(cpu_method: float, cpu_madbcd: float) -> float:
-    """CPU of the method divided by CPU of the adaptive momentum method."""
-    if cpu_madbcd <= 0.0:
-        raise ValueError("baseline CPU time must be positive")
-    return cpu_method / cpu_madbcd
+def compute_speedup(method_s: float, madbcd_s: float) -> float:
+    """A method's mean wall-clock total seconds over the adaptive momentum method's."""
+    if madbcd_s <= 0.0:
+        raise ValueError("baseline time must be positive")
+    return method_s / madbcd_s
 
 
 def beta_sweep_config(

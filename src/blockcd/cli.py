@@ -57,7 +57,9 @@ def _parse_problem(text: str) -> dict:
         return {"kind": "bundle", "path": text}
     transpose = text.endswith(":T")
     mtx_path = text[:-2] if transpose else text
-    if mtx_path.endswith(".mtx") and os.path.isfile(mtx_path):
+    if mtx_path.endswith(".mtx"):
+        if not os.path.isfile(mtx_path):
+            raise ValueError(f"no such Matrix Market file: {mtx_path!r}")
         return {"kind": "mtx", "path": mtx_path, "transpose": transpose}
     parts = text.split(":")
     try:

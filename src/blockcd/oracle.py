@@ -21,14 +21,12 @@ from .matrix import Matrix
 __all__ = [
     "RankDeficiencyError",
     "ContractionBounds",
-    "SketchedContractionBounds",
     "householder_lstsq",
     "reference_lsq_solve",
     "gram_extremal_singular_values",
     "q_from_recurrence",
     "beta_feasible_max",
     "contraction_bounds",
-    "sketched_contraction_bounds",
     "run_contraction_bounds",
     "contraction_audit",
 ]
@@ -140,6 +138,13 @@ def gram_extremal_singular_values(A) -> tuple[float, float]:
     return math.sqrt(max(float(eigs.min()), 0.0)), math.sqrt(max(float(eigs.max()), 0.0))
 
 
+def _q_raw(gamma1: float, gamma2: float) -> float:
+    """Larger root of q^2 = gamma1 q + gamma2 (gamma1 when gamma2 = 0), unchecked."""
+    if gamma2 > 0.0:
+        return (gamma1 + math.sqrt(gamma1 * gamma1 + 4.0 * gamma2)) / 2.0
+    return gamma1
+
+
 def q_from_recurrence(gamma1: float, gamma2: float) -> float:
     """Decay rate q of the two-term recurrence F_{k+1} <= g1 F_k + g2 F_{k-1}.
 
@@ -153,10 +158,7 @@ def q_from_recurrence(gamma1: float, gamma2: float) -> float:
         raise ValueError(
             f"contraction hypothesis violated: gamma1+gamma2={gamma1 + gamma2} >= 1"
         )
-    if gamma2 > 0.0:
-        q = (gamma1 + math.sqrt(gamma1 * gamma1 + 4.0 * gamma2)) / 2.0
-    else:
-        q = gamma1
+    q = _q_raw(gamma1, gamma2)
     tau = q - gamma1
     # self-check: the closed form must dominate the recurrence it came from
     f_prev = f_curr = 1.0
@@ -183,12 +185,6 @@ def beta_feasible_max(alpha: float) -> float:
     return (-lin + math.sqrt(disc)) / 8.0
 
 
-def _q_raw(gamma1: float, gamma2: float) -> float:
-    if gamma2 > 0.0:
-        return (gamma1 + math.sqrt(gamma1 * gamma1 + 4.0 * gamma2)) / 2.0
-    return gamma1
-
-
 @dataclass(frozen=True)
 class ContractionBounds:
     """Per-iteration convergence-bound ingredients for a momentum run."""
@@ -199,20 +195,6 @@ class ContractionBounds:
     q: float
     tau: float
     feasible: bool
-
-
-@dataclass(frozen=True)
-class SketchedContractionBounds:
-    """Sketched-run analogue of ContractionBounds; collapses to it at eps=0."""
-
-    eps: float
-    delta: float | None
-    gamma1: float
-    gamma2: float
-    q: float
-    tau: float
-    feasible: bool
-    d_theory: int | None
 
 
 def block_contraction_alpha(A, block_indices, n: int | None = None,
@@ -231,15 +213,21 @@ def block_contraction_alpha(A, block_indices, n: int | None = None,
 
 
 def contraction_bounds(A, block_indices, beta: float, n: int | None = None,
-                       *, sigma_min: float | None = None) -> ContractionBounds:
+                       eps: float = 0.0, *, sigma_min: float | None = None) -> ContractionBounds:
     """Convergence-bound coefficients for one momentum iteration.
 
-    gamma1 = 1 + 3 beta + 2 beta^2 - (3 beta + 1) alpha, gamma2 = 2 beta^2 + beta.
-    `sigma_min` may be passed to avoid recomputing it across a run's audits.
+    gamma1 = (1 + 3 beta + 2 beta^2) rho - (3 beta + 1) alpha and
+    gamma2 = (2 beta^2 + beta) rho, with rho = ((1 + eps) / (1 - eps))^2 the
+    inflation an eps-distortion sketch puts on a sketched run (rho = 1 at the
+    default eps = 0).  `sigma_min` may be passed to avoid recomputing it
+    across a run's audits.
     """
+    if not 0.0 <= eps < 1.0:
+        raise ValueError(f"embedding distortion eps must lie in [0, 1), got {eps}")
     alpha = block_contraction_alpha(A, block_indices, n, sigma_min)
-    gamma1 = 1.0 + 3.0 * beta + 2.0 * beta * beta - (3.0 * beta + 1.0) * alpha
-    gamma2 = 2.0 * beta * beta + beta
+    rho = ((1.0 + eps) / (1.0 - eps)) ** 2
+    gamma1 = (1.0 + 3.0 * beta + 2.0 * beta * beta) * rho - (3.0 * beta + 1.0) * alpha
+    gamma2 = (2.0 * beta * beta + beta) * rho
     q = _q_raw(gamma1, gamma2)
     return ContractionBounds(
         alpha=alpha,
@@ -248,35 +236,6 @@ def contraction_bounds(A, block_indices, beta: float, n: int | None = None,
         q=q,
         tau=q - gamma1,
         feasible=gamma1 + gamma2 < 1.0,
-    )
-
-
-def sketched_contraction_bounds(
-    A, block_indices, beta: float, n: int | None = None, eps: float = 0.0,
-    *, delta: float | None = None, sigma_min: float | None = None,
-) -> SketchedContractionBounds:
-    """Sketched-run bound coefficients; the eps-distortion inflates gamma1/gamma2."""
-    if not 0.0 <= eps < 1.0:
-        raise ValueError(f"embedding distortion eps must lie in [0, 1), got {eps}")
-    alpha = block_contraction_alpha(A, block_indices, n, sigma_min)
-    ratio = ((1.0 + eps) / (1.0 - eps)) ** 2
-    gamma1 = (1.0 + 3.0 * beta + 2.0 * beta * beta) * ratio - (3.0 * beta + 1.0) * alpha
-    gamma2 = (2.0 * beta * beta + beta) * ratio
-    q = _q_raw(gamma1, gamma2)
-    d_theory = None
-    if delta is not None:
-        if n is None:
-            n = _as_dense(A).shape[1]
-        d_theory = embedding_dim_theory(n, eps, delta)
-    return SketchedContractionBounds(
-        eps=eps,
-        delta=delta,
-        gamma1=gamma1,
-        gamma2=gamma2,
-        q=q,
-        tau=q - gamma1,
-        feasible=gamma1 + gamma2 < 1.0,
-        d_theory=d_theory,
     )
 
 

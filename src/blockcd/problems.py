@@ -190,10 +190,6 @@ class TomoGeometry:
         if self.angles.size == 0:
             raise ValueError("need at least one projection angle")
 
-    @property
-    def ray_count(self) -> int:
-        return len(self.angles) * self.n_detectors
-
 
 def default_tomo_geometry(grid_side: int, n_angles: int | None = None,
                           n_detectors: int | None = None,

@@ -31,7 +31,6 @@ from .oracle import RankDeficiencyError, householder_lstsq
 __all__ = [
     "METHODS",
     "RESIDUAL_REFRESH",
-    "BlockIndexSet",
     "MethodParams",
     "StoppingRule",
     "SolverState",
@@ -51,27 +50,6 @@ METHODS = ("cd", "fbcd", "mrbgs", "madbcd")
 
 # incremental r and w are re-derived from x this often
 RESIDUAL_REFRESH = 50
-
-
-@dataclass(frozen=True)
-class BlockIndexSet:
-    """Selected column indices with the driving gradient entries.
-
-    `values` are exactly the entries of s at `indices`; for the line-search
-    methods they are also the nonzeros of the update direction.
-    """
-
-    indices: np.ndarray
-    values: np.ndarray
-
-    def __post_init__(self):
-        if self.indices.size == 0:
-            raise ValueError("block index set must be nonempty")
-        if self.indices.shape != self.values.shape:
-            raise ValueError("indices and values must have matching shapes")
-
-    def __len__(self) -> int:
-        return len(self.indices)
 
 
 @dataclass(frozen=True)
@@ -196,7 +174,7 @@ def compute_rse(x: np.ndarray, x_star: np.ndarray) -> float:
     return float(np.dot(diff, diff)) / ref
 
 
-def select_block_madbcd(s: np.ndarray) -> BlockIndexSet:
+def select_block_madbcd(s: np.ndarray) -> np.ndarray:
     """Indices whose squared gradient entry meets the mean ||s||^2 / n.
 
     Inclusive comparison, ties kept, no cap on the block size.  The argmax
@@ -209,12 +187,12 @@ def select_block_madbcd(s: np.ndarray) -> BlockIndexSet:
     idx = np.flatnonzero(sq >= s_norm_sq / len(s))
     if idx.size == 0:  # float guard, mathematically unreachable
         idx = np.array([int(np.argmax(sq))], dtype=np.int64)
-    return BlockIndexSet(indices=idx, values=s[idx])
+    return idx
 
 
 def select_block_fbcd(
     s: np.ndarray, col_norms: np.ndarray, frobenius: float
-) -> tuple[float, BlockIndexSet]:
+) -> tuple[float, np.ndarray]:
     """Threshold scale delta_k and the block it admits.
 
     delta_k averages the best column-normalized gradient share with the
@@ -231,22 +209,21 @@ def select_block_fbcd(
     idx = np.flatnonzero(sq >= delta * s_norm_sq * cn_sq)
     if idx.size == 0:  # float guard
         idx = np.array([int(np.argmax(ratios))], dtype=np.int64)
-    return delta, BlockIndexSet(indices=idx, values=s[idx])
+    return delta, idx
 
 
-def select_block_mrbgs(s: np.ndarray, fraction: float = 0.3) -> BlockIndexSet:
+def select_block_mrbgs(s: np.ndarray, fraction: float = 0.3) -> np.ndarray:
     """Indices whose squared gradient entry reaches `fraction` of the max."""
     if not 0.0 < fraction <= 1.0:
         raise ValueError(f"fraction must lie in (0, 1], got {fraction}")
     sq = s * s
     if float(sq.sum()) == 0.0:
         raise ValueError("cannot select a block from a zero gradient")
-    idx = np.flatnonzero(sq >= fraction * float(sq.max()))
-    return BlockIndexSet(indices=idx, values=s[idx])
+    return np.flatnonzero(sq >= fraction * float(sq.max()))
 
 
-def block_rule(params: MethodParams, A: Matrix) -> Callable[[np.ndarray], BlockIndexSet]:
-    """The method's block selector s -> BlockIndexSet, with its constants of A bound.
+def block_rule(params: MethodParams, A: Matrix) -> Callable[[np.ndarray], np.ndarray]:
+    """The method's block selector s -> column indices, with its constants of A bound.
 
     Looks the selectors up per run, not at import time, so that one rebound on
     this module (as perfbench's tracer does) is the one used.
@@ -258,56 +235,48 @@ def block_rule(params: MethodParams, A: Matrix) -> Callable[[np.ndarray], BlockI
         return lambda s: select_block_fbcd(s, col_norms, frobenius)[1]
     if params.method == "mrbgs":
         return select_block_mrbgs
-
-    def singleton(s: np.ndarray) -> BlockIndexSet:
-        idx = np.array([int(np.argmax(np.abs(s)))], dtype=np.int64)
-        return BlockIndexSet(indices=idx, values=s[idx])
-
-    return singleton
+    return lambda s: np.array([int(np.argmax(np.abs(s)))], dtype=np.int64)
 
 
 def line_search_update(
-    state: SolverState, A: Matrix, block: BlockIndexSet, beta: float
+    state: SolverState, A: Matrix, block: np.ndarray, s: np.ndarray, beta: float
 ) -> tuple[SolverState, float]:
-    """Exact line search along eta (block.values on block.indices) plus momentum.
+    """Exact line search along eta = s[block] on the block's columns, plus momentum.
 
     Returns the next state and eta^T s.  With beta = 0 this is the plain block
     step; on a singleton block it is the coordinate step s_j / ||a_j||^2.
     """
-    a_eta = A.restricted_matvec(block.indices, block.values)
+    eta = s[block]
+    a_eta = A.restricted_matvec(block, eta)
     denom = float(np.dot(a_eta, a_eta))
     if denom == 0.0:
         raise RankDeficiencyError(
-            int(block.indices[0]),
+            int(block[0]),
             0.0,
             "rank deficiency detected: selected columns map the direction to zero",
         )
-    eta_dot_s = float(np.dot(block.values, block.values))
+    eta_dot_s = float(np.dot(eta, eta))
     c = eta_dot_s / denom
-    if beta != 0.0:
-        x_next = state.x_curr + beta * (state.x_curr - state.x_prev)
-        w_next = c * a_eta + beta * state.diff_image
-    else:
-        x_next = state.x_curr.copy()
-        w_next = c * a_eta
-    x_next[block.indices] += c * block.values
+    x_next = state.x_curr + beta * (state.x_curr - state.x_prev)
+    x_next[block] += c * eta
+    w_next = c * a_eta + beta * state.diff_image
     return state.advance(x_next, w_next), eta_dot_s
 
 
-def subsolve_update(state: SolverState, A: Matrix, block: BlockIndexSet) -> SolverState:
+def subsolve_update(state: SolverState, A: Matrix, block: np.ndarray) -> SolverState:
     """Maximal-residual block step: exact least-squares subsolve on the block's columns."""
-    a_tau = A.gather_columns(block.indices)
+    a_tau = A.gather_columns(block)
     try:
         d = householder_lstsq(a_tau, state.residual)
     except RankDeficiencyError as exc:
         raise RankDeficiencyError(
-            int(block.indices[exc.column]),
+            int(block[exc.column]),
             exc.magnitude,
-            f"rank-deficient subproblem on block {block.indices.tolist()}: "
+            f"rank-deficient subproblem on block {block.tolist()}: "
             f"|R_jj|={exc.magnitude:.3e} at block position {exc.column}",
         ) from exc
     x_next = state.x_curr.copy()
-    x_next[block.indices] += d
+    x_next[block] += d
     return state.advance(x_next, a_tau @ d)
 
 
@@ -383,14 +352,14 @@ def run_solver(
         if params.method == "mrbgs":
             state, eta_dot_s = subsolve_update(state, A, block), math.nan
         else:
-            state, eta_dot_s = line_search_update(state, A, block, params.beta)
+            state, eta_dot_s = line_search_update(state, A, block, s, params.beta)
 
         records.append(
             IterationRecord(
                 k=state.k - 1,
                 rse=rse,
                 grad_norm=grad_norm,
-                block_size=len(block),
+                block_size=block.size,
                 elapsed_s=elapsed,
                 eta_dot_s=eta_dot_s,
                 s_norm_sq=s_norm_sq,
@@ -399,7 +368,7 @@ def run_solver(
         if iterates is not None:
             iterates.append(state.x_curr.copy())
         if blocks is not None:
-            blocks.append(np.array(block.indices))
+            blocks.append(block)
 
         if state.k % RESIDUAL_REFRESH == 0:
             fresh = b - A.matvec(state.x_curr)

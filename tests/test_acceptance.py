@@ -301,7 +301,7 @@ def test_criterion_09_mrbgs_subsolve_optimality():
                 break
             block = select_block_mrbgs(s, 0.3)
             state = subsolve_update(state, prob.A, block)
-            a_tau = prob.A.gather_columns(block.indices)
+            a_tau = prob.A.gather_columns(block)
             resid = float(np.linalg.norm(a_tau.T @ state.residual))
             bound = 1e-10 * float(np.linalg.norm(a_tau)) * r_before
             worst = max(worst, resid / bound if bound > 0 else 0.0)

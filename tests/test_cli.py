@@ -44,6 +44,17 @@ def test_bad_problem_spec_exit_one(capsys):
     assert "cannot parse" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("suffix", ["", ":T"])
+def test_missing_mtx_file_exit_one(tmp_path, capsys, suffix):
+    path = tmp_path / "missing" / "A.mtx"
+    code = main(["solve", "--problem", f"{path}{suffix}"])
+    assert code == 1
+    err = capsys.readouterr().err
+    assert "no such Matrix Market file" in err
+    assert str(path) in err
+    assert "cannot parse" not in err
+
+
 def test_missing_argument_exit_one(capsys):
     assert main(["solve"]) == 1
 

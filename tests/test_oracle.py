@@ -20,7 +20,6 @@ from blockcd import (
     run_contraction_bounds,
     run_solver,
     contraction_bounds,
-    sketched_contraction_bounds,
 )
 
 
@@ -207,24 +206,25 @@ class TestContractionBounds:
             assert smax_tau >= smin * (1 - 1e-12)
 
     def test_sketched_reduces_at_eps_zero(self, rng):
+        # at eps = 0 the sketch inflation is exactly 1: the unsketched closed form
         a = rng.standard_normal((20, 6))
         idx = np.array([0, 2, 5])
-        tb = contraction_bounds(a, idx, beta=0.25)
-        cb = sketched_contraction_bounds(a, idx, beta=0.25, eps=0.0)
-        assert cb.gamma1 == tb.gamma1
-        assert cb.gamma2 == tb.gamma2
-        assert cb.q == tb.q
-        assert cb.feasible == tb.feasible
+        beta = 0.25
+        tb = contraction_bounds(a, idx, beta=beta, eps=0.0)
+        assert tb.gamma1 == 1.0 + 3.0 * beta + 2.0 * beta * beta - (3.0 * beta + 1.0) * tb.alpha
+        assert tb.gamma2 == 2.0 * beta * beta + beta
+        assert tb.q == (tb.gamma1 + math.sqrt(tb.gamma1 * tb.gamma1 + 4.0 * tb.gamma2)) / 2.0
+        assert tb.feasible == (tb.gamma1 + tb.gamma2 < 1.0)
 
     def test_sketched_beta_zero_eps_zero(self, rng):
         a = rng.standard_normal((20, 6))
-        cb = sketched_contraction_bounds(a, np.array([1, 2]), beta=0.0, eps=0.0)
-        tb = contraction_bounds(a, np.array([1, 2]), beta=0.0)
-        assert cb.gamma1 == pytest.approx(1.0 - tb.alpha)
+        cb = contraction_bounds(a, np.array([1, 2]), beta=0.0, eps=0.2)
+        assert cb.gamma1 == pytest.approx(2.25 - cb.alpha, rel=1e-12)
+        assert cb.gamma2 == 0.0
 
     def test_sketched_infeasible_example(self):
         # identity n=5 with a 4-column block gives alpha = 0.8 exactly
-        cb = sketched_contraction_bounds(np.eye(5), np.arange(4), beta=0.1, eps=0.2)
+        cb = contraction_bounds(np.eye(5), np.arange(4), beta=0.1, eps=0.2)
         assert cb.gamma1 == pytest.approx(1.32 * 2.25 - 1.3 * 0.8, rel=1e-12)
         assert cb.gamma1 == pytest.approx(1.93, rel=1e-12)
         assert not cb.feasible
@@ -232,7 +232,7 @@ class TestContractionBounds:
     def test_eps_domain(self, rng):
         a = rng.standard_normal((10, 3))
         with pytest.raises(ValueError, match="eps"):
-            sketched_contraction_bounds(a, np.array([0]), beta=0.0, eps=1.0)
+            contraction_bounds(a, np.array([0]), beta=0.0, eps=1.0)
 
     def test_embedding_dim_theory(self):
         assert embedding_dim_theory(4, 0.5, 0.2) == math.ceil(20 / 0.05)

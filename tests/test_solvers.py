@@ -23,7 +23,7 @@ from blockcd import (
     select_block_mrbgs,
     subsolve_update,
 )
-from blockcd.solvers import RESIDUAL_REFRESH
+from blockcd.solvers import METHODS, RESIDUAL_REFRESH
 
 
 def identity_problem(b):
@@ -34,27 +34,30 @@ def identity_problem(b):
 
 def step(state, A, method, beta=0.0):
     """One step of `method` from `state`, built as run_solver builds it."""
-    block = block_rule(MethodParams(method, beta), A)(A.transpose_matvec(state.residual))
+    s = A.transpose_matvec(state.residual)
+    block = block_rule(MethodParams(method, beta), A)(s)
     if method == "mrbgs":
         return subsolve_update(state, A, block), block
-    return line_search_update(state, A, block, beta)[0], block
+    return line_search_update(state, A, block, s, beta)[0], block
 
 
 class TestSelectMadbcd:
     def test_all_tie_the_threshold(self):
         block = select_block_madbcd(np.array([1.0, 1.0, 1.0, 1.0]))
-        assert block.indices.tolist() == [0, 1, 2, 3]
+        assert block.tolist() == [0, 1, 2, 3]
 
     def test_single_support(self):
-        block = select_block_madbcd(np.array([1.0, 0.0, 0.0]))
-        assert block.indices.tolist() == [0]
-        assert block.values.tolist() == [1.0]
+        s = np.array([1.0, 0.0, 0.0])
+        block = select_block_madbcd(s)
+        assert block.tolist() == [0]
+        assert s[block].tolist() == [1.0]
 
     def test_hand_threshold(self):
         # ||s||^2 = 14, threshold 14/3: only 9 qualifies
-        block = select_block_madbcd(np.array([3.0, 2.0, 1.0]))
-        assert block.indices.tolist() == [0]
-        assert block.values.tolist() == [3.0]
+        s = np.array([3.0, 2.0, 1.0])
+        block = select_block_madbcd(s)
+        assert block.tolist() == [0]
+        assert s[block].tolist() == [3.0]
 
     def test_zero_gradient_is_a_signal(self):
         with pytest.raises(ValueError, match="zero gradient"):
@@ -65,13 +68,23 @@ class TestSelectMadbcd:
         s = np.random.default_rng(seed).standard_normal(12)
         expected = [j for j in range(12) if s[j] ** 2 >= np.dot(s, s) / 12]
         block = select_block_madbcd(s)
-        assert block.indices.tolist() == expected
-        assert_allclose(block.values, s[expected])
+        assert block.tolist() == expected
+        assert_allclose(s[block], s[expected])
 
     def test_values_are_exact_gradient_entries(self, rng):
-        s = rng.standard_normal(9)
+        # the step moves x only on the block, by c times the gradient entries there
+        a = rng.standard_normal((20, 9))
+        A = DenseMatrix(a)
+        state = SolverState.initial(A, rng.standard_normal(20))
+        s = A.transpose_matvec(state.residual)
         block = select_block_madbcd(s)
-        assert np.array_equal(block.values, s[block.indices])
+        nxt, eta_dot_s = line_search_update(state, A, block, s, 0.0)
+        step_ = nxt.x_curr - state.x_curr
+        off_block = np.setdiff1d(np.arange(9), block)
+        assert np.all(step_[off_block] == 0.0)
+        assert np.all(step_[block] != 0.0)
+        c = eta_dot_s / np.dot(a[:, block] @ s[block], a[:, block] @ s[block])
+        assert_allclose(step_[block], c * s[block], rtol=1e-14)
 
 
 def test_selectors_are_deterministic(rng):
@@ -81,15 +94,39 @@ def test_selectors_are_deterministic(rng):
     frob = float(np.linalg.norm(col_norms))
     for _ in range(3):
         assert np.array_equal(
-            select_block_madbcd(s).indices, select_block_madbcd(s).indices
+            select_block_madbcd(s), select_block_madbcd(s)
         )
         assert np.array_equal(
-            select_block_fbcd(s, col_norms, frob)[1].indices,
-            select_block_fbcd(s, col_norms, frob)[1].indices,
+            select_block_fbcd(s, col_norms, frob)[1],
+            select_block_fbcd(s, col_norms, frob)[1],
         )
         assert np.array_equal(
-            select_block_mrbgs(s, 0.3).indices, select_block_mrbgs(s, 0.3).indices
+            select_block_mrbgs(s, 0.3), select_block_mrbgs(s, 0.3)
         )
+
+
+def test_blocks_are_int64_index_arrays(rng):
+    s = rng.standard_normal(15)
+    a = rng.standard_normal((40, 15))
+    A = DenseMatrix(a)
+    col_norms = np.linalg.norm(a, axis=0)
+    blocks = [
+        select_block_madbcd(s),
+        select_block_fbcd(s, col_norms, float(np.linalg.norm(a)))[1],
+        select_block_mrbgs(s, 0.3),
+        *(block_rule(MethodParams(method), A)(s) for method in METHODS),
+    ]
+    problem = make_consistent_problem(A, seed=4)
+    for method in METHODS:
+        report = run_solver(
+            problem, MethodParams(method), StoppingRule(max_iterations=10),
+            record_blocks=True,
+        )
+        assert len(report.block_history) == report.iterations
+        blocks += report.block_history
+    for block in blocks:
+        assert isinstance(block, np.ndarray)
+        assert block.dtype == np.int64 and block.ndim == 1 and block.size >= 1
 
 
 class TestSelectFbcd:
@@ -98,14 +135,14 @@ class TestSelectFbcd:
             np.array([1.0, 0.0]), np.ones(2), np.sqrt(2.0)
         )
         assert delta == pytest.approx(0.75)
-        assert block.indices.tolist() == [0]
+        assert block.tolist() == [0]
 
     def test_symmetric_case(self):
         delta, block = select_block_fbcd(
             np.array([1.0, 1.0]), np.ones(2), np.sqrt(2.0)
         )
         assert delta == pytest.approx(0.5)
-        assert block.indices.tolist() == [0, 1]
+        assert block.tolist() == [0, 1]
 
     @pytest.mark.parametrize("seed", range(10))
     def test_matches_exhaustive_filter(self, seed):
@@ -122,18 +159,18 @@ class TestSelectFbcd:
             for j in range(4)
             if s[j] ** 2 >= delta * s_sq * col_norms[j] ** 2
         ]
-        assert block.indices.tolist() == expected
+        assert block.tolist() == expected
         assert len(expected) >= 1
 
 
 class TestSelectMrbgs:
     def test_hand_cutoff(self):
         block = select_block_mrbgs(np.array([3.0, 2.0, 1.0]), 0.3)
-        assert block.indices.tolist() == [0, 1]  # cutoff 2.7 admits 9 and 4
+        assert block.tolist() == [0, 1]  # cutoff 2.7 admits 9 and 4
 
     def test_fraction_one_keeps_argmax_ties(self):
         block = select_block_mrbgs(np.array([2.0, -2.0, 1.0]), 1.0)
-        assert block.indices.tolist() == [0, 1]
+        assert block.tolist() == [0, 1]
 
     @pytest.mark.parametrize("seed", range(10))
     def test_matches_exhaustive_filter(self, seed):
@@ -141,7 +178,7 @@ class TestSelectMrbgs:
         block = select_block_mrbgs(s, 0.3)
         cutoff = 0.3 * np.max(s * s)
         expected = [j for j in range(12) if s[j] ** 2 >= cutoff]
-        assert block.indices.tolist() == expected
+        assert block.tolist() == expected
 
     def test_fraction_domain(self):
         with pytest.raises(ValueError, match="fraction"):
@@ -154,12 +191,12 @@ class TestMadbcdStep:
         state = SolverState.initial(problem.A, problem.b)
         # s = (1, 2), threshold 2.5 -> block {1}, step length 1
         state, block = step(state, problem.A, "madbcd")
-        assert block.indices.tolist() == [1]
+        assert block.tolist() == [1]
         assert_allclose(state.x_curr, [0.0, 2.0])
         assert_allclose(state.residual, [1.0, 0.0])
         # s = (1, 0) -> block {0}, lands on the solution
         state, block = step(state, problem.A, "madbcd")
-        assert block.indices.tolist() == [0]
+        assert block.tolist() == [0]
         assert_allclose(state.x_curr, [1.0, 2.0])
         assert_allclose(
             state.x_curr, reference_lsq_solve(problem.A, problem.b), atol=1e-15
@@ -175,8 +212,32 @@ class TestMadbcdStep:
             k=1,
         )
         state, block = step(state, A, "madbcd", beta=0.5)
-        assert block.indices.tolist() == [0]
+        assert block.tolist() == [0]
         assert_allclose(state.x_curr, [1.0, 3.0])
+
+    def test_beta_zero_ignores_momentum_state(self, rng):
+        # beta = 0 takes the general formula, which must leave no trace of a
+        # nonzero x_curr - x_prev or w in the result, bit for bit
+        a = rng.standard_normal((15, 6))
+        A = DenseMatrix(a)
+        x_curr, x_prev = rng.standard_normal(6), rng.standard_normal(6)
+        state = SolverState(
+            x_curr=x_curr,
+            x_prev=x_prev,
+            residual=rng.standard_normal(15) - a @ x_curr,
+            diff_image=a @ (x_curr - x_prev),
+            k=3,
+        )
+        s = A.transpose_matvec(state.residual)
+        block = select_block_madbcd(s)
+        nxt, eta_dot_s = line_search_update(state, A, block, s, 0.0)
+        a_eta = A.restricted_matvec(block, s[block])
+        c = eta_dot_s / float(np.dot(a_eta, a_eta))
+        expected = x_curr.copy()
+        expected[block] += c * s[block]
+        assert np.array_equal(nxt.x_curr, expected)
+        assert np.array_equal(nxt.diff_image, c * a_eta)
+        assert np.array_equal(nxt.x_prev, x_curr)
 
     def test_fixed_point_stops_driver(self):
         problem = identity_problem([1.0, 2.0])
@@ -217,7 +278,7 @@ class TestCdStep:
         problem = identity_problem([1.0, 2.0])
         state = SolverState.initial(problem.A, problem.b)
         state, block = step(state, problem.A, "cd")
-        assert block.indices.tolist() == [1]
+        assert block.tolist() == [1]
         assert_allclose(state.x_curr, [0.0, 2.0])
 
     def test_rank_one_averaging(self):
@@ -236,7 +297,7 @@ class TestCdStep:
         assert len(block) == 1
 
         st_cd, cd_block = step(SolverState.initial(A, b), A, "cd")
-        assert cd_block.indices.tolist() == block.indices.tolist()
+        assert cd_block.tolist() == block.tolist()
         st_mb, _ = step(SolverState.initial(A, b), A, "madbcd")
         assert_allclose(st_cd.x_curr, st_mb.x_curr, rtol=1e-15, atol=0)
         assert_allclose(st_cd.residual, st_mb.residual, rtol=1e-15, atol=0)
@@ -248,21 +309,21 @@ class TestMrbgsStep:
         problem = identity_problem([1.0, 2.0])
         state = SolverState.initial(problem.A, problem.b)
         state, block = step(state, problem.A, "mrbgs")
-        assert block.indices.tolist() == [1]
+        assert block.tolist() == [1]
         assert_allclose(state.x_curr, [0.0, 2.0])
 
     def test_orthonormal_one_step(self):
         problem = identity_problem([1.0, 1.0])
         state = SolverState.initial(problem.A, problem.b)
         state, block = step(state, problem.A, "mrbgs")
-        assert block.indices.tolist() == [0, 1]
+        assert block.tolist() == [0, 1]
         assert_allclose(state.x_curr, [1.0, 1.0])
 
     def test_singleton_equals_cd(self):
         problem = identity_problem([1.0, 2.0])
         st_m, block = step(SolverState.initial(problem.A, problem.b), problem.A, "mrbgs")
         st_c, cd_block = step(SolverState.initial(problem.A, problem.b), problem.A, "cd")
-        assert cd_block.indices.tolist() == block.indices.tolist()
+        assert cd_block.tolist() == block.tolist()
         assert_allclose(st_m.x_curr, st_c.x_curr, rtol=1e-14)
 
     @pytest.mark.parametrize("seed", range(5))
@@ -274,7 +335,7 @@ class TestMrbgsStep:
         state = SolverState.initial(A, b)
         r_before = np.linalg.norm(state.residual)
         state, block = step(state, A, "mrbgs")
-        a_tau = a[:, block.indices]
+        a_tau = a[:, block]
         bound = 1e-10 * np.linalg.norm(a_tau) * r_before
         assert np.linalg.norm(a_tau.T @ state.residual) <= bound
 
