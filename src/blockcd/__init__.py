@@ -23,8 +23,6 @@ from .oracle import (
 from .problems import (
     MatrixMarketError,
     ProblemInstance,
-    TomoGeometry,
-    default_tomo_geometry,
     gen_gaussian_dense,
     gen_sparse_gaussian,
     gen_tomography,

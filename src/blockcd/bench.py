@@ -25,7 +25,6 @@ import numpy as np
 from . import __version__
 from .problems import (
     ProblemInstance,
-    default_tomo_geometry,
     gen_gaussian_dense,
     gen_sparse_gaussian,
     gen_tomography,
@@ -224,13 +223,8 @@ def build_problem(spec: dict, seed) -> ProblemInstance:
             A, rhs_seed, label=f"sprandn{spec['m']}x{spec['n']}d{spec['density']:g}"
         )
     if kind == "tomography":
-        geom = default_tomo_geometry(
-            spec["grid_side"],
-            spec.get("n_angles"),
-            spec.get("n_detectors"),
-            spec.get("detector_spacing", 1.0),
-        )
-        return gen_tomography(geom, spec.get("phantom", "shepp-logan-like"), seed=mat_seed)
+        geometry = {k: v for k, v in spec.items() if k != "kind"}
+        return gen_tomography(**geometry, seed=mat_seed)
     if kind == "mtx":
         transpose = spec.get("transpose", False)
         A = read_matrix_market(spec["path"], transpose=transpose)

@@ -114,7 +114,8 @@ def _build_parser() -> _Parser:
     ps.add_argument("--max-it", type=int, default=100000)
     ps.add_argument("--time-budget", type=float, default=None)
     ps.add_argument("--seed", type=int, default=0)
-    ps.add_argument("--d-factor", type=int, default=4, help="sketch rows as a multiple of n")
+    ps.add_argument("--d-factor", type=int, default=None,
+                    help="sketch rows as a multiple of n (cs-madbcd only, default 4)")
     ps.add_argument("--out", default=None, help="directory for curve.csv and report.json")
 
     pb = sub.add_parser("bench", help="run a configured experiment suite")
@@ -143,17 +144,18 @@ def _build_parser() -> _Parser:
 
 
 def _cmd_solve(args) -> int:
+    d_factor = args.d_factor
+    if args.method != "cs-madbcd" and d_factor is not None:
+        raise ValueError(f"--d-factor applies to cs-madbcd only, not {args.method!r}")
+    if args.method == "cs-madbcd" and d_factor is None:
+        d_factor = 4
+    cell = MethodSpec(args.method, beta=args.beta or 0.0, d_factor=d_factor)
     spec = _parse_problem(args.problem)
     problem = build_problem(spec, args.seed)
     stop = StoppingRule(
         rse_threshold=args.tol,
         max_iterations=args.max_it,
         time_budget_s=args.time_budget,
-    )
-    cell = MethodSpec(
-        args.method,
-        beta=args.beta or 0.0,
-        d_factor=args.d_factor if args.method == "cs-madbcd" else None,
     )
     report = run_cell(problem, cell, stop, sketch_seed=args.seed + 1)
 
@@ -170,8 +172,8 @@ def _cmd_solve(args) -> int:
         with open(os.path.join(args.out, "report.json"), "w", encoding="utf-8") as fh:
             json.dump({"method": report.method, **run_summary(report)}, fh, indent=2)
             fh.write("\n")
-        if problem.provenance.get("generator") == "tomography":
-            side = problem.provenance["grid_side"]
+        if spec["kind"] == "tomography":
+            side = spec["grid_side"]
             grid = report.x_final.reshape(side, side)
             np.savetxt(os.path.join(args.out, "reconstruction.txt"), grid, fmt="%.10g")
     return EXIT_OK if report.converged else EXIT_NO_CONVERGENCE

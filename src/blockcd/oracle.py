@@ -197,23 +197,20 @@ class ContractionBounds:
     feasible: bool
 
 
-def block_contraction_alpha(A, block_indices, n: int | None = None,
-                            sigma_min: float | None = None) -> float:
+def block_contraction_alpha(A, block_indices, sigma_min: float | None = None) -> float:
     """alpha = |tau| sigma_min(A)^2 / (n sigma_max(A_tau)^2)."""
     idx = np.asarray(block_indices, dtype=np.int64)
     if idx.size == 0:
         raise ValueError("block index set must be nonempty")
     a = _as_dense(A)
-    if n is None:
-        n = a.shape[1]
     if sigma_min is None:
         sigma_min = gram_extremal_singular_values(a)[0]
     smax_tau = gram_extremal_singular_values(a[:, idx])[1]
-    return len(idx) * sigma_min**2 / (n * smax_tau**2)
+    return len(idx) * sigma_min**2 / (a.shape[1] * smax_tau**2)
 
 
-def contraction_bounds(A, block_indices, beta: float, n: int | None = None,
-                       eps: float = 0.0, *, sigma_min: float | None = None) -> ContractionBounds:
+def contraction_bounds(A, block_indices, beta: float, eps: float = 0.0, *,
+                       sigma_min: float | None = None) -> ContractionBounds:
     """Convergence-bound coefficients for one momentum iteration.
 
     gamma1 = (1 + 3 beta + 2 beta^2) rho - (3 beta + 1) alpha and
@@ -224,7 +221,7 @@ def contraction_bounds(A, block_indices, beta: float, n: int | None = None,
     """
     if not 0.0 <= eps < 1.0:
         raise ValueError(f"embedding distortion eps must lie in [0, 1), got {eps}")
-    alpha = block_contraction_alpha(A, block_indices, n, sigma_min)
+    alpha = block_contraction_alpha(A, block_indices, sigma_min)
     rho = ((1.0 + eps) / (1.0 - eps)) ** 2
     gamma1 = (1.0 + 3.0 * beta + 2.0 * beta * beta) * rho - (3.0 * beta + 1.0) * alpha
     gamma2 = (2.0 * beta * beta + beta) * rho
@@ -250,7 +247,7 @@ def embedding_dim_theory(n: int, eps: float, delta: float) -> int:
     return math.ceil((n * n + n) / (delta * eps * eps))
 
 
-def run_contraction_bounds(report, A, n: int | None = None) -> list[ContractionBounds]:
+def run_contraction_bounds(report, A) -> list[ContractionBounds]:
     """Bound coefficients for every recorded iteration of a run.
 
     The run must have been recorded with record_blocks=True; sigma_min(A) is
@@ -259,11 +256,9 @@ def run_contraction_bounds(report, A, n: int | None = None) -> list[ContractionB
     if report.block_history is None:
         raise ValueError("bounds need a run recorded with record_blocks=True")
     a = _as_dense(A)
-    if n is None:
-        n = a.shape[1]
     sigma_min = gram_extremal_singular_values(a)[0]
     return [
-        contraction_bounds(a, idx, report.beta, n, sigma_min=sigma_min)
+        contraction_bounds(a, idx, report.beta, sigma_min=sigma_min)
         for idx in report.block_history
     ]
 
@@ -284,7 +279,6 @@ def contraction_audit(report, A, x_star: np.ndarray, *, slack: float = 1e-9):
     if report.beta != 0.0:
         raise ValueError("contraction audit applies to beta=0 runs only")
     a = _as_dense(A)
-    n = a.shape[1]
     sigma_min = gram_extremal_singular_values(a)[0]
     iterates = report.iterate_history
     blocks = report.block_history
@@ -292,7 +286,7 @@ def contraction_audit(report, A, x_star: np.ndarray, *, slack: float = 1e-9):
     for k, idx in enumerate(blocks):
         f_k = float(np.sum((a @ (iterates[k] - x_star)) ** 2))
         f_next = float(np.sum((a @ (iterates[k + 1] - x_star)) ** 2))
-        alpha = block_contraction_alpha(a, idx, n, sigma_min)
+        alpha = block_contraction_alpha(a, idx, sigma_min)
         bound = (1.0 - alpha) * f_k
         if f_next > bound * (1.0 + slack) + 1e-300:
             violations.append((k, f_next, bound))

@@ -22,12 +22,10 @@ from .matrix import DenseMatrix, Matrix, SparseMatrixCSC
 
 __all__ = [
     "ProblemInstance",
-    "TomoGeometry",
     "MatrixMarketError",
     "gen_gaussian_dense",
     "gen_sparse_gaussian",
     "gen_tomography",
-    "default_tomo_geometry",
     "trace_ray",
     "make_consistent_problem",
     "read_matrix_market",
@@ -47,14 +45,17 @@ def _refuse_non_finite(what: str, v: np.ndarray) -> None:
 
 @dataclass
 class ProblemInstance:
-    """A least-squares instance: coefficients, right-hand side, optional truth."""
+    """A least-squares instance: coefficients, right-hand side, optional truth.
+
+    `consistent` is computed, not declared: it holds exactly when x_star is
+    given and ||b - A x_star|| <= CONSISTENCY_RTOL ||b||.
+    """
 
     A: Matrix
     b: np.ndarray
     x_star: np.ndarray | None = None
     label: str = ""
-    provenance: dict = field(default_factory=dict)
-    consistent: bool = False
+    consistent: bool = field(init=False)
 
     def __post_init__(self):
         self.b = np.asarray(self.b, dtype=np.float64)
@@ -92,15 +93,9 @@ class ProblemInstance:
                     "reference solution is all zeros, so the relative solution "
                     "error is undefined; omit x_star to stop on the normal residual"
                 )
-        if self.consistent:
-            if self.x_star is None:
-                raise ValueError("a consistent-flagged instance needs x_star")
-            resid = float(np.linalg.norm(self.b - self.A.matvec(self.x_star)))
-            if resid > CONSISTENCY_RTOL * max(float(np.linalg.norm(self.b)), 1e-300):
-                raise ValueError(
-                    f"instance flagged consistent but ||b - A x_star|| = {resid:.3e} "
-                    "exceeds the tolerance"
-                )
+        self.consistent = self.x_star is not None and float(
+            np.linalg.norm(self.b - self.A.matvec(self.x_star))
+        ) <= CONSISTENCY_RTOL * float(np.linalg.norm(self.b))
 
     @property
     def shape(self) -> tuple[int, int]:
@@ -155,52 +150,12 @@ def make_consistent_problem(A: Matrix, seed: int, label: str = "") -> ProblemIns
         b=A.matvec(x_star),
         x_star=x_star,
         label=label,
-        provenance={"rhs": "consistent", "rhs_seed": seed},
-        consistent=True,
     )
 
 
 # ---------------------------------------------------------------------------
 # synthetic tomography
 # ---------------------------------------------------------------------------
-
-
-@dataclass(frozen=True)
-class TomoGeometry:
-    """Parallel-beam scan of an N-by-N unit-pixel grid.
-
-    For each angle, `n_detectors` parallel rays cross the grid, offset along
-    the perpendicular detector axis by `detector_spacing` and centered on the
-    grid center.
-    """
-
-    grid_side: int
-    angles: np.ndarray
-    n_detectors: int
-    detector_spacing: float = 1.0
-
-    def __post_init__(self):
-        if self.grid_side < 4:
-            raise ValueError(f"grid side must be >= 4, got {self.grid_side}")
-        if self.n_detectors < 1 or self.detector_spacing <= 0.0:
-            raise ValueError("need at least one detector with positive spacing")
-        object.__setattr__(
-            self, "angles", np.asarray(self.angles, dtype=np.float64).ravel()
-        )
-        if self.angles.size == 0:
-            raise ValueError("need at least one projection angle")
-
-
-def default_tomo_geometry(grid_side: int, n_angles: int | None = None,
-                          n_detectors: int | None = None,
-                          detector_spacing: float = 1.0) -> TomoGeometry:
-    """Angles spread over [0, pi), enough detectors to span the grid diagonal."""
-    if n_angles is None:
-        n_angles = 2 * grid_side
-    if n_detectors is None:
-        n_detectors = math.ceil(1.5 * grid_side / detector_spacing)
-    angles = np.arange(n_angles) * math.pi / n_angles
-    return TomoGeometry(grid_side, angles, n_detectors, detector_spacing)
 
 
 def trace_ray(origin, direction, grid_side: int) -> tuple[np.ndarray, np.ndarray]:
@@ -294,26 +249,39 @@ def _blocks_phantom(n: int, seed: int) -> np.ndarray:
     return img.ravel()
 
 
-def gen_tomography(geom: TomoGeometry, phantom: str = "shepp-logan-like",
-                   seed: int = 0) -> ProblemInstance:
-    """Assemble the ray-pixel intersection system and project the phantom.
+def gen_tomography(grid_side: int, n_angles: int | None = None,
+                   n_detectors: int | None = None, detector_spacing: float = 1.0,
+                   phantom: str = "shepp-logan-like", seed: int = 0) -> ProblemInstance:
+    """Parallel-beam scan of an N-by-N unit-pixel grid projecting a phantom.
 
-    Rays that miss the grid are dropped (with a warning carrying the count).
-    The instance is consistent by construction: b = A x_star with x_star the
-    rasterized phantom.
+    `n_angles` angles (default 2N) spread evenly over [0, pi).  For each,
+    `n_detectors` parallel rays (default: enough to span the grid diagonal)
+    cross the grid, offset along the perpendicular detector axis by
+    `detector_spacing` and centered on the grid center.  Rays that miss the
+    grid are dropped (with a warning carrying the count).  b = A x_star with
+    x_star the rasterized phantom.
     """
+    if grid_side < 4:
+        raise ValueError(f"grid side must be >= 4, got {grid_side}")
+    if detector_spacing <= 0.0:
+        raise ValueError(f"detector spacing must be positive, got {detector_spacing}")
+    if n_angles is None:
+        n_angles = 2 * grid_side
+    if n_detectors is None:
+        n_detectors = math.ceil(1.5 * grid_side / detector_spacing)
+    if n_angles < 1 or n_detectors < 1:
+        raise ValueError("need at least one projection angle and one detector")
     if phantom not in ("shepp-logan-like", "blocks"):
         raise ValueError(f"unknown phantom {phantom!r}")
-    n = geom.grid_side
+    n = grid_side
     rows_idx: list[np.ndarray] = []
     cols_idx: list[np.ndarray] = []
     vals: list[np.ndarray] = []
     row = 0
     dropped = 0
-    offsets = (np.arange(geom.n_detectors) - (geom.n_detectors - 1) / 2.0)
-    offsets = offsets * geom.detector_spacing
+    offsets = (np.arange(n_detectors) - (n_detectors - 1) / 2.0) * detector_spacing
     center = n / 2.0
-    for theta in geom.angles:
+    for theta in np.arange(n_angles) * math.pi / n_angles:
         d = np.array([math.cos(theta), math.sin(theta)])
         perp = np.array([-math.sin(theta), math.cos(theta)])
         for off in offsets:
@@ -346,17 +314,6 @@ def gen_tomography(geom: TomoGeometry, phantom: str = "shepp-logan-like",
         b=A.matvec(x_star),
         x_star=x_star,
         label=f"tomo{n}x{n}-{phantom}",
-        provenance={
-            "generator": "tomography",
-            "grid_side": n,
-            "n_angles": len(geom.angles),
-            "n_detectors": geom.n_detectors,
-            "detector_spacing": geom.detector_spacing,
-            "phantom": phantom,
-            "seed": seed,
-            "dropped_rays": dropped,
-        },
-        consistent=True,
     )
 
 
@@ -496,20 +453,14 @@ def write_problem_bundle(directory, problem: ProblemInstance) -> None:
 
 
 def read_problem_bundle(directory) -> ProblemInstance:
-    """Load a problem bundle; consistency is inferred from the residual."""
+    """Load a problem bundle; x_star.txt is optional."""
     A = read_matrix_market(os.path.join(directory, "A.mtx"))
     b = np.loadtxt(os.path.join(directory, "b.txt"), ndmin=1)
     x_path = os.path.join(directory, "x_star.txt")
     x_star = np.loadtxt(x_path, ndmin=1) if os.path.exists(x_path) else None
-    consistent = False
-    if x_star is not None and x_star.shape == (A.cols,) and b.shape == (A.rows,):
-        resid = float(np.linalg.norm(b - A.matvec(x_star)))
-        consistent = resid <= CONSISTENCY_RTOL * max(float(np.linalg.norm(b)), 1e-300)
     return ProblemInstance(
         A=A,
         b=b,
         x_star=x_star,
         label=os.path.basename(os.path.normpath(str(directory))),
-        provenance={"source": str(directory)},
-        consistent=consistent,
     )

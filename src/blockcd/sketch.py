@@ -139,14 +139,7 @@ def cs_prepare(problem, d: int, seed: int):
     a_sk = sketch_apply_matrix(sketch, A)
     b_sk = sketch_apply_vector(sketch, problem.b)
     prep_seconds = time.perf_counter() - t0
-    provenance = dict(problem.provenance)
-    provenance.update({"sketch_d": d, "sketch_seed": seed})
     sketched = ProblemInstance(
-        A=a_sk,
-        b=b_sk,
-        x_star=problem.x_star,
-        label=f"{problem.label}+cs{d}",
-        provenance=provenance,
-        consistent=problem.consistent,
+        A=a_sk, b=b_sk, x_star=problem.x_star, label=f"{problem.label}+cs{d}"
     )
     return sketched, prep_seconds

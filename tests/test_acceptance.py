@@ -24,7 +24,6 @@ from blockcd import (
     gen_sparse_gaussian,
     gen_tomography,
     gram_extremal_singular_values,
-    default_tomo_geometry,
     make_consistent_problem,
     q_from_recurrence,
     read_matrix_market,
@@ -119,7 +118,7 @@ def test_criterion_03_per_iteration_contraction():
         for k, idx in enumerate(rep.block_history):
             f_k = float(np.sum((a @ (rep.iterate_history[k] - prob.x_star)) ** 2))
             f_n = float(np.sum((a @ (rep.iterate_history[k + 1] - prob.x_star)) ** 2))
-            alpha = block_contraction_alpha(a, idx, 10, smin)
+            alpha = block_contraction_alpha(a, idx, smin)
             checked += 1
             if f_n > (1.0 - alpha) * f_k * (1.0 + 1e-9) + 1e-300:
                 violations += 1
@@ -138,7 +137,7 @@ def test_criterion_04_global_convergence_bound():
         # pass 1 fixes the momentum weight from the no-momentum block history
         pass1 = run_solver(prob, MethodParams("madbcd", 0.0), stop, record_blocks=True)
         alpha0 = min(
-            block_contraction_alpha(a, idx, 12, smin) for idx in pass1.block_history
+            block_contraction_alpha(a, idx, smin) for idx in pass1.block_history
         )
         beta = 0.5 * beta_feasible_max(alpha0)
         pass2 = run_solver(
@@ -146,7 +145,7 @@ def test_criterion_04_global_convergence_bound():
             record_blocks=True, record_iterates=True,
         )
         alpha_min = min(
-            block_contraction_alpha(a, idx, 12, smin) for idx in pass2.block_history
+            block_contraction_alpha(a, idx, smin) for idx in pass2.block_history
         )
         g1 = 1 + 3 * beta + 2 * beta * beta - (3 * beta + 1) * alpha_min
         g2 = 2 * beta * beta + beta
@@ -417,12 +416,11 @@ def test_criterion_11_matrix_market_round_trip(tmp_path):
 def test_criterion_tomography_qualitative():
     # substitute criterion for the pixel-exact reconstructions: equal 10-second
     # budgets, adaptive momentum must be at least as accurate on every seed
-    geom = default_tomo_geometry(32)
     results = []
     for seed in (0, 1):
         with warnings.catch_warnings():
             warnings.simplefilter("ignore")
-            prob = gen_tomography(geom, "blocks", seed=seed)
+            prob = gen_tomography(32, phantom="blocks", seed=seed)
         stop = StoppingRule(rse_threshold=1e-10, max_iterations=10**9, time_budget_s=10.0)
         rse_m = run_solver(prob, MethodParams("madbcd", 0.5), stop).records[-1].rse
         rse_f = run_solver(prob, MethodParams("fbcd"), stop).records[-1].rse

@@ -103,6 +103,14 @@ def test_cs_method_through_cli(tmp_path):
     assert code == 0
 
 
+def test_d_factor_without_sketch_exit_one(capsys):
+    code = main(
+        ["solve", "--problem", "gaussian:200:20", "--method", "madbcd", "--d-factor", "8"]
+    )
+    assert code == 1
+    assert "--d-factor" in capsys.readouterr().err
+
+
 @pytest.mark.parametrize("method", ["cd", "fbcd", "mrbgs", "madbcd", "cs-madbcd"])
 def test_solve_every_method_reports_its_cell(tmp_path, method):
     out = tmp_path / method

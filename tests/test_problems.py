@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose
@@ -9,8 +11,7 @@ from blockcd import (
     ProblemInstance,
     SparseMatrixCSC,
     StoppingRule,
-    TomoGeometry,
-    default_tomo_geometry,
+    cs_prepare,
     gen_gaussian_dense,
     gen_sparse_gaussian,
     gen_tomography,
@@ -132,14 +133,23 @@ class TestProblemInstanceValidation:
         with pytest.raises(ValueError, match="length 2"):
             ProblemInstance(A=DenseMatrix(np.eye(2)), b=np.ones(3))
 
-    def test_consistency_flag_checked(self):
-        with pytest.raises(ValueError, match="flagged consistent"):
-            ProblemInstance(
-                A=DenseMatrix(np.eye(2)),
-                b=np.array([1.0, 1.0]),
-                x_star=np.array([5.0, 5.0]),
-                consistent=True,
-            )
+    def test_unflagged_consistent_system_is_consistent(self, rng):
+        a = rng.standard_normal((400, 20))
+        x_star = rng.standard_normal(20)
+        problem = ProblemInstance(A=DenseMatrix(a), b=a @ x_star, x_star=x_star)
+        assert problem.consistent
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            cs_prepare(problem, 80, seed=1)
+
+    def test_perturbed_rhs_is_inconsistent_and_warns(self, rng):
+        a = rng.standard_normal((400, 20))
+        x_star = rng.standard_normal(20)
+        b = a @ x_star + 1e-3 * rng.standard_normal(400)
+        problem = ProblemInstance(A=DenseMatrix(a), b=b, x_star=x_star)
+        assert not problem.consistent
+        with pytest.warns(UserWarning, match="inconsistent"):
+            cs_prepare(problem, 80, seed=1)
 
 
 class TestTraceRay:
@@ -165,17 +175,16 @@ class TestTraceRay:
 
 class TestTomography:
     def test_row_sums_conserve_chord_length(self):
-        geom = default_tomo_geometry(8)
         with pytest.warns(UserWarning):
-            p = gen_tomography(geom, "blocks", seed=1)
+            p = gen_tomography(8, phantom="blocks", seed=1)
         a = p.A.to_dense()
         row_sums = a.sum(axis=1)
-        # independent oracle: clip each kept ray against the bounding square
-        n = geom.grid_side
+        # independent oracle: clip each kept ray against the bounding square;
+        # the default geometry is 2N angles over [0, pi) and ceil(1.5 N) detectors
+        n, n_angles, n_detectors = 8, 16, 12
         kept = 0
-        offsets = (np.arange(geom.n_detectors) - (geom.n_detectors - 1) / 2.0)
-        offsets = offsets * geom.detector_spacing
-        for theta in geom.angles:
+        offsets = np.arange(n_detectors) - (n_detectors - 1) / 2.0
+        for theta in np.arange(n_angles) * np.pi / n_angles:
             d = np.array([np.cos(theta), np.sin(theta)])
             perp = np.array([-np.sin(theta), np.cos(theta)])
             for off in offsets:
@@ -197,17 +206,15 @@ class TestTomography:
         assert kept == p.A.rows
 
     def test_no_zero_columns_and_consistency(self):
-        geom = TomoGeometry(16, np.arange(30) * np.pi / 30, 24, 1.0)
         with pytest.warns(UserWarning):
-            p = gen_tomography(geom)
+            p = gen_tomography(16, n_angles=30, n_detectors=24)
         assert np.all(p.A.column_norms() > 0)
         assert p.consistent
         assert p.A.rows > 16 * 16
 
     def test_solver_recovers_phantom(self):
-        geom = TomoGeometry(16, np.arange(30) * np.pi / 30, 24, 1.0)
         with pytest.warns(UserWarning):
-            p = gen_tomography(geom)
+            p = gen_tomography(16, n_angles=30, n_detectors=24)
         report = run_solver(
             p,
             MethodParams("madbcd", 0.3),
@@ -217,30 +224,26 @@ class TestTomography:
         assert report.records[-1].rse < 1e-6
 
     def test_too_few_rays_rejected(self):
-        geom = TomoGeometry(8, np.array([0.0]), 8, 1.0)
         with pytest.raises(ValueError, match="overdetermined"):
-            gen_tomography(geom)
+            gen_tomography(8, n_angles=1, n_detectors=8)
 
     def test_blocks_phantom_is_seeded(self):
-        geom = default_tomo_geometry(8)
         with pytest.warns(UserWarning):
-            p1 = gen_tomography(geom, "blocks", seed=3)
+            p1 = gen_tomography(8, phantom="blocks", seed=3)
         with pytest.warns(UserWarning):
-            p2 = gen_tomography(geom, "blocks", seed=3)
+            p2 = gen_tomography(8, phantom="blocks", seed=3)
         with pytest.warns(UserWarning):
-            p3 = gen_tomography(geom, "blocks", seed=4)
+            p3 = gen_tomography(8, phantom="blocks", seed=4)
         assert np.array_equal(p1.x_star, p2.x_star)
         assert not np.array_equal(p1.x_star, p3.x_star)
 
     def test_unknown_phantom(self):
-        geom = default_tomo_geometry(8)
         with pytest.raises(ValueError, match="phantom"):
-            gen_tomography(geom, "gradient")
+            gen_tomography(8, phantom="gradient")
 
     def test_head_phantom_value_range(self):
-        geom = default_tomo_geometry(16)
         with pytest.warns(UserWarning):
-            p = gen_tomography(geom, "shepp-logan-like")
+            p = gen_tomography(16, phantom="shepp-logan-like")
         assert p.x_star.min() >= 0.0
         assert 1.9 <= p.x_star.max() <= 2.1
         assert np.linalg.norm(p.x_star) > 0.0

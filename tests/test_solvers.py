@@ -29,7 +29,7 @@ from blockcd.solvers import METHODS, RESIDUAL_REFRESH
 def identity_problem(b):
     b = np.asarray(b, dtype=float)
     A = DenseMatrix(np.eye(len(b)))
-    return ProblemInstance(A=A, b=b, x_star=b.copy(), consistent=True)
+    return ProblemInstance(A=A, b=b, x_star=b.copy())
 
 
 def step(state, A, method, beta=0.0):
@@ -262,9 +262,7 @@ class TestFbcdStep:
     def test_energy_decrease_against_reference(self, rng):
         a = rng.standard_normal((6, 3))
         x_star = rng.standard_normal(3)
-        problem = ProblemInstance(
-            A=DenseMatrix(a), b=a @ x_star, x_star=x_star, consistent=True
-        )
+        problem = ProblemInstance(A=DenseMatrix(a), b=a @ x_star, x_star=x_star)
         x_ref = reference_lsq_solve(a, problem.b)
         state = SolverState.initial(problem.A, problem.b)
         before = np.linalg.norm(a @ (state.x_curr - x_ref))
@@ -538,7 +536,6 @@ class TestRunSolver:
             A=SparseMatrixCSC.from_dense(a),
             b=dense.b,
             x_star=dense.x_star,
-            consistent=True,
         )
         stop = StoppingRule(rse_threshold=1e-10, max_iterations=1000)
         rd = run_solver(dense, MethodParams("madbcd", 0.1), stop)
