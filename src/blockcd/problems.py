@@ -13,7 +13,6 @@ from __future__ import annotations
 
 import math
 import os
-import warnings
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -258,8 +257,7 @@ def gen_tomography(grid_side: int, n_angles: int | None = None,
     `n_detectors` parallel rays (default: enough to span the grid diagonal)
     cross the grid, offset along the perpendicular detector axis by
     `detector_spacing` and centered on the grid center.  Rays that miss the
-    grid are dropped (with a warning carrying the count).  b = A x_star with
-    x_star the rasterized phantom.
+    grid are dropped.  b = A x_star with x_star the rasterized phantom.
     """
     if grid_side < 4:
         raise ValueError(f"grid side must be >= 4, got {grid_side}")
@@ -278,7 +276,6 @@ def gen_tomography(grid_side: int, n_angles: int | None = None,
     cols_idx: list[np.ndarray] = []
     vals: list[np.ndarray] = []
     row = 0
-    dropped = 0
     offsets = (np.arange(n_detectors) - (n_detectors - 1) / 2.0) * detector_spacing
     center = n / 2.0
     for theta in np.arange(n_angles) * math.pi / n_angles:
@@ -288,14 +285,11 @@ def gen_tomography(grid_side: int, n_angles: int | None = None,
             origin = np.array([center, center]) + off * perp
             cols, lens = trace_ray(origin, d, n)
             if cols.size == 0:
-                dropped += 1
                 continue
             rows_idx.append(np.full(cols.size, row, dtype=np.int64))
             cols_idx.append(cols)
             vals.append(lens)
             row += 1
-    if dropped:
-        warnings.warn(f"{dropped} rays missed the grid and were dropped", stacklevel=2)
     if row <= n * n:
         raise ValueError(
             f"geometry yields only {row} usable rays for {n * n} pixels; "

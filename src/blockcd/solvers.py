@@ -7,7 +7,9 @@ the block rule: the singleton {argmax |s_j|} (greedy coordinate descent,
 cd), the averaged threshold of the fast block method (fbcd), or the mean
 ||s||^2 / n threshold of the adaptive method (madbcd).  The maximal-residual
 block baseline (mrbgs) swaps the line search for an exact least-squares
-subsolve on its block.
+subsolve on its block: LAPACK's blocked Householder QR of [A_tau | r], with
+Q never formed.  The oracle keeps its own hand-rolled QR as the independent
+route that audits this subsolve.
 
 All methods share the same bookkeeping: the residual r = b - A x and the
 difference image w = A(x - x_prev) are updated incrementally each step and
@@ -26,7 +28,7 @@ from typing import Callable
 import numpy as np
 
 from .matrix import Matrix
-from .oracle import RankDeficiencyError, householder_lstsq
+from .oracle import RankDeficiencyError
 
 __all__ = [
     "METHODS",
@@ -261,6 +263,30 @@ def line_search_update(
     x_next[block] += c * eta
     w_next = c * a_eta + beta * state.diff_image
     return state.advance(x_next, w_next), eta_dot_s
+
+
+def householder_lstsq(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Minimize ||b - a x||_2 on a dense m-by-k block with m >= k.
+
+    Factors [a | b] by LAPACK's blocked Householder QR (dgeqrf) without
+    forming Q, so that R[:k, k] = Q^T b, then solves R[:k, :k] x = R[:k, k].
+    Raises RankDeficiencyError at the first block position j with
+    |R_jj| <= 1e-12 * ||a||_F, the same contract as the oracle's QR.
+    """
+    m, k = a.shape
+    if m < k:
+        raise ValueError(f"need m >= n for a full-column-rank solve, got {a.shape}")
+    if b.shape != (m,):
+        raise ValueError(f"rhs must have length {m}, got shape {b.shape}")
+    r = np.linalg.qr(np.column_stack((a, b)), mode="r")
+    diag = np.abs(np.diagonal(r)[:k])
+    small = np.flatnonzero(diag <= 1e-12 * np.linalg.norm(a))
+    if small.size:
+        j = int(small[0])
+        raise RankDeficiencyError(j, float(diag[j]))
+    # R is upper triangular with a nonzero diagonal, so LU solves it without
+    # a row swap: this is back substitution
+    return np.linalg.solve(r[:k, :k], r[:k, k])
 
 
 def subsolve_update(state: SolverState, A: Matrix, block: np.ndarray) -> SolverState:

@@ -5,7 +5,6 @@ success; on failure the line appears in the captured output).
 """
 
 import time
-import warnings
 
 import numpy as np
 import pytest
@@ -418,9 +417,7 @@ def test_criterion_tomography_qualitative():
     # budgets, adaptive momentum must be at least as accurate on every seed
     results = []
     for seed in (0, 1):
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore")
-            prob = gen_tomography(32, phantom="blocks", seed=seed)
+        prob = gen_tomography(32, phantom="blocks", seed=seed)
         stop = StoppingRule(rse_threshold=1e-10, max_iterations=10**9, time_budget_s=10.0)
         rse_m = run_solver(prob, MethodParams("madbcd", 0.5), stop).records[-1].rse
         rse_f = run_solver(prob, MethodParams("fbcd"), stop).records[-1].rse

@@ -60,25 +60,21 @@ def test_missing_argument_exit_one(capsys):
 
 
 def test_tomography_solve_emits_reconstruction_grid(tmp_path):
-    import warnings
-
     import numpy as np
 
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore")
-        code = main(
-            [
-                "solve",
-                "--problem",
-                "tomo:8:blocks",
-                "--method",
-                "madbcd",
-                "--beta",
-                "0.3",
-                "--out",
-                str(tmp_path / "tomo"),
-            ]
-        )
+    code = main(
+        [
+            "solve",
+            "--problem",
+            "tomo:8:blocks",
+            "--method",
+            "madbcd",
+            "--beta",
+            "0.3",
+            "--out",
+            str(tmp_path / "tomo"),
+        ]
+    )
     assert code == 0
     grid = np.loadtxt(tmp_path / "tomo" / "reconstruction.txt")
     assert grid.shape == (8, 8)

@@ -175,8 +175,9 @@ class TestTraceRay:
 
 class TestTomography:
     def test_row_sums_conserve_chord_length(self):
-        with pytest.warns(UserWarning):
-            p = gen_tomography(8, phantom="blocks", seed=1)
+        p = gen_tomography(8, phantom="blocks", seed=1)
+        # 24 of the 16 x 12 rays miss the grid at axis-aligned angles
+        assert p.A.rows == 168
         a = p.A.to_dense()
         row_sums = a.sum(axis=1)
         # independent oracle: clip each kept ray against the bounding square;
@@ -206,15 +207,14 @@ class TestTomography:
         assert kept == p.A.rows
 
     def test_no_zero_columns_and_consistency(self):
-        with pytest.warns(UserWarning):
-            p = gen_tomography(16, n_angles=30, n_detectors=24)
+        p = gen_tomography(16, n_angles=30, n_detectors=24)
         assert np.all(p.A.column_norms() > 0)
         assert p.consistent
-        assert p.A.rows > 16 * 16
+        assert p.A.rows == 608
 
     def test_solver_recovers_phantom(self):
-        with pytest.warns(UserWarning):
-            p = gen_tomography(16, n_angles=30, n_detectors=24)
+        p = gen_tomography(16, n_angles=30, n_detectors=24)
+        assert p.A.rows == 608
         report = run_solver(
             p,
             MethodParams("madbcd", 0.3),
@@ -228,12 +228,10 @@ class TestTomography:
             gen_tomography(8, n_angles=1, n_detectors=8)
 
     def test_blocks_phantom_is_seeded(self):
-        with pytest.warns(UserWarning):
-            p1 = gen_tomography(8, phantom="blocks", seed=3)
-        with pytest.warns(UserWarning):
-            p2 = gen_tomography(8, phantom="blocks", seed=3)
-        with pytest.warns(UserWarning):
-            p3 = gen_tomography(8, phantom="blocks", seed=4)
+        p1 = gen_tomography(8, phantom="blocks", seed=3)
+        p2 = gen_tomography(8, phantom="blocks", seed=3)
+        p3 = gen_tomography(8, phantom="blocks", seed=4)
+        assert p1.A.rows == p2.A.rows == p3.A.rows == 168
         assert np.array_equal(p1.x_star, p2.x_star)
         assert not np.array_equal(p1.x_star, p3.x_star)
 
@@ -242,8 +240,8 @@ class TestTomography:
             gen_tomography(8, phantom="gradient")
 
     def test_head_phantom_value_range(self):
-        with pytest.warns(UserWarning):
-            p = gen_tomography(16, phantom="shepp-logan-like")
+        p = gen_tomography(16, phantom="shepp-logan-like")
+        assert p.A.rows == 644
         assert p.x_star.min() >= 0.0
         assert 1.9 <= p.x_star.max() <= 2.1
         assert np.linalg.norm(p.x_star) > 0.0

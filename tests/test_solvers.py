@@ -8,6 +8,7 @@ from blockcd import (
     DenseMatrix,
     MethodParams,
     ProblemInstance,
+    RankDeficiencyError,
     SolverState,
     SparseMatrixCSC,
     StoppingRule,
@@ -23,7 +24,8 @@ from blockcd import (
     select_block_mrbgs,
     subsolve_update,
 )
-from blockcd.solvers import METHODS, RESIDUAL_REFRESH
+from blockcd import oracle
+from blockcd.solvers import METHODS, RESIDUAL_REFRESH, householder_lstsq
 
 
 def identity_problem(b):
@@ -336,6 +338,50 @@ class TestMrbgsStep:
         a_tau = a[:, block]
         bound = 1e-10 * np.linalg.norm(a_tau) * r_before
         assert np.linalg.norm(a_tau.T @ state.residual) <= bound
+
+
+class TestSubsolveQr:
+    """The solver-path LAPACK QR against the oracle's hand-rolled one."""
+
+    @pytest.mark.parametrize("order", ["C", "F"])
+    @pytest.mark.parametrize("m, k", [(40, 1), (40, 5), (7, 7)])
+    def test_agrees_with_oracle(self, rng, order, m, k):
+        a = np.asarray(rng.standard_normal((m, k)), order=order)
+        b = rng.standard_normal(m)
+        want = oracle.householder_lstsq(a, b)
+        assert_allclose(householder_lstsq(a, b), want, rtol=0, atol=1e-10 * np.linalg.norm(want))
+
+    @pytest.mark.parametrize("defect", ["duplicate", "zero"])
+    def test_rank_deficiency_at_the_oracles_position(self, rng, defect):
+        a = rng.standard_normal((20, 6))
+        a[:, 4] = a[:, 1] if defect == "duplicate" else 0.0
+        b = rng.standard_normal(20)
+        with pytest.raises(RankDeficiencyError) as want:
+            oracle.householder_lstsq(a, b)
+        with pytest.raises(RankDeficiencyError) as got:
+            householder_lstsq(a, b)
+        assert got.value.column == want.value.column == 4
+
+    def test_subsolve_names_the_global_column(self, rng):
+        a = rng.standard_normal((30, 8))
+        a[:, 5] = a[:, 2]
+        A = DenseMatrix(a)
+        state = SolverState.initial(A, rng.standard_normal(30))
+        with pytest.raises(RankDeficiencyError) as exc:
+            subsolve_update(state, A, np.array([0, 2, 5, 7], dtype=np.int64))
+        assert exc.value.column == 5
+
+    def test_solver_does_not_use_the_oracle(self, monkeypatch):
+        def refuse(*_):
+            raise AssertionError("the mrbgs subsolve called the oracle")
+
+        assert householder_lstsq is not oracle.householder_lstsq
+        monkeypatch.setattr(oracle, "householder_lstsq", refuse)
+        problem = make_consistent_problem(gen_gaussian_dense(200, 20, 3), 4)
+        report = run_solver(
+            problem, MethodParams("mrbgs"), StoppingRule(rse_threshold=1e-12, max_iterations=1000)
+        )
+        assert report.converged
 
 
 class TestComputeRse:
