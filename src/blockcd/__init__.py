@@ -7,9 +7,8 @@ and a benchmark harness with a CLI front end.
 
 __version__ = "0.1.0"
 
-from .matrix import DenseMatrix, Matrix, SparseMatrixCSC
+from .matrix import DenseMatrix, Matrix, RankDeficiencyError, SparseMatrixCSC
 from .oracle import (
-    RankDeficiencyError,
     ContractionBounds,
     beta_feasible_max,
     contraction_audit,

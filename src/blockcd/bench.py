@@ -33,7 +33,7 @@ from .problems import (
     read_problem_bundle,
 )
 from .sketch import check_sketch_dimension, cs_prepare
-from .solvers import ConvergenceReport, MethodParams, StoppingRule, run_solver
+from .solvers import ConvergenceReport, IterationRecord, MethodParams, StoppingRule, run_solver
 
 __all__ = [
     "MethodSpec",
@@ -50,6 +50,7 @@ __all__ = [
     "read_curve_csv",
 ]
 
+# IterationRecord fields, one curve column each
 CURVE_COLUMNS = ["k", "rse", "normal_residual", "block_size", "elapsed_s"]
 
 # columns derived from wall-clock measurements, exempt from byte-reproducibility
@@ -96,22 +97,24 @@ class MethodSpec:
 
     @classmethod
     def from_dict(cls, raw: dict) -> "MethodSpec":
-        _check_fields("method", raw, get_type_hints(cls))
-        return cls(**raw)
+        return cls(**_checked_fields("method", raw, get_type_hints(cls)))
 
 
-def _check_fields(what: str, raw: dict, declared: dict) -> None:
-    """A ValueError naming the keys of `raw` that are not in `declared`
-    (name -> type), or the first key whose value does not have its type.
+def _checked_fields(what: str, raw: dict, declared: dict) -> dict:
+    """A copy of `raw` holding plain Python numbers, or a ValueError naming
+    the keys that are not in `declared` (name -> type), or the first key
+    whose value does not have its type.
 
-    Any integer (numpy's too) passes where an int is declared and any real
-    number where a float is; a boolean passes only where a bool is.
+    Any integer (numpy's too) passes where an int is declared and becomes an
+    int, and any real number where a float is, becoming a float; a boolean
+    passes only where a bool is.
     """
     if not isinstance(raw, dict):
         raise ValueError(f"{what} must be a JSON object, got {raw!r}")
     extra = set(raw) - set(declared)
     if extra:
         raise ValueError(f"unknown {what} keys {sorted(extra)}")
+    plain = {}
     for key, value in raw.items():
         declared_type = declared[key]
         types = tuple(
@@ -121,6 +124,10 @@ def _check_fields(what: str, raw: dict, declared: dict) -> None:
         if not isinstance(value, types) or (isinstance(value, bool) and bool not in types):
             name = getattr(declared_type, "__name__", str(declared_type))
             raise ValueError(f"{what} key {key!r} must be {name}, got {value!r}")
+        if isinstance(value, numbers.Real) and not isinstance(value, bool):
+            value = int(value) if isinstance(value, numbers.Integral) else float(value)
+        plain[key] = value
+    return plain
 
 
 @dataclass(frozen=True)
@@ -140,8 +147,8 @@ class ExperimentConfig:
             raise ValueError("repeats must be >= 1")
         if not self.methods:
             raise ValueError("method list must be nonempty")
-        if "kind" not in self.problem:
-            raise ValueError("problem spec needs a 'kind'")
+        # refuse a bad problem spec before any realization is built
+        object.__setattr__(self, "problem", _problem_spec(self.problem))
         labels = [m.label() for m in self.methods]
         if len(set(labels)) != len(labels):
             raise ValueError(f"method cells must be distinct, got labels {labels}")
@@ -149,11 +156,11 @@ class ExperimentConfig:
     @classmethod
     def from_dict(cls, raw: dict) -> "ExperimentConfig":
         # methods and stopping arrive as their JSON forms
-        _check_fields("config", raw, {**get_type_hints(cls), "methods": list, "stopping": dict})
-        raw = dict(raw)
+        declared = {**get_type_hints(cls), "methods": list, "stopping": dict}
+        raw = _checked_fields("config", raw, declared)
         methods = tuple(MethodSpec.from_dict(m) for m in raw.pop("methods", []))
         stopping = raw.pop("stopping", {})
-        _check_fields("stopping", stopping, get_type_hints(StoppingRule))
+        stopping = _checked_fields("stopping", stopping, get_type_hints(StoppingRule))
         return cls(methods=methods, stopping=StoppingRule(**stopping), **raw)
 
     @classmethod
@@ -195,6 +202,18 @@ PROBLEM_FIELDS = {
 }
 
 
+def _problem_spec(spec: dict) -> dict:
+    """`spec` checked against its kind's fields, holding plain Python numbers."""
+    kind = spec.get("kind")
+    if kind not in PROBLEM_FIELDS:
+        raise ValueError(f"unknown problem kind {kind!r}")
+    required, optional = PROBLEM_FIELDS[kind]
+    missing = [name for name in required if name not in spec]
+    if missing:
+        raise ValueError(f"problem kind {kind!r} needs field(s) {missing}")
+    return _checked_fields("problem", spec, {"kind": str, **required, **optional})
+
+
 def build_problem(spec: dict, seed) -> ProblemInstance:
     """Realize a problem spec for one seed.
 
@@ -204,14 +223,8 @@ def build_problem(spec: dict, seed) -> ProblemInstance:
     bundle (path; A, b and any reference solution come from disk).  Any other
     key, or a value of the wrong type, is refused with a ValueError naming it.
     """
-    kind = spec.get("kind")
-    if kind not in PROBLEM_FIELDS:
-        raise ValueError(f"unknown problem kind {kind!r}")
-    required, optional = PROBLEM_FIELDS[kind]
-    missing = [name for name in required if name not in spec]
-    if missing:
-        raise ValueError(f"problem kind {kind!r} needs field(s) {missing}")
-    _check_fields("problem", spec, {"kind": str, **required, **optional})
+    spec = _problem_spec(spec)
+    kind = spec["kind"]
     ss = np.random.SeedSequence(seed)
     mat_seed, rhs_seed = (int(s) for s in ss.generate_state(2))
     if kind == "gaussian":
@@ -358,25 +371,19 @@ def _safe_name(label: str) -> str:
     return re.sub(r"[^A-Za-z0-9._-]+", "-", label)
 
 
-def emit_outputs(rows, report_lists, directory, config: ExperimentConfig | None = None):
-    """Write summary.csv, per-method curve CSVs and a manifest.
+def emit_outputs(rows, report_lists, config: ExperimentConfig):
+    """Write summary.csv, per-method curve CSVs and a manifest under config.output_dir.
 
     Curves come from each method's first repeat (deterministic under a fixed
     master seed).  Returns the list of written paths.
     """
-    os.makedirs(directory, exist_ok=True)
-    written = []
-
-    summary_path = os.path.join(directory, "summary.csv")
-    with open(summary_path, "w", encoding="utf-8", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(SUMMARY_COLUMNS)
-        for row in rows:
-            writer.writerow([_fmt(getattr(row, col)) for col in SUMMARY_COLUMNS])
-    written.append(summary_path)
-
+    directory = config.output_dir
     curves_dir = os.path.join(directory, "curves")
     os.makedirs(curves_dir, exist_ok=True)
+    summary_path = os.path.join(directory, "summary.csv")
+    _write_csv(summary_path, SUMMARY_COLUMNS, rows)
+    written = [summary_path]
+
     for label, runs in report_lists.items():
         path = os.path.join(curves_dir, f"{_safe_name(label)}.csv")
         write_curve_csv(path, runs[0].records)
@@ -384,7 +391,7 @@ def emit_outputs(rows, report_lists, directory, config: ExperimentConfig | None 
 
     manifest = {
         "version": __version__,
-        "config": asdict(config) if config is not None else None,
+        "config": asdict(config),
         "rows": [asdict(r) for r in rows],
         "runs": {
             label: [run_summary(r) for r in runs] for label, runs in report_lists.items()
@@ -398,47 +405,36 @@ def emit_outputs(rows, report_lists, directory, config: ExperimentConfig | None 
     return written
 
 
-def write_curve_csv(path, records) -> None:
-    """One CURVE_COLUMNS line per iteration record."""
+def _write_csv(path, columns, rows) -> None:
+    """A header of `columns`, then one line per row holding those attributes."""
     with open(path, "w", encoding="utf-8", newline="") as fh:
         writer = csv.writer(fh)
-        writer.writerow(CURVE_COLUMNS)
-        for rec in records:
-            writer.writerow(
-                [rec.k, _fmt(rec.rse), _fmt(rec.grad_norm), rec.block_size, _fmt(rec.elapsed_s)]
-            )
+        writer.writerow(columns)
+        writer.writerows([_fmt(getattr(row, col)) for col in columns] for row in rows)
+
+
+def _read_csv(path, columns, record_type) -> list[dict]:
+    """A `_write_csv` table's lines as dicts, each cell converted by its
+    `record_type` field type (the float round-trip is exact); an empty cell is None.
+    """
+    convert = {name: (get_args(t) or (t,))[0] for name, t in get_type_hints(record_type).items()}
+    with open(path, "r", encoding="utf-8", newline="") as fh:
+        reader = csv.DictReader(fh)
+        if reader.fieldnames != columns:
+            raise ValueError(f"unexpected columns {reader.fieldnames} in {path}, want {columns}")
+        return [{k: convert[k](v) if v else None for k, v in line.items()} for line in reader]
+
+
+def write_curve_csv(path, records) -> None:
+    """One CURVE_COLUMNS line per iteration record."""
+    _write_csv(path, CURVE_COLUMNS, records)
 
 
 def read_summary_csv(path) -> list[BenchRow]:
-    """Parse a summary back into rows (float round-trip is exact).
-
-    Each cell is converted by its BenchRow field type; an empty cell is None.
-    """
-    convert = {name: (get_args(t) or (t,))[0] for name, t in get_type_hints(BenchRow).items()}
-    with open(path, "r", encoding="utf-8", newline="") as fh:
-        reader = csv.DictReader(fh)
-        if reader.fieldnames != SUMMARY_COLUMNS:
-            raise ValueError(f"unexpected summary columns {reader.fieldnames}")
-        return [
-            BenchRow(**{k: convert[k](v) if v else None for k, v in rec.items()})
-            for rec in reader
-        ]
+    """Parse a summary back into rows."""
+    return [BenchRow(**line) for line in _read_csv(path, SUMMARY_COLUMNS, BenchRow)]
 
 
 def read_curve_csv(path) -> list[dict]:
-    out = []
-    with open(path, "r", encoding="utf-8", newline="") as fh:
-        reader = csv.DictReader(fh)
-        if reader.fieldnames != CURVE_COLUMNS:
-            raise ValueError(f"unexpected curve columns {reader.fieldnames}")
-        for rec in reader:
-            out.append(
-                {
-                    "k": int(rec["k"]),
-                    "rse": float(rec["rse"]) if rec["rse"] else None,
-                    "normal_residual": float(rec["normal_residual"]),
-                    "block_size": int(rec["block_size"]),
-                    "elapsed_s": float(rec["elapsed_s"]),
-                }
-            )
-    return out
+    """Parse a curve back into one dict per iterate, keyed by CURVE_COLUMNS."""
+    return _read_csv(path, CURVE_COLUMNS, IterationRecord)

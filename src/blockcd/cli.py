@@ -27,8 +27,8 @@ from .bench import (
     run_summary,
     write_curve_csv,
 )
+from .matrix import RankDeficiencyError
 from .oracle import (
-    RankDeficiencyError,
     beta_feasible_max,
     contraction_audit,
     gram_extremal_singular_values,
@@ -160,7 +160,10 @@ def _cmd_solve(args) -> int:
     report = run_cell(problem, cell, stop, sketch_seed=args.seed + 1)
 
     final = report.records[-1]
-    rse_txt = f"rse={final.rse:.3e}" if final.rse is not None else f"grad={final.grad_norm:.3e}"
+    rse_txt = (
+        f"rse={final.rse:.3e}" if final.rse is not None
+        else f"grad={final.normal_residual:.3e}"
+    )
     print(
         f"{report.method} on {report.problem_label}: {report.stop_reason} after "
         f"{report.iterations} iterations ({rse_txt}, "
@@ -189,7 +192,7 @@ def _run_suite(config: ExperimentConfig, out: str | None) -> int:
             f"converged {row.n_converged}/{row.repeats}{speed}"
         )
     if out is not None:
-        written = emit_outputs(rows, reports, out, replace(config, output_dir=out))
+        written = emit_outputs(rows, reports, replace(config, output_dir=out))
         print(f"wrote {len(written)} files under {out}")
     return EXIT_OK
 
@@ -236,8 +239,7 @@ def _cmd_verify(args) -> int:
             prob,
             MethodParams("madbcd", 0.0),
             StoppingRule(rse_threshold=1e-10, max_iterations=5000),
-            record_iterates=True,
-            record_blocks=True,
+            record_history=True,
         )
         violations += len(contraction_audit(report, prob.A, prob.x_star))
     check("per-step contraction (beta=0)", violations == 0, f"{violations} violations")
@@ -258,7 +260,7 @@ def _cmd_verify(args) -> int:
         prob,
         MethodParams("madbcd", 0.3),
         StoppingRule(rse_threshold=1e-10, max_iterations=5000),
-        record_blocks=True,
+        record_history=True,
     )
     worst = min(run_contraction_bounds(report, prob.A), key=lambda tb: tb.alpha)
     if worst.feasible:

@@ -8,13 +8,27 @@ dot-products, updates are column gathers).
 
 Matrices are immutable after construction and safe to share between
 concurrent runs; every kernel returns a freshly allocated array.
+RankDeficiencyError lives here so that the solvers and the oracle share it
+without the solvers importing the oracle.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-__all__ = ["Matrix", "DenseMatrix", "SparseMatrixCSC"]
+__all__ = ["Matrix", "DenseMatrix", "SparseMatrixCSC", "RankDeficiencyError"]
+
+
+class RankDeficiencyError(ValueError):
+    """Numerical rank deficiency detected during a factorization."""
+
+    def __init__(self, column: int, magnitude: float, message: str | None = None):
+        self.column = column
+        self.magnitude = magnitude
+        super().__init__(
+            message
+            or f"numerical rank deficiency at column {column}: |R_jj|={magnitude:.3e}"
+        )
 
 
 class Matrix:

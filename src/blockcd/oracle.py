@@ -16,7 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .matrix import Matrix
+from .matrix import Matrix, RankDeficiencyError
 
 __all__ = [
     "RankDeficiencyError",
@@ -30,18 +30,6 @@ __all__ = [
     "run_contraction_bounds",
     "contraction_audit",
 ]
-
-
-class RankDeficiencyError(ValueError):
-    """Numerical rank deficiency detected during a factorization."""
-
-    def __init__(self, column: int, magnitude: float, message: str | None = None):
-        self.column = column
-        self.magnitude = magnitude
-        super().__init__(
-            message
-            or f"numerical rank deficiency at column {column}: |R_jj|={magnitude:.3e}"
-        )
 
 
 def _as_dense(A) -> np.ndarray:
@@ -250,11 +238,11 @@ def embedding_dim_theory(n: int, eps: float, delta: float) -> int:
 def run_contraction_bounds(report, A) -> list[ContractionBounds]:
     """Bound coefficients for every recorded iteration of a run.
 
-    The run must have been recorded with record_blocks=True; sigma_min(A) is
+    The run must have been recorded with record_history=True; sigma_min(A) is
     computed once and shared across iterations.
     """
     if report.block_history is None:
-        raise ValueError("bounds need a run recorded with record_blocks=True")
+        raise ValueError("bounds need a run recorded with record_history=True")
     a = _as_dense(A)
     sigma_min = gram_extremal_singular_values(a)[0]
     return [
@@ -271,11 +259,8 @@ def contraction_audit(report, A, x_star: np.ndarray, *, slack: float = 1e-9):
     recorded block.  Returns the list of (k, measured, bound) violations,
     expected empty.
     """
-    if report.iterate_history is None or report.block_history is None:
-        raise ValueError(
-            "contraction audit needs a run recorded with "
-            "record_iterates=True and record_blocks=True"
-        )
+    if report.block_history is None:
+        raise ValueError("contraction audit needs a run recorded with record_history=True")
     if report.beta != 0.0:
         raise ValueError("contraction audit applies to beta=0 runs only")
     a = _as_dense(A)

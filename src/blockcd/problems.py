@@ -371,6 +371,10 @@ def read_matrix_market(path, transpose: bool = False) -> SparseMatrixCSC:
     m, n, nnz = size
     if m < 1 or n < 1 or nnz < 0:
         raise MatrixMarketError(path, ln, f"invalid dimensions {size}")
+    if nnz > len(lines) - ln:  # one entry per line; refused before it sizes the arrays
+        raise MatrixMarketError(
+            path, ln, f"declared {nnz} entries but only {len(lines) - ln} lines follow"
+        )
 
     ri = np.empty(nnz, dtype=np.int64)
     ci = np.empty(nnz, dtype=np.int64)

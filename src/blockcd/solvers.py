@@ -27,8 +27,7 @@ from typing import Callable
 
 import numpy as np
 
-from .matrix import Matrix
-from .oracle import RankDeficiencyError
+from .matrix import Matrix, RankDeficiencyError
 
 __all__ = [
     "METHODS",
@@ -134,15 +133,17 @@ class SolverState:
 
 @dataclass(frozen=True)
 class IterationRecord:
-    """Per-iterate trace entry; block fields describe the step leaving it."""
+    """Per-iterate trace entry; block fields describe the step leaving it.
+
+    `normal_residual` is ||A^T r||.  Each curve column is one of these fields.
+    """
 
     k: int
     rse: float | None
-    grad_norm: float
+    normal_residual: float
     block_size: int
     elapsed_s: float
     eta_dot_s: float = math.nan
-    s_norm_sq: float = math.nan
 
 
 @dataclass
@@ -312,14 +313,14 @@ def run_solver(
     stop: StoppingRule,
     *,
     x0: np.ndarray | None = None,
-    record_iterates: bool = False,
-    record_blocks: bool = False,
+    record_history: bool = False,
 ) -> ConvergenceReport:
     """Iterate `params.method` on `problem` until a stopping limit fires.
 
     Starts from x_prev = x_curr = x0 (zero by default).  Records one
     IterationRecord per iterate including the initial one, so a run of IT
-    steps yields IT + 1 records.  Non-convergence by iteration or time limit
+    steps yields IT + 1 records; `record_history` also keeps every iterate and
+    block, for the oracle's audits.  Non-convergence by iteration or time limit
     is a reported outcome, not an error.
     """
     A: Matrix = problem.A
@@ -336,8 +337,7 @@ def run_solver(
     state = SolverState.initial(A, b, x0)
     records: list[IterationRecord] = []
     drift_log: list[tuple[int, float]] = []
-    iterates = [state.x_curr.copy()] if record_iterates else None
-    blocks: list[np.ndarray] | None = [] if record_blocks else None
+    iterates, blocks = ([state.x_curr.copy()], []) if record_history else (None, None)
 
     t0 = time.perf_counter()
     stop_reason = ""
@@ -346,7 +346,7 @@ def run_solver(
         rse = compute_rse(state.x_curr, x_star) if x_star is not None else None
         s = A.transpose_matvec(state.residual)
         s_norm_sq = float(np.dot(s, s))
-        grad_norm = math.sqrt(s_norm_sq)
+        normal_residual = math.sqrt(s_norm_sq)
         elapsed = time.perf_counter() - t0
 
         if not math.isfinite(s_norm_sq):
@@ -357,7 +357,7 @@ def run_solver(
         elif s_norm_sq == 0.0:
             stop_reason = "converged: zero normal-equation residual"
             converged = True
-        elif grad_floor is not None and grad_floor > 0.0 and grad_norm <= grad_floor:
+        elif grad_floor is not None and grad_floor > 0.0 and normal_residual <= grad_floor:
             stop_reason = "converged: gradient fallback threshold"
             converged = True
         elif stop.max_iterations is not None and state.k >= stop.max_iterations:
@@ -368,7 +368,7 @@ def run_solver(
         if stop_reason:
             records.append(
                 IterationRecord(
-                    k=state.k, rse=rse, grad_norm=grad_norm, block_size=0,
+                    k=state.k, rse=rse, normal_residual=normal_residual, block_size=0,
                     elapsed_s=elapsed,
                 )
             )
@@ -384,16 +384,14 @@ def run_solver(
             IterationRecord(
                 k=state.k - 1,
                 rse=rse,
-                grad_norm=grad_norm,
+                normal_residual=normal_residual,
                 block_size=block.size,
                 elapsed_s=elapsed,
                 eta_dot_s=eta_dot_s,
-                s_norm_sq=s_norm_sq,
             )
         )
-        if iterates is not None:
+        if record_history:
             iterates.append(state.x_curr.copy())
-        if blocks is not None:
             blocks.append(block)
 
         if state.k % RESIDUAL_REFRESH == 0:

@@ -110,7 +110,7 @@ def test_criterion_03_per_iteration_contraction():
         prob = build_problem({"kind": "gaussian", "m": 40, "n": 10}, int(rng.integers(2**31)))
         rep = run_solver(
             prob, MethodParams("madbcd", 0.0), stop,
-            record_iterates=True, record_blocks=True,
+            record_history=True,
         )
         a = prob.A.to_dense()
         smin = gram_extremal_singular_values(a)[0]
@@ -134,14 +134,14 @@ def test_criterion_04_global_convergence_bound():
         a = prob.A
         smin = gram_extremal_singular_values(a)[0]
         # pass 1 fixes the momentum weight from the no-momentum block history
-        pass1 = run_solver(prob, MethodParams("madbcd", 0.0), stop, record_blocks=True)
+        pass1 = run_solver(prob, MethodParams("madbcd", 0.0), stop, record_history=True)
         alpha0 = min(
             block_contraction_alpha(a, idx, smin) for idx in pass1.block_history
         )
         beta = 0.5 * beta_feasible_max(alpha0)
         pass2 = run_solver(
             prob, MethodParams("madbcd", beta), stop,
-            record_blocks=True, record_iterates=True,
+            record_history=True,
         )
         alpha_min = min(
             block_contraction_alpha(a, idx, smin) for idx in pass2.block_history
@@ -170,15 +170,15 @@ def test_criterion_05_block_set_identity():
     dense = build_problem({"kind": "gaussian", "m": 400, "n": 60}, MASTER_SEED + 5)
     stop = StoppingRule(rse_threshold=1e-6, max_iterations=10000)
     runs.append((dense, run_solver(dense, MethodParams("madbcd", 0.1), stop,
-                                   record_iterates=True, record_blocks=True)))
+                                   record_history=True)))
     sparse = build_problem(
         {"kind": "sparse-gaussian", "m": 600, "n": 80, "density": 0.1}, MASTER_SEED + 6
     )
     runs.append((sparse, run_solver(sparse, MethodParams("madbcd", 0.3), stop,
-                                    record_iterates=True, record_blocks=True)))
+                                    record_history=True)))
     sketched, _ = cs_prepare(dense, 4 * 60, seed=MASTER_SEED + 7)
     runs.append((sketched, run_solver(sketched, MethodParams("madbcd", 0.3), stop,
-                                      record_iterates=True, record_blocks=True)))
+                                      record_history=True)))
 
     checked = 0
     worst_eq = 0.0
@@ -188,7 +188,7 @@ def test_criterion_05_block_set_identity():
         for k, idx in enumerate(rep.block_history):
             rec = rep.records[k]
             # recorded two-path identity: eta.s over the block vs |tau| ||s||^2 / n
-            if rec.eta_dot_s < len(idx) * rec.s_norm_sq / n * (1 - 1e-12):
+            if rec.eta_dot_s < len(idx) * rec.normal_residual**2 / n * (1 - 1e-12):
                 bound_ok = False
             # replayed equality: fresh gradient from the stored iterate
             s = prob.A.transpose_matvec(prob.b - prob.A.matvec(rep.iterate_history[k]))
@@ -349,7 +349,7 @@ def test_criterion_10_determinism(tmp_path):
             {**base, "output_dir": str(tmp_path / f"run{run}")}
         )
         rows, reports = run_experiment(cfg)
-        emit_outputs(rows, reports, cfg.output_dir, cfg)
+        emit_outputs(rows, reports, cfg)
         files = sorted(
             os.path.join(dp, f)
             for dp, _, fs in os.walk(cfg.output_dir)

@@ -1,4 +1,5 @@
 import csv
+import dataclasses
 import io
 import json
 import weakref
@@ -9,6 +10,7 @@ import pytest
 
 from blockcd import (
     ExperimentConfig,
+    IterationRecord,
     MethodSpec,
     StoppingRule,
     beta_sweep_config,
@@ -176,6 +178,23 @@ class TestBuildProblem:
         }
         assert build_problem(spec, 1).A.shape == (50, 8)
 
+    def test_numpy_scalar_fields_write_plain_outputs(self, tmp_path):
+        cfg = small_config(
+            tmp_path,
+            problem={"kind": "gaussian", "m": np.int64(60), "n": np.int32(12)},
+            methods=[{"method": "madbcd", "beta": np.float64(0.3)}],
+            repeats=np.int64(1),
+        )
+        assert type(cfg.problem["m"]) is int and type(cfg.methods[0].beta) is float
+        assert type(cfg.repeats) is int
+        rows, reports = run_experiment(cfg)
+        emit_outputs(rows, reports, cfg)
+        assert read_summary_csv(f"{cfg.output_dir}/summary.csv") == rows
+        with open(f"{cfg.output_dir}/manifest.json") as fh:
+            manifest = json.load(fh)
+        assert manifest["config"]["problem"] == {"kind": "gaussian", "m": 60, "n": 12}
+        assert manifest["config"]["methods"][0]["beta"] == 0.3
+
     def test_missing_field_names_kind_and_field(self):
         with pytest.raises(ValueError, match=r"'gaussian' needs field\(s\) \['n'\]"):
             build_problem({"kind": "gaussian", "m": 50}, 0)
@@ -274,10 +293,13 @@ class TestSpeedup:
 
 
 class TestEmitOutputs:
+    def test_every_curve_column_is_a_record_field(self):
+        assert set(CURVE_COLUMNS) <= {f.name for f in dataclasses.fields(IterationRecord)}
+
     def test_round_trip_summary(self, tmp_path):
         cfg = small_config(tmp_path)
         rows, reports = run_experiment(cfg)
-        emit_outputs(rows, reports, cfg.output_dir, cfg)
+        emit_outputs(rows, reports, cfg)
         back = read_summary_csv(f"{cfg.output_dir}/summary.csv")
         assert back == rows
 
@@ -286,7 +308,7 @@ class TestEmitOutputs:
             tmp_path, methods=[{"method": "madbcd", "beta": 0.1}], repeats=1
         )
         rows, reports = run_experiment(cfg)
-        emit_outputs(rows, reports, cfg.output_dir, cfg)
+        emit_outputs(rows, reports, cfg)
         curve = read_curve_csv(f"{cfg.output_dir}/curves/{rows[0].label}.csv")
         assert len(curve) == int(rows[0].mean_it) + 1
         assert curve[0]["k"] == 0
@@ -294,7 +316,7 @@ class TestEmitOutputs:
     def test_manifest_written(self, tmp_path):
         cfg = small_config(tmp_path)
         rows, reports = run_experiment(cfg)
-        emit_outputs(rows, reports, cfg.output_dir, cfg)
+        emit_outputs(rows, reports, cfg)
         with open(f"{cfg.output_dir}/manifest.json") as fh:
             manifest = json.load(fh)
         assert manifest["config"]["master_seed"] == 7
@@ -305,7 +327,7 @@ class TestEmitOutputs:
         cfg2 = small_config(tmp_path, output_dir=str(tmp_path / "o2"))
         for cfg in (cfg1, cfg2):
             rows, reports = run_experiment(cfg)
-            emit_outputs(rows, reports, cfg.output_dir, cfg)
+            emit_outputs(rows, reports, cfg)
         assert strip_timing_csv(f"{cfg1.output_dir}/summary.csv") == strip_timing_csv(
             f"{cfg2.output_dir}/summary.csv"
         )

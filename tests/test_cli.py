@@ -141,6 +141,15 @@ def test_gen_then_solve_bundle(tmp_path, capsys):
     assert main(["solve", "--problem", str(bundle), "--method", "fbcd"]) == 0
 
 
+def test_solve_matrix_market_file_of_a_bundle(tmp_path):
+    bundle = tmp_path / "bundle"
+    assert main(["gen", "--problem", "sparse:80:12:0.2", "--seed", "5", "--out", str(bundle)]) == 0
+    out = tmp_path / "solved"
+    code = main(["solve", "--problem", str(bundle / "A.mtx"), "--seed", "2", "--out", str(out)])
+    assert code == 0
+    assert json.loads((out / "report.json").read_text())["problem"] == "A"
+
+
 def test_bench_subcommand(tmp_path, capsys):
     cfg = {
         "label": "cli",
@@ -188,6 +197,16 @@ def test_bad_bench_config_exit_one(tmp_path, capsys, change, named):
     assert main(["bench", "--config", str(path)]) == 1
     assert named in capsys.readouterr().err
     assert not (tmp_path / "bench-out").exists()
+
+
+def test_matrix_market_count_beyond_the_file_exit_one(tmp_path, capsys):
+    path = tmp_path / "huge.mtx"
+    path.write_text(
+        "%%MatrixMarket matrix coordinate real general\n"
+        "3 3 100000000000000\n1 1 1.0\n2 2 1.0\n3 3 1.0\n"
+    )
+    assert main(["solve", "--problem", str(path)]) == 1
+    assert "declared 100000000000000 entries but only 3 lines follow" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize(
@@ -256,6 +275,15 @@ def test_sweep_beta_bad_grid_exit_one(capsys, grid):
     code = main(["sweep-beta", "--problem", "gaussian:150:50", "--betas", grid])
     assert code == 1
     assert "needs lo <= hi and step > 0" in capsys.readouterr().err
+
+
+def test_sweep_beta_grid(tmp_path):
+    code = main(
+        ["sweep-beta", "--problem", "gaussian:150:50", "--betas", "0:0.2:0.1",
+         "--out", str(tmp_path)]
+    )
+    assert code == 0
+    assert [r.beta for r in read_summary_csv(tmp_path / "summary.csv")] == [0.0, 0.1, 0.2]
 
 
 def test_sweep_beta_subcommand(tmp_path, capsys):

@@ -246,8 +246,7 @@ class TestContractionAudit:
             problem,
             MethodParams("madbcd", beta),
             StoppingRule(rse_threshold=1e-12, max_iterations=2000),
-            record_iterates=True,
-            record_blocks=True,
+            record_history=True,
         )
 
     def test_identity_system(self):
@@ -295,7 +294,7 @@ class TestRunBounds:
         report = run_solver(
             problem, MethodParams("madbcd", 0.05),
             StoppingRule(rse_threshold=1e-8, max_iterations=500),
-            record_blocks=True,
+            record_history=True,
         )
         bounds = run_contraction_bounds(report, problem.A)
         assert len(bounds) == report.iterations
@@ -308,5 +307,5 @@ class TestRunBounds:
             problem, MethodParams("madbcd", 0.0),
             StoppingRule(rse_threshold=1e-6, max_iterations=100),
         )
-        with pytest.raises(ValueError, match="record_blocks"):
+        with pytest.raises(ValueError, match="record_history"):
             run_contraction_bounds(report, problem.A)

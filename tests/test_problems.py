@@ -344,6 +344,16 @@ class TestMatrixMarket:
         with pytest.raises(MatrixMarketError, match="declared 2"):
             read_matrix_market(path)
 
+    def test_error_entry_count_beyond_the_file(self, tmp_path):
+        path = tmp_path / "huge.mtx"
+        path.write_text(
+            "%%MatrixMarket matrix coordinate real general\n"
+            "% a count no file of this length can hold\n"
+            "3 3 100000000000000\n1 1 1.0\n2 2 1.0\n"
+        )
+        with pytest.raises(MatrixMarketError, match=":3: declared 100000000000000 entries"):
+            read_matrix_market(path)
+
     def test_error_array_format(self, tmp_path):
         path = tmp_path / "a.mtx"
         path.write_text("%%MatrixMarket matrix array real general\n2 2\n1.0\n0.0\n0.0\n1.0\n")

@@ -122,7 +122,7 @@ def test_blocks_are_int64_index_arrays(rng):
     for method in METHODS:
         report = run_solver(
             problem, MethodParams(method), StoppingRule(max_iterations=10),
-            record_blocks=True,
+            record_history=True,
         )
         assert len(report.block_history) == report.iterations
         blocks += report.block_history
@@ -468,7 +468,7 @@ class TestRunSolver:
         )
         n = problem.A.cols
         for rec in report.records[:-1]:
-            bound = rec.block_size * rec.s_norm_sq / n
+            bound = rec.block_size * rec.normal_residual**2 / n
             assert rec.eta_dot_s >= bound * (1 - 1e-12)
 
     def test_monotone_energy_decrease_without_momentum(self):
@@ -477,7 +477,7 @@ class TestRunSolver:
             problem,
             MethodParams("madbcd", 0.0),
             StoppingRule(rse_threshold=1e-12, max_iterations=5000),
-            record_iterates=True,
+            record_history=True,
         )
         a = problem.A.to_dense()
         energies = [
@@ -550,8 +550,8 @@ class TestRunSolver:
     def test_deterministic_reruns(self):
         problem = make_consistent_problem(gen_gaussian_dense(70, 14, 9), 10)
         stop = StoppingRule(rse_threshold=1e-9, max_iterations=5000)
-        r1 = run_solver(problem, MethodParams("madbcd", 0.3), stop, record_blocks=True)
-        r2 = run_solver(problem, MethodParams("madbcd", 0.3), stop, record_blocks=True)
+        r1 = run_solver(problem, MethodParams("madbcd", 0.3), stop, record_history=True)
+        r2 = run_solver(problem, MethodParams("madbcd", 0.3), stop, record_history=True)
         assert r1.iterations == r2.iterations
         assert [rec.rse for rec in r1.records] == [rec.rse for rec in r2.records]
         assert all(
