@@ -57,14 +57,12 @@ from .solvers import (
 from .bench import (
     BenchRow,
     ExperimentConfig,
-    MethodSpec,
     beta_sweep_config,
     build_problem,
     compute_speedup,
     emit_outputs,
     read_curve_csv,
     read_summary_csv,
-    run_cell,
     run_experiment,
     write_curve_csv,
 )

@@ -32,15 +32,20 @@ from .problems import (
     read_matrix_market,
     read_problem_bundle,
 )
-from .sketch import check_sketch_dimension, cs_prepare
-from .solvers import ConvergenceReport, IterationRecord, MethodParams, StoppingRule, run_solver
+from .sketch import check_sketch_dimension
+from .solvers import (
+    MADBCD,
+    ConvergenceReport,
+    IterationRecord,
+    MethodParams,
+    StoppingRule,
+    run_solver,
+)
 
 __all__ = [
-    "MethodSpec",
     "ExperimentConfig",
     "BenchRow",
     "build_problem",
-    "run_cell",
     "run_experiment",
     "beta_sweep_config",
     "compute_speedup",
@@ -57,53 +62,10 @@ CURVE_COLUMNS = ["k", "rse", "normal_residual", "block_size", "elapsed_s"]
 TIMING_COLUMNS = ("mean_prep_s", "mean_solve_s", "mean_total_s", "speedup_vs_madbcd", "elapsed_s")
 
 
-@dataclass(frozen=True)
-class MethodSpec:
-    """One method cell: solver name plus its scalar knobs."""
-
-    method: str
-    beta: float = 0.0
-    d_factor: int | None = None  # sketch rows as a multiple of n (cs-madbcd only)
-
-    def __post_init__(self):
-        if (self.d_factor is None) == (self.method == "cs-madbcd"):
-            raise ValueError(
-                "'d_factor' (sketch rows as a multiple of n) is required for cs-madbcd "
-                f"and refused for every other method; got method {self.method!r} "
-                f"with d_factor {self.d_factor}"
-            )
-        if self.d_factor is not None and self.d_factor < 1:
-            raise ValueError(f"'d_factor' must be >= 1, got {self.d_factor}")
-        self.params()  # delegate the remaining validation (method name, beta range)
-
-    @property
-    def base_method(self) -> str:
-        return "madbcd" if self.method == "cs-madbcd" else self.method
-
-    def params(self) -> MethodParams:
-        """What run_solver runs: cs-madbcd is madbcd on the sketched problem."""
-        return MethodParams(self.base_method, self.beta)
-
-    def sketch_rows(self, n: int) -> int | None:
-        return None if self.d_factor is None else self.d_factor * n
-
-    def label(self) -> str:
-        parts = [self.method]
-        if self.base_method == "madbcd":
-            parts.append(f"b{self.beta:g}")
-        if self.d_factor is not None:
-            parts.append(f"d{self.d_factor}n")
-        return "_".join(parts)
-
-    @classmethod
-    def from_dict(cls, raw: dict) -> "MethodSpec":
-        return cls(**_checked_fields("method", raw, get_type_hints(cls)))
-
-
-def _checked_fields(what: str, raw: dict, declared: dict) -> dict:
+def _checked_fields(what: str, raw: dict, declared: dict, required=()) -> dict:
     """A copy of `raw` holding plain Python numbers, or a ValueError naming
-    the keys that are not in `declared` (name -> type), or the first key
-    whose value does not have its type.
+    the keys that are not in `declared` (name -> type), the `required` keys
+    that are not in `raw`, or the first key whose value does not have its type.
 
     Any integer (numpy's too) passes where an int is declared and becomes an
     int, and any real number where a float is, becoming a float; a boolean
@@ -114,6 +76,9 @@ def _checked_fields(what: str, raw: dict, declared: dict) -> dict:
     extra = set(raw) - set(declared)
     if extra:
         raise ValueError(f"unknown {what} keys {sorted(extra)}")
+    missing = [key for key in required if key not in raw]
+    if missing:
+        raise ValueError(f"missing {what} keys {missing}")
     plain = {}
     for key, value in raw.items():
         declared_type = declared[key]
@@ -135,7 +100,7 @@ class ExperimentConfig:
     """Everything a suite needs; loadable from a JSON file."""
 
     problem: dict
-    methods: tuple[MethodSpec, ...]
+    methods: tuple[MethodParams, ...]
     stopping: StoppingRule
     repeats: int = 10
     master_seed: int = 0
@@ -157,8 +122,12 @@ class ExperimentConfig:
     def from_dict(cls, raw: dict) -> "ExperimentConfig":
         # methods and stopping arrive as their JSON forms
         declared = {**get_type_hints(cls), "methods": list, "stopping": dict}
-        raw = _checked_fields("config", raw, declared)
-        methods = tuple(MethodSpec.from_dict(m) for m in raw.pop("methods", []))
+        raw = _checked_fields("config", raw, declared, required=("problem", "methods"))
+        method_fields = get_type_hints(MethodParams)
+        methods = tuple(
+            MethodParams(**_checked_fields("method", m, method_fields, required=("method",)))
+            for m in raw.pop("methods")
+        )
         stopping = raw.pop("stopping", {})
         stopping = _checked_fields("stopping", stopping, get_type_hints(StoppingRule))
         return cls(methods=methods, stopping=StoppingRule(**stopping), **raw)
@@ -208,10 +177,7 @@ def _problem_spec(spec: dict) -> dict:
     if kind not in PROBLEM_FIELDS:
         raise ValueError(f"unknown problem kind {kind!r}")
     required, optional = PROBLEM_FIELDS[kind]
-    missing = [name for name in required if name not in spec]
-    if missing:
-        raise ValueError(f"problem kind {kind!r} needs field(s) {missing}")
-    return _checked_fields("problem", spec, {"kind": str, **required, **optional})
+    return _checked_fields("problem", spec, {"kind": str, **required, **optional}, required)
 
 
 def build_problem(spec: dict, seed) -> ProblemInstance:
@@ -248,23 +214,6 @@ def build_problem(spec: dict, seed) -> ProblemInstance:
     return read_problem_bundle(spec["path"])
 
 
-def run_cell(
-    problem: ProblemInstance, spec: MethodSpec, stop: StoppingRule, sketch_seed: int
-) -> ConvergenceReport:
-    """Run one method cell on `problem`.
-
-    A cs-madbcd cell first compresses the problem with a count sketch drawn
-    from `sketch_seed`; its report still names the cell's method and the
-    unsketched problem, and carries the sketching time as prep seconds.
-    """
-    d = spec.sketch_rows(problem.A.cols)
-    if d is None:
-        return run_solver(problem, spec.params(), stop)
-    sketched, prep = cs_prepare(problem, d, sketch_seed)
-    report = run_solver(sketched, spec.params(), stop)
-    return replace(report, method=spec.method, prep_seconds=prep, problem_label=problem.label)
-
-
 def run_experiment(config: ExperimentConfig):
     """Run every method cell on every repeat; aggregate rows and keep all reports.
 
@@ -279,27 +228,29 @@ def run_experiment(config: ExperimentConfig):
     for rep in range(config.repeats):
         problem = build_problem(config.problem, int(seed_table[rep, 0]))
         n = problem.A.cols
-        for spec in config.methods:  # refuse a bad sketch size before any cell runs
-            if spec.d_factor is not None:
-                check_sketch_dimension(spec.sketch_rows(n), *problem.A.shape)
-        for mi, spec in enumerate(config.methods):
+        for params in config.methods:  # refuse a bad sketch size before any cell runs
+            if params.d_factor is not None:
+                check_sketch_dimension(params.sketch_rows(n), *problem.A.shape)
+        for mi, params in enumerate(config.methods):
             sketch_seed = int(seed_table[rep, 1]) + mi
-            reports[mi].append(run_cell(problem, spec, config.stopping, sketch_seed))
+            reports[mi].append(
+                run_solver(problem, params, config.stopping, sketch_seed=sketch_seed)
+            )
         del problem  # free this realization before the next one is built
 
     rows: list[BenchRow] = []
     report_lists: dict[str, list[ConvergenceReport]] = {}
-    for spec, runs in zip(config.methods, reports):
-        label = spec.label()
+    for params, runs in zip(config.methods, reports):
+        label = params.label()
         report_lists[label] = runs
         prep = float(np.mean([r.prep_seconds for r in runs]))
         solve = float(np.mean([r.solve_seconds for r in runs]))
         rows.append(
             BenchRow(
                 label=label,
-                method=spec.method,
-                beta=spec.beta,
-                sketch_d=spec.sketch_rows(n),
+                method=params.method,
+                beta=params.beta,
+                sketch_d=params.sketch_rows(n),
                 repeats=config.repeats,
                 n_converged=sum(r.converged for r in runs),
                 mean_it=float(np.mean([r.iterations for r in runs])),
@@ -310,7 +261,7 @@ def run_experiment(config: ExperimentConfig):
             )
         )
 
-    baseline = next((r for r in rows if r.method == "madbcd"), None)
+    baseline = next((r for r in rows if r.method == MADBCD), None)
     if baseline is not None:
         rows = [
             replace(
@@ -351,7 +302,7 @@ def beta_sweep_config(
     """The suite with one madbcd cell per beta, so the betas must be distinct."""
     return ExperimentConfig(
         problem=problem_spec,
-        methods=tuple(MethodSpec("madbcd", float(beta)) for beta in betas),
+        methods=tuple(MethodParams(MADBCD, float(beta)) for beta in betas),
         stopping=stop,
         repeats=repeats,
         master_seed=master_seed,

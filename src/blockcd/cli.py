@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import os
 import sys
 from dataclasses import replace
@@ -18,11 +19,9 @@ import numpy as np
 
 from .bench import (
     ExperimentConfig,
-    MethodSpec,
     beta_sweep_config,
     build_problem,
     emit_outputs,
-    run_cell,
     run_experiment,
     run_summary,
     write_curve_csv,
@@ -35,7 +34,7 @@ from .oracle import (
     run_contraction_bounds,
 )
 from .problems import write_problem_bundle
-from .solvers import MethodParams, StoppingRule, run_solver
+from .solvers import CS_MADBCD, METHODS, MethodParams, StoppingRule, run_solver
 
 EXIT_OK = 0
 EXIT_USAGE = 1
@@ -89,9 +88,15 @@ def _parse_problem(text: str) -> dict:
 def _parse_betas(text: str):
     """'a:b:step' grid or a comma-separated list."""
     if ":" in text:
-        lo, hi, step = (float(p) for p in text.split(":"))
-        if step <= 0.0 or hi < lo:
-            raise ValueError(f"beta grid {text!r} needs lo <= hi and step > 0")
+        try:
+            lo, hi, step = (float(p) for p in text.split(":"))
+        except ValueError:  # not three parts, or a part that is not a number
+            lo = hi = step = math.nan
+        if not all(map(math.isfinite, (lo, hi, step))) or step <= 0.0 or hi < lo:
+            raise ValueError(
+                f"beta grid {text!r} must be lo:hi:step with finite numbers; "
+                "it needs lo <= hi and step > 0"
+            )
         count = int(round((hi - lo) / step)) + 1
         return [round(lo + i * step, 10) for i in range(count)]
     return [float(p) for p in text.split(",")]
@@ -106,8 +111,7 @@ def _build_parser() -> _Parser:
         "--problem", required=True,
         help="gaussian:M:N | sparse:M:N:D | tomo:N[:phantom] | file.mtx[:T] | bundle dir",
     )
-    ps.add_argument("--method", default="madbcd",
-                    choices=["cd", "fbcd", "mrbgs", "madbcd", "cs-madbcd"])
+    ps.add_argument("--method", default="madbcd", choices=METHODS)
     ps.add_argument("--beta", type=float, default=None,
                     help="momentum weight (madbcd / cs-madbcd only)")
     ps.add_argument("--tol", type=float, default=1e-6, help="relative solution error threshold")
@@ -145,11 +149,11 @@ def _build_parser() -> _Parser:
 
 def _cmd_solve(args) -> int:
     d_factor = args.d_factor
-    if args.method != "cs-madbcd" and d_factor is not None:
+    if args.method != CS_MADBCD and d_factor is not None:
         raise ValueError(f"--d-factor applies to cs-madbcd only, not {args.method!r}")
-    if args.method == "cs-madbcd" and d_factor is None:
+    if args.method == CS_MADBCD and d_factor is None:
         d_factor = 4
-    cell = MethodSpec(args.method, beta=args.beta or 0.0, d_factor=d_factor)
+    params = MethodParams(args.method, beta=args.beta or 0.0, d_factor=d_factor)
     spec = _parse_problem(args.problem)
     problem = build_problem(spec, args.seed)
     stop = StoppingRule(
@@ -157,7 +161,7 @@ def _cmd_solve(args) -> int:
         max_iterations=args.max_it,
         time_budget_s=args.time_budget,
     )
-    report = run_cell(problem, cell, stop, sketch_seed=args.seed + 1)
+    report = run_solver(problem, params, stop, sketch_seed=args.seed + 1)
 
     final = report.records[-1]
     rse_txt = (

@@ -9,7 +9,8 @@ cd), the averaged threshold of the fast block method (fbcd), or the mean
 block baseline (mrbgs) swaps the line search for an exact least-squares
 subsolve on its block: LAPACK's blocked Householder QR of [A_tau | r], with
 Q never formed.  The oracle keeps its own hand-rolled QR as the independent
-route that audits this subsolve.
+route that audits this subsolve.  cs-madbcd is madbcd on (SA, Sb), the
+problem compressed by a count sketch S with d_factor * n rows.
 
 All methods share the same bookkeeping: the residual r = b - A x and the
 difference image w = A(x - x_prev) are updated incrementally each step and
@@ -28,9 +29,12 @@ from typing import Callable
 import numpy as np
 
 from .matrix import Matrix, RankDeficiencyError
+from .sketch import cs_prepare
 
 __all__ = [
     "METHODS",
+    "MADBCD",
+    "CS_MADBCD",
     "RESIDUAL_REFRESH",
     "MethodParams",
     "StoppingRule",
@@ -47,7 +51,9 @@ __all__ = [
     "compute_rse",
 ]
 
-METHODS = ("cd", "fbcd", "mrbgs", "madbcd")
+MADBCD = "madbcd"
+CS_MADBCD = "cs-madbcd"
+METHODS = ("cd", "fbcd", "mrbgs", MADBCD, CS_MADBCD)
 
 # incremental r and w are re-derived from x this often
 RESIDUAL_REFRESH = 50
@@ -59,15 +65,35 @@ class MethodParams:
 
     method: str
     beta: float = 0.0
+    d_factor: int | None = None  # sketch rows as a multiple of n (cs-madbcd only)
 
     def __post_init__(self):
+        if (self.d_factor is None) == (self.method == CS_MADBCD):
+            raise ValueError(
+                "'d_factor' (sketch rows as a multiple of n) is required for cs-madbcd "
+                f"and refused for every other method; got method {self.method!r} "
+                f"with d_factor {self.d_factor}"
+            )
+        if self.d_factor is not None and self.d_factor < 1:
+            raise ValueError(f"'d_factor' must be >= 1, got {self.d_factor}")
         if self.method not in METHODS:
             raise ValueError(f"unknown method {self.method!r}, expected one of {METHODS}")
-        if self.method == "madbcd":
+        if self.method in (MADBCD, CS_MADBCD):
             if not 0.0 <= self.beta <= 0.9:
                 raise ValueError(f"momentum weight must lie in [0, 0.9], got {self.beta}")
         elif self.beta != 0.0:
             raise ValueError(f"method {self.method!r} does not take a momentum weight")
+
+    def sketch_rows(self, n: int) -> int | None:
+        return None if self.d_factor is None else self.d_factor * n
+
+    def label(self) -> str:
+        parts = [self.method]
+        if self.method in (MADBCD, CS_MADBCD):
+            parts.append(f"b{self.beta:g}")
+        if self.d_factor is not None:
+            parts.append(f"d{self.d_factor}n")
+        return "_".join(parts)
 
 
 @dataclass(frozen=True)
@@ -231,7 +257,7 @@ def block_rule(params: MethodParams, A: Matrix) -> Callable[[np.ndarray], np.nda
     Looks the selectors up per run, not at import time, so that one rebound on
     this module (as perfbench's tracer does) is the one used.
     """
-    if params.method == "madbcd":
+    if params.method in (MADBCD, CS_MADBCD):
         return select_block_madbcd
     if params.method == "fbcd":
         col_norms, frobenius = A.column_norms(), A.frobenius_norm()
@@ -314,6 +340,7 @@ def run_solver(
     *,
     x0: np.ndarray | None = None,
     record_history: bool = False,
+    sketch_seed: int | None = None,
 ) -> ConvergenceReport:
     """Iterate `params.method` on `problem` until a stopping limit fires.
 
@@ -322,7 +349,18 @@ def run_solver(
     steps yields IT + 1 records; `record_history` also keeps every iterate and
     block, for the oracle's audits.  Non-convergence by iteration or time limit
     is a reported outcome, not an error.
+
+    cs-madbcd first compresses `problem` with a count sketch drawn from
+    `sketch_seed` (which it requires, and the other methods ignore); its
+    report names the unsketched problem and carries the sketching time as
+    prep seconds.
     """
+    problem_label, prep_seconds = getattr(problem, "label", ""), 0.0
+    d = params.sketch_rows(problem.A.cols)
+    if d is not None:
+        if sketch_seed is None:
+            raise ValueError(f"{params.method} needs a sketch_seed to draw its count sketch")
+        problem, prep_seconds = cs_prepare(problem, d, sketch_seed)
     A: Matrix = problem.A
     b = problem.b
     x_star = problem.x_star
@@ -410,7 +448,8 @@ def run_solver(
         stop_reason=stop_reason,
         converged=converged,
         solve_seconds=solve_seconds,
-        problem_label=getattr(problem, "label", ""),
+        prep_seconds=prep_seconds,
+        problem_label=problem_label,
         residual_drift=drift_log,
         iterate_history=iterates,
         block_history=blocks,

@@ -11,7 +11,7 @@ import pytest
 from blockcd import (
     ExperimentConfig,
     IterationRecord,
-    MethodSpec,
+    MethodParams,
     StoppingRule,
     beta_sweep_config,
     build_problem,
@@ -67,9 +67,9 @@ class TestConfig:
         with pytest.raises(ValueError, match="repeats"):
             small_config(tmp_path, repeats=0)
 
-    def test_unknown_method_keys_rejected(self):
+    def test_unknown_method_keys_rejected(self, tmp_path):
         with pytest.raises(ValueError, match="unknown method keys"):
-            MethodSpec.from_dict({"method": "fbcd", "gamma": 1})
+            small_config(tmp_path, methods=[{"method": "fbcd", "gamma": 1}])
 
     @pytest.mark.parametrize(
         "overrides, message",
@@ -107,14 +107,14 @@ class TestConfig:
 
     def test_cs_needs_exactly_one_dimension_spec(self):
         with pytest.raises(ValueError, match="'d_factor' .* required for cs-madbcd"):
-            MethodSpec(method="cs-madbcd", beta=0.1)
+            MethodParams(method="cs-madbcd", beta=0.1)
         with pytest.raises(ValueError, match="refused for every other method; got method 'fbcd'"):
-            MethodSpec(method="fbcd", d_factor=2)
+            MethodParams(method="fbcd", d_factor=2)
 
     @pytest.mark.parametrize("d_factor", [0, -2])
     def test_sketch_factor_below_one_refused(self, d_factor):
         with pytest.raises(ValueError, match=f"'d_factor' must be >= 1, got {d_factor}"):
-            MethodSpec(method="cs-madbcd", beta=0.3, d_factor=d_factor)
+            MethodParams(method="cs-madbcd", beta=0.3, d_factor=d_factor)
 
     def test_json_round_trip(self, tmp_path):
         cfg = small_config(tmp_path)
@@ -196,9 +196,9 @@ class TestBuildProblem:
         assert manifest["config"]["methods"][0]["beta"] == 0.3
 
     def test_missing_field_names_kind_and_field(self):
-        with pytest.raises(ValueError, match=r"'gaussian' needs field\(s\) \['n'\]"):
+        with pytest.raises(ValueError, match=r"missing problem keys \['n'\]"):
             build_problem({"kind": "gaussian", "m": 50}, 0)
-        with pytest.raises(ValueError, match=r"'sparse-gaussian' .*\['density'\]"):
+        with pytest.raises(ValueError, match=r"missing problem keys \['density'\]"):
             build_problem({"kind": "sparse-gaussian", "m": 50, "n": 8}, 0)
 
     def test_mtx_kind_with_transpose(self, tmp_path):

@@ -168,6 +168,9 @@ def test_bench_subcommand(tmp_path, capsys):
     assert "speedup" in out
 
 
+DROP = object()  # an override that removes the key
+
+
 def write_small_config(tmp_path, **overrides):
     cfg = {
         "problem": {"kind": "gaussian", "m": 150, "n": 25},
@@ -177,6 +180,7 @@ def write_small_config(tmp_path, **overrides):
         "output_dir": str(tmp_path / "bench-out"),
         **overrides,
     }
+    cfg = {key: value for key, value in cfg.items() if value is not DROP}
     path = tmp_path / "cfg.json"
     path.write_text(json.dumps(cfg))
     return path
@@ -189,8 +193,11 @@ def write_small_config(tmp_path, **overrides):
         ({"serial_timing": True, "workers": 2}, "serial_timing"),
         ({"stopping": {"max_iter": 100}}, "max_iter"),
         ({"problem": {"kind": "gaussian", "m": 50}}, "'n'"),
+        ({"problem": DROP}, "missing config keys ['problem']"),
+        ({"methods": [{"beta": 0.1}]}, "missing method keys ['method']"),
     ],
-    ids=["typo-key", "removed-key", "stopping-key", "missing-problem-field"],
+    ids=["typo-key", "removed-key", "stopping-key", "missing-problem-field",
+         "missing-problem", "missing-method"],
 )
 def test_bad_bench_config_exit_one(tmp_path, capsys, change, named):
     path = write_small_config(tmp_path, **change)
@@ -270,11 +277,14 @@ def test_sweep_beta_duplicate_betas_exit_one(capsys):
     assert "distinct" in capsys.readouterr().err
 
 
-@pytest.mark.parametrize("grid", ["0:0.9:0", "0:0.9:-0.1", "0.9:0:0.1"])
+@pytest.mark.parametrize(
+    "grid", ["0:0.9:0", "0:0.9:-0.1", "0.9:0:0.1", "0:inf:0.1", "nan:0.5:0.1", "0:0.5"]
+)
 def test_sweep_beta_bad_grid_exit_one(capsys, grid):
     code = main(["sweep-beta", "--problem", "gaussian:150:50", "--betas", grid])
     assert code == 1
-    assert "needs lo <= hi and step > 0" in capsys.readouterr().err
+    err = capsys.readouterr().err
+    assert "must be lo:hi:step" in err and "needs lo <= hi and step > 0" in err
 
 
 def test_sweep_beta_grid(tmp_path):

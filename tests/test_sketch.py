@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose
@@ -182,3 +184,26 @@ class TestCsPrepare:
         assert plain.converged and cs.converged
         assert cs.records[-1].rse < 1e-6
         assert plain.iterations <= cs.iterations
+
+    def test_one_call_cs_madbcd_is_madbcd_on_the_sketch(self):
+        problem = make_consistent_problem(gen_gaussian_dense(2000, 50, 21), 22)
+        stop = StoppingRule(rse_threshold=1e-6, max_iterations=10000)
+        one = run_solver(problem, MethodParams("cs-madbcd", 0.3, 4), stop, sketch_seed=23)
+        sketched, _ = cs_prepare(problem, 4 * 50, seed=23)
+        two = run_solver(sketched, MethodParams("madbcd", 0.3), stop)
+
+        assert np.array_equal(one.x_final, two.x_final)
+        assert (one.iterations, one.stop_reason) == (two.iterations, two.stop_reason)
+
+        def untimed(report):
+            return [repr(dataclasses.replace(r, elapsed_s=0.0)) for r in report.records]
+
+        assert untimed(one) == untimed(two)
+        assert one.method == "cs-madbcd" and one.problem_label == problem.label
+        assert one.prep_seconds > 0.0
+
+    def test_cs_madbcd_without_sketch_seed_refused(self):
+        problem = make_consistent_problem(gen_gaussian_dense(300, 20, 1), 2)
+        stop = StoppingRule(max_iterations=5)
+        with pytest.raises(ValueError, match="sketch_seed"):
+            run_solver(problem, MethodParams("cs-madbcd", 0.3, 4), stop)
