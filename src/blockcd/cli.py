@@ -40,6 +40,7 @@ EXIT_OK = 0
 EXIT_USAGE = 1
 EXIT_NUMERICAL = 2
 EXIT_NO_CONVERGENCE = 3
+MAX_BETA_GRID_POINTS = 1000  # a larger lo:hi:step grid is refused before it is built
 
 
 class _Parser(argparse.ArgumentParser):
@@ -92,10 +93,11 @@ def _parse_betas(text: str):
             lo, hi, step = (float(p) for p in text.split(":"))
         except ValueError:  # not three parts, or a part that is not a number
             lo = hi = step = math.nan
-        if not all(map(math.isfinite, (lo, hi, step))) or step <= 0.0 or hi < lo:
+        bad = not all(map(math.isfinite, (lo, hi, step))) or step <= 0.0 or hi < lo
+        if bad or (hi - lo) / step + 1 > MAX_BETA_GRID_POINTS:  # inf on an extreme grid
             raise ValueError(
                 f"beta grid {text!r} must be lo:hi:step with finite numbers; "
-                "it needs lo <= hi and step > 0"
+                f"it needs lo <= hi and step > 0, and at most {MAX_BETA_GRID_POINTS} points"
             )
         count = int(round((hi - lo) / step)) + 1
         return [round(lo + i * step, 10) for i in range(count)]
@@ -216,6 +218,8 @@ def _cmd_sweep_beta(args) -> int:
 
 
 def _cmd_verify(args) -> int:
+    if args.instances < 1:
+        raise ValueError(f"--instances must be >= 1, got {args.instances}")
     rng = np.random.default_rng(args.seed)
     failures = 0
 

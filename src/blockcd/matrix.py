@@ -1,7 +1,7 @@
 """Dense and compressed-sparse-column matrix storage with the solver kernels.
 
 Both storage classes expose the same five kernels (full matvec, transpose
-matvec, column-restricted matvec, column norms, Frobenius norm) so solver
+matvec, column-restricted matvec, column norms, column gather) so solver
 code never branches on the representation.  Column-major / CSC layout is
 deliberate: every solver step works column-wise (gradient entries are column
 dot-products, updates are column gathers).
@@ -60,19 +60,12 @@ class Matrix:
         """Euclidean norm of every column."""
         raise NotImplementedError
 
-    def frobenius_norm(self) -> float:
-        raise NotImplementedError
-
     def gather_columns(self, indices: np.ndarray) -> np.ndarray:
         """Dense m-by-len(indices) copy of the selected columns."""
         raise NotImplementedError
 
     def to_dense(self) -> np.ndarray:
         """Dense 2-D view/copy of the matrix (oracle and test use)."""
-        raise NotImplementedError
-
-    @property
-    def nnz(self) -> int:
         raise NotImplementedError
 
     def _check_vec(self, v: np.ndarray, length: int, op: str) -> np.ndarray:
@@ -134,19 +127,12 @@ class DenseMatrix(Matrix):
     def column_norms(self):
         return np.sqrt(np.einsum("ij,ij->j", self._a, self._a))
 
-    def frobenius_norm(self):
-        return float(np.linalg.norm(self._a))
-
     def gather_columns(self, indices):
         idx = self._check_indices(indices)
         return np.array(self._a[:, idx], order="F")
 
     def to_dense(self):
         return self._a
-
-    @property
-    def nnz(self) -> int:
-        return self.rows * self.cols
 
 
 class SparseMatrixCSC(Matrix):
@@ -263,9 +249,6 @@ class SparseMatrixCSC(Matrix):
     def column_norms(self):
         sq = np.bincount(self._entry_col, weights=self.values**2, minlength=self.cols)
         return np.sqrt(sq)
-
-    def frobenius_norm(self):
-        return float(np.linalg.norm(self.values))
 
     def gather_columns(self, indices):
         idx = self._check_indices(indices)

@@ -22,6 +22,7 @@ from .matrix import DenseMatrix, Matrix, SparseMatrixCSC
 __all__ = [
     "ProblemInstance",
     "MatrixMarketError",
+    "ZeroColumnError",
     "gen_gaussian_dense",
     "gen_sparse_gaussian",
     "gen_tomography",
@@ -40,6 +41,14 @@ def _refuse_non_finite(what: str, v: np.ndarray) -> None:
     bad = np.flatnonzero(~np.isfinite(v))
     if bad.size:
         raise ValueError(f"{what} has a non-finite entry at index {bad[0]}")
+
+
+class ZeroColumnError(ValueError):
+    """A matrix column with no nonzero entry; `column` is its index."""
+
+    def __init__(self, column: int):
+        self.column = column
+        super().__init__(f"matrix has a zero column at index {column}")
 
 
 @dataclass
@@ -78,7 +87,7 @@ class ProblemInstance:
             )
         zero = np.flatnonzero(norms == 0.0)
         if zero.size:
-            raise ValueError(f"matrix has a zero column at index {zero[0]}")
+            raise ZeroColumnError(int(zero[0]))
         if self.x_star is not None:
             self.x_star = np.asarray(self.x_star, dtype=np.float64)
             if self.x_star.shape != (self.A.cols,):

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .matrix import DenseMatrix, Matrix, SparseMatrixCSC
-from .problems import ProblemInstance
+from .problems import ProblemInstance, ZeroColumnError
 
 __all__ = [
     "CountSketch",
@@ -139,7 +139,13 @@ def cs_prepare(problem, d: int, seed: int):
     a_sk = sketch_apply_matrix(sketch, A)
     b_sk = sketch_apply_vector(sketch, problem.b)
     prep_seconds = time.perf_counter() - t0
-    sketched = ProblemInstance(
-        A=a_sk, b=b_sk, x_star=problem.x_star, label=f"{problem.label}+cs{d}"
-    )
+    try:
+        sketched = ProblemInstance(
+            A=a_sk, b=b_sk, x_star=problem.x_star, label=f"{problem.label}+cs{d}"
+        )
+    except ZeroColumnError as exc:  # A itself has none, so the sketch made it
+        raise ValueError(
+            f"the count sketch with d={d} rows drawn from seed {seed} cancels column "
+            f"{exc.column} of the matrix to zero; try another seed or a larger d_factor"
+        ) from exc
     return sketched, prep_seconds

@@ -12,9 +12,9 @@ Q never formed.  The oracle keeps its own hand-rolled QR as the independent
 route that audits this subsolve.  cs-madbcd is madbcd on (SA, Sb), the
 problem compressed by a count sketch S with d_factor * n rows.
 
-All methods share the same bookkeeping: the residual r = b - A x and the
-difference image w = A(x - x_prev) are updated incrementally each step and
-recomputed from scratch every ``RESIDUAL_REFRESH`` steps to bound drift.
+Every method steps through ``SolverState.advance``, the heavy-ball move that
+also updates r = b - A x and the difference image w = A(x - x_prev); both
+are recomputed from scratch every ``RESIDUAL_REFRESH`` steps to bound drift.
 The gradient s is recomputed fresh every iteration since block updates
 touch unpredictable column subsets.
 """
@@ -146,8 +146,13 @@ class SolverState:
             r = b - A.matvec(x)
         return cls(x_curr=x, x_prev=x.copy(), residual=r, diff_image=np.zeros(m), k=0)
 
-    def advance(self, x_next: np.ndarray, w_next: np.ndarray) -> "SolverState":
-        """The next iterate, given x_{k+1} and w = A (x_{k+1} - x_k)."""
+    def advance(
+        self, block: np.ndarray, d: np.ndarray, a_d: np.ndarray, beta: float = 0.0
+    ) -> "SolverState":
+        """x + beta (x - x_prev) + d on `block`, with w = a_d + beta w for a_d = A_tau d."""
+        x_next = self.x_curr + beta * (self.x_curr - self.x_prev)
+        x_next[block] += d
+        w_next = a_d + beta * self.diff_image
         return SolverState(
             x_curr=x_next,
             x_prev=self.x_curr,
@@ -260,7 +265,8 @@ def block_rule(params: MethodParams, A: Matrix) -> Callable[[np.ndarray], np.nda
     if params.method in (MADBCD, CS_MADBCD):
         return select_block_madbcd
     if params.method == "fbcd":
-        col_norms, frobenius = A.column_norms(), A.frobenius_norm()
+        col_norms = A.column_norms()
+        frobenius = float(np.linalg.norm(col_norms))
         return lambda s: select_block_fbcd(s, col_norms, frobenius)[1]
     if params.method == "mrbgs":
         return select_block_mrbgs
@@ -286,10 +292,7 @@ def line_search_update(
         )
     eta_dot_s = float(np.dot(eta, eta))
     c = eta_dot_s / denom
-    x_next = state.x_curr + beta * (state.x_curr - state.x_prev)
-    x_next[block] += c * eta
-    w_next = c * a_eta + beta * state.diff_image
-    return state.advance(x_next, w_next), eta_dot_s
+    return state.advance(block, c * eta, c * a_eta, beta), eta_dot_s
 
 
 def householder_lstsq(a: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -328,9 +331,7 @@ def subsolve_update(state: SolverState, A: Matrix, block: np.ndarray) -> SolverS
             f"rank-deficient subproblem on block {block.tolist()}: "
             f"|R_jj|={exc.magnitude:.3e} at block position {exc.column}",
         ) from exc
-    x_next = state.x_curr.copy()
-    x_next[block] += d
-    return state.advance(x_next, a_tau @ d)
+    return state.advance(block, d, a_tau @ d)
 
 
 def run_solver(
@@ -381,6 +382,7 @@ def run_solver(
     stop_reason = ""
     converged = False
     while True:
+        k = state.k
         rse = compute_rse(state.x_curr, x_star) if x_star is not None else None
         s = A.transpose_matvec(state.residual)
         s_norm_sq = float(np.dot(s, s))
@@ -398,36 +400,31 @@ def run_solver(
         elif grad_floor is not None and grad_floor > 0.0 and normal_residual <= grad_floor:
             stop_reason = "converged: gradient fallback threshold"
             converged = True
-        elif stop.max_iterations is not None and state.k >= stop.max_iterations:
+        elif stop.max_iterations is not None and k >= stop.max_iterations:
             stop_reason = "max iterations exceeded"
         elif stop.time_budget_s is not None and elapsed >= stop.time_budget_s:
             stop_reason = "time budget exhausted"
 
-        if stop_reason:
-            records.append(
-                IterationRecord(
-                    k=state.k, rse=rse, normal_residual=normal_residual, block_size=0,
-                    elapsed_s=elapsed,
-                )
-            )
-            break
-
-        block = select(s)
-        if params.method == "mrbgs":
-            state, eta_dot_s = subsolve_update(state, A, block), math.nan
-        else:
-            state, eta_dot_s = line_search_update(state, A, block, s, params.beta)
-
+        block_size, eta_dot_s = 0, math.nan
+        if not stop_reason:
+            block = select(s)
+            if params.method == "mrbgs":
+                state = subsolve_update(state, A, block)
+            else:
+                state, eta_dot_s = line_search_update(state, A, block, s, params.beta)
+            block_size = block.size
         records.append(
             IterationRecord(
-                k=state.k - 1,
+                k=k,
                 rse=rse,
                 normal_residual=normal_residual,
-                block_size=block.size,
+                block_size=block_size,
                 elapsed_s=elapsed,
                 eta_dot_s=eta_dot_s,
             )
         )
+        if stop_reason:
+            break
         if record_history:
             iterates.append(state.x_curr.copy())
             blocks.append(block)

@@ -5,7 +5,14 @@ import sys
 import numpy as np
 import pytest
 
-from blockcd import bench, build_problem, read_curve_csv, read_summary_csv
+from blockcd import (
+    DenseMatrix,
+    bench,
+    build_problem,
+    read_curve_csv,
+    read_summary_csv,
+    write_matrix_market,
+)
 from blockcd.cli import main
 
 
@@ -278,7 +285,9 @@ def test_sweep_beta_duplicate_betas_exit_one(capsys):
 
 
 @pytest.mark.parametrize(
-    "grid", ["0:0.9:0", "0:0.9:-0.1", "0.9:0:0.1", "0:inf:0.1", "nan:0.5:0.1", "0:0.5"]
+    "grid",
+    ["0:0.9:0", "0:0.9:-0.1", "0.9:0:0.1", "0:inf:0.1", "nan:0.5:0.1", "0:0.5",
+     "0:1e300:1e-10"],
 )
 def test_sweep_beta_bad_grid_exit_one(capsys, grid):
     code = main(["sweep-beta", "--problem", "gaussian:150:50", "--betas", grid])
@@ -363,6 +372,27 @@ def test_verify_subcommand(capsys):
     assert main(["verify", "--instances", "3", "--seed", "1"]) == 0
     out = capsys.readouterr().out
     assert "PASS" in out and "FAIL" not in out
+
+
+@pytest.mark.parametrize("instances", ["0", "-1"])
+def test_verify_refuses_no_instances(capsys, instances):
+    assert main(["verify", "--instances", instances]) == 1
+    captured = capsys.readouterr()
+    assert "--instances must be >= 1" in captured.err and "PASS" not in captured.out
+
+
+def test_solve_sketch_that_cancels_a_column_exit_one(tmp_path, capsys):
+    a = np.random.default_rng(0).standard_normal((40, 4))
+    a[:, 0] = 0.0
+    a[[0, 1], 0] = 1.0
+    path = tmp_path / "cancel.mtx"
+    write_matrix_market(path, DenseMatrix(a))
+    # --seed 22 draws the sketch from seed 23, which cancels column 0
+    code = main(
+        ["solve", "--problem", str(path), "--method", "cs-madbcd", "--seed", "22"]
+    )
+    assert code == 1
+    assert "cancels column 0" in capsys.readouterr().err
 
 
 def test_console_script_entry_point():

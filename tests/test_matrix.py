@@ -121,20 +121,6 @@ class TestColumnNorms:
         )
 
 
-class TestFrobeniusNorm:
-    def test_identity(self):
-        assert DenseMatrix(np.eye(4)).frobenius_norm() == pytest.approx(2.0)
-
-    def test_direct_arithmetic(self):
-        A = DenseMatrix([[1.0, 2.0], [3.0, 4.0]])
-        assert A.frobenius_norm() == pytest.approx(np.sqrt(30.0))
-
-    def test_column_norm_aggregation_identity(self):
-        _, _, sp = random_sparse(12, 5, 0.5, seed=9)
-        agg = np.sqrt(np.sum(sp.column_norms() ** 2))
-        assert sp.frobenius_norm() == pytest.approx(agg, rel=1e-12)
-
-
 @pytest.mark.parametrize("seed", range(10))
 def test_adjointness_property(seed):
     a, dn, sp = random_sparse(11, 6, 0.5, seed=seed)
@@ -166,7 +152,6 @@ def test_dense_and_csc_agree_on_all_kernels(seed):
         atol=1e-12,
     )
     assert_allclose(dn.column_norms(), sp.column_norms(), rtol=1e-12)
-    assert dn.frobenius_norm() == pytest.approx(sp.frobenius_norm(), rel=1e-12)
     assert_allclose(dn.gather_columns(idx), sp.gather_columns(idx))
     assert_allclose(dn.to_dense(), sp.to_dense())
 
@@ -243,7 +228,6 @@ class TestConstruction:
         assert_allclose(A.matvec(np.ones(2)), np.zeros(3))
         assert_allclose(A.transpose_matvec(np.ones(3)), np.zeros(2))
         assert_allclose(A.column_norms(), np.zeros(2))
-        assert A.frobenius_norm() == 0.0
 
     def test_kernel_outputs_are_fresh(self):
         a, _, sp = random_sparse(6, 3, 0.6, seed=2)

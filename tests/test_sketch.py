@@ -202,6 +202,20 @@ class TestCsPrepare:
         assert one.method == "cs-madbcd" and one.problem_label == problem.label
         assert one.prep_seconds > 0.0
 
+    def test_sketch_that_cancels_a_column_refused(self, rng):
+        # seed 23 sends rows 0 and 1 of a 40-row input to one of 16 buckets
+        # with opposite signs, so it sums the column (1, 1, 0, ...) to zero
+        a = rng.standard_normal((40, 4))
+        a[:, 0] = 0.0
+        a[[0, 1], 0] = 1.0
+        problem = make_consistent_problem(DenseMatrix(a), 3)
+        stop = StoppingRule(max_iterations=5)
+        with pytest.raises(ValueError) as info:
+            run_solver(problem, MethodParams("cs-madbcd", 0.3, 4), stop, sketch_seed=23)
+        message = str(info.value)
+        assert "d=16" in message and "seed 23" in message and "column 0" in message
+        assert "another seed or a larger d_factor" in message
+
     def test_cs_madbcd_without_sketch_seed_refused(self):
         problem = make_consistent_problem(gen_gaussian_dense(300, 20, 1), 2)
         stop = StoppingRule(max_iterations=5)

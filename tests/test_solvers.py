@@ -14,6 +14,7 @@ from blockcd import (
     StoppingRule,
     block_rule,
     compute_rse,
+    cs_prepare,
     gen_gaussian_dense,
     line_search_update,
     make_consistent_problem,
@@ -189,6 +190,44 @@ class TestSelectMrbgs:
     def test_fraction_domain(self):
         with pytest.raises(ValueError, match="fraction"):
             select_block_mrbgs(np.ones(3), 0.0)
+
+
+def test_every_method_moves_by_the_shared_transition():
+    problem = make_consistent_problem(gen_gaussian_dense(60, 12, 7), 8)
+    for method in METHODS:
+        momentum = method in ("madbcd", "cs-madbcd")
+        params = MethodParams(
+            method, 0.3 if momentum else 0.0, d_factor=2 if method == "cs-madbcd" else None
+        )
+        A, b = problem.A, problem.b
+        if params.d_factor is not None:
+            sketched, _ = cs_prepare(problem, params.sketch_rows(A.cols), seed=5)
+            A, b = sketched.A, sketched.b
+        select = block_rule(params, A)
+        state = SolverState.initial(A, b)
+        iterates = [state.x_curr]
+        for _ in range(6):
+            s = A.transpose_matvec(state.residual)
+            block = select(s)
+            if method == "mrbgs":
+                nxt = subsolve_update(state, A, block)
+            else:
+                nxt = line_search_update(state, A, block, s, params.beta)[0]
+            assert np.array_equal(nxt.x_prev, state.x_curr), method
+            assert np.array_equal(nxt.residual, state.residual - nxt.diff_image), method
+            image = A.matvec(nxt.x_curr - nxt.x_prev)
+            err = np.linalg.norm(nxt.diff_image - image)
+            assert err <= 1e-12 * np.linalg.norm(image), method
+            state = nxt
+            iterates.append(state.x_curr)
+        # the loop above steps exactly as run_solver does
+        report = run_solver(
+            problem, params, StoppingRule(max_iterations=6), record_history=True,
+            sketch_seed=5,
+        )
+        assert report.iterations == 6
+        for got, want in zip(report.iterate_history, iterates, strict=True):
+            assert np.array_equal(got, want), method
 
 
 class TestMadbcdStep:
