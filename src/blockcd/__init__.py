@@ -22,6 +22,7 @@ from .oracle import (
 from .problems import (
     MatrixMarketError,
     ProblemInstance,
+    build_problem,
     gen_gaussian_dense,
     gen_sparse_gaussian,
     gen_tomography,
@@ -58,7 +59,6 @@ from .bench import (
     BenchRow,
     ExperimentConfig,
     beta_sweep_config,
-    build_problem,
     compute_speedup,
     emit_outputs,
     read_curve_csv,

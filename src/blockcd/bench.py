@@ -1,9 +1,11 @@
 """Experiment suites: timed method comparisons with CSV/JSON outputs.
 
 A suite is a problem spec x method list x stopping rule, repeated over
-seed-derived problem realizations.  Per-method means mirror the usual
-reporting: iteration counts, preprocessing seconds (for sketched runs),
-solve seconds, and the speed-up ratio against the adaptive momentum method.
+seed-derived problem realizations.  This module owns the suite config, its
+runs and its outputs; `problems` owns the spec and builds each realization.
+Per-method means mirror the usual reporting: iteration counts, preprocessing
+seconds (for sketched runs), solve seconds, and the speed-up ratio against
+the adaptive momentum method.
 
 Timing uses a monotonic clock around the solve loop only; problem generation
 and sketching are timed separately.  With a fixed master seed everything
@@ -14,7 +16,6 @@ from __future__ import annotations
 
 import csv
 import json
-import numbers
 import os
 import re
 from dataclasses import asdict, dataclass, fields, replace
@@ -23,15 +24,7 @@ from typing import get_args, get_type_hints
 import numpy as np
 
 from . import __version__
-from .problems import (
-    ProblemInstance,
-    gen_gaussian_dense,
-    gen_sparse_gaussian,
-    gen_tomography,
-    make_consistent_problem,
-    read_matrix_market,
-    read_problem_bundle,
-)
+from .problems import _checked_fields, _problem_spec, build_problem
 from .sketch import check_sketch_dimension
 from .solvers import (
     MADBCD,
@@ -45,7 +38,6 @@ from .solvers import (
 __all__ = [
     "ExperimentConfig",
     "BenchRow",
-    "build_problem",
     "run_experiment",
     "beta_sweep_config",
     "compute_speedup",
@@ -60,39 +52,6 @@ CURVE_COLUMNS = ["k", "rse", "normal_residual", "block_size", "elapsed_s"]
 
 # columns derived from wall-clock measurements, exempt from byte-reproducibility
 TIMING_COLUMNS = ("mean_prep_s", "mean_solve_s", "mean_total_s", "speedup_vs_madbcd", "elapsed_s")
-
-
-def _checked_fields(what: str, raw: dict, declared: dict, required=()) -> dict:
-    """A copy of `raw` holding plain Python numbers, or a ValueError naming
-    the keys that are not in `declared` (name -> type), the `required` keys
-    that are not in `raw`, or the first key whose value does not have its type.
-
-    Any integer (numpy's too) passes where an int is declared and becomes an
-    int, and any real number where a float is, becoming a float; a boolean
-    passes only where a bool is.
-    """
-    if not isinstance(raw, dict):
-        raise ValueError(f"{what} must be a JSON object, got {raw!r}")
-    extra = set(raw) - set(declared)
-    if extra:
-        raise ValueError(f"unknown {what} keys {sorted(extra)}")
-    missing = [key for key in required if key not in raw]
-    if missing:
-        raise ValueError(f"missing {what} keys {missing}")
-    plain = {}
-    for key, value in raw.items():
-        declared_type = declared[key]
-        types = tuple(
-            {int: numbers.Integral, float: numbers.Real}.get(t, t)
-            for t in get_args(declared_type) or (declared_type,)
-        )
-        if not isinstance(value, types) or (isinstance(value, bool) and bool not in types):
-            name = getattr(declared_type, "__name__", str(declared_type))
-            raise ValueError(f"{what} key {key!r} must be {name}, got {value!r}")
-        if isinstance(value, numbers.Real) and not isinstance(value, bool):
-            value = int(value) if isinstance(value, numbers.Integral) else float(value)
-        plain[key] = value
-    return plain
 
 
 @dataclass(frozen=True)
@@ -156,62 +115,6 @@ class BenchRow:
 
 
 SUMMARY_COLUMNS = [f.name for f in fields(BenchRow)]
-
-
-# per problem kind: the fields it cannot do without, and the ones it may take
-PROBLEM_FIELDS = {
-    "gaussian": ({"m": int, "n": int}, {}),
-    "sparse-gaussian": ({"m": int, "n": int, "density": float}, {}),
-    "tomography": (
-        {"grid_side": int},
-        {"n_angles": int, "n_detectors": int, "detector_spacing": float, "phantom": str},
-    ),
-    "mtx": ({"path": str}, {"transpose": bool}),
-    "bundle": ({"path": str}, {}),
-}
-
-
-def _problem_spec(spec: dict) -> dict:
-    """`spec` checked against its kind's fields, holding plain Python numbers."""
-    kind = spec.get("kind")
-    if kind not in PROBLEM_FIELDS:
-        raise ValueError(f"unknown problem kind {kind!r}")
-    required, optional = PROBLEM_FIELDS[kind]
-    return _checked_fields("problem", spec, {"kind": str, **required, **optional}, required)
-
-
-def build_problem(spec: dict, seed) -> ProblemInstance:
-    """Realize a problem spec for one seed.
-
-    Kinds: gaussian (m, n), sparse-gaussian (m, n, density),
-    tomography (grid_side, optional n_angles/n_detectors/detector_spacing/phantom),
-    mtx (path, optional transpose; right-hand side generated from the seed),
-    bundle (path; A, b and any reference solution come from disk).  Any other
-    key, or a value of the wrong type, is refused with a ValueError naming it.
-    """
-    spec = _problem_spec(spec)
-    kind = spec["kind"]
-    ss = np.random.SeedSequence(seed)
-    mat_seed, rhs_seed = (int(s) for s in ss.generate_state(2))
-    if kind == "gaussian":
-        A = gen_gaussian_dense(spec["m"], spec["n"], mat_seed)
-        return make_consistent_problem(A, rhs_seed, label=f"randn{spec['m']}x{spec['n']}")
-    if kind == "sparse-gaussian":
-        A = gen_sparse_gaussian(spec["m"], spec["n"], spec["density"], mat_seed)
-        return make_consistent_problem(
-            A, rhs_seed, label=f"sprandn{spec['m']}x{spec['n']}d{spec['density']:g}"
-        )
-    if kind == "tomography":
-        geometry = {k: v for k, v in spec.items() if k != "kind"}
-        return gen_tomography(**geometry, seed=mat_seed)
-    if kind == "mtx":
-        transpose = spec.get("transpose", False)
-        A = read_matrix_market(spec["path"], transpose=transpose)
-        name = os.path.splitext(os.path.basename(spec["path"]))[0]
-        return make_consistent_problem(
-            A, rhs_seed, label=name + ("^T" if transpose else "")
-        )
-    return read_problem_bundle(spec["path"])
 
 
 def run_experiment(config: ExperimentConfig):

@@ -20,7 +20,6 @@ import numpy as np
 from .bench import (
     ExperimentConfig,
     beta_sweep_config,
-    build_problem,
     emit_outputs,
     run_experiment,
     run_summary,
@@ -33,7 +32,7 @@ from .oracle import (
     gram_extremal_singular_values,
     run_contraction_bounds,
 )
-from .problems import write_problem_bundle
+from .problems import PROBLEM_GRAMMAR, build_problem, parse_problem, write_problem_bundle
 from .solvers import CS_MADBCD, METHODS, MethodParams, StoppingRule, run_solver
 
 EXIT_OK = 0
@@ -48,42 +47,6 @@ class _Parser(argparse.ArgumentParser):
         self.print_usage(sys.stderr)
         print(f"{self.prog}: error: {message}", file=sys.stderr)
         raise SystemExit(EXIT_USAGE)
-
-
-def _parse_problem(text: str) -> dict:
-    """'gaussian:M:N', 'sparse:M:N:DENSITY', 'tomo:N[:phantom]', a Matrix
-    Market file ('path.mtx', or 'path.mtx:T' to transpose), or a bundle dir."""
-    if os.path.isdir(text):
-        return {"kind": "bundle", "path": text}
-    transpose = text.endswith(":T")
-    mtx_path = text[:-2] if transpose else text
-    if mtx_path.endswith(".mtx"):
-        if not os.path.isfile(mtx_path):
-            raise ValueError(f"no such Matrix Market file: {mtx_path!r}")
-        return {"kind": "mtx", "path": mtx_path, "transpose": transpose}
-    parts = text.split(":")
-    try:
-        if parts[0] == "gaussian" and len(parts) == 3:
-            return {"kind": "gaussian", "m": int(parts[1]), "n": int(parts[2])}
-        if parts[0] == "sparse" and len(parts) == 4:
-            return {
-                "kind": "sparse-gaussian",
-                "m": int(parts[1]),
-                "n": int(parts[2]),
-                "density": float(parts[3]),
-            }
-        if parts[0] == "tomo" and len(parts) in (2, 3):
-            spec = {"kind": "tomography", "grid_side": int(parts[1])}
-            if len(parts) == 3:
-                spec["phantom"] = parts[2]
-            return spec
-    except ValueError:
-        pass
-    raise ValueError(
-        f"cannot parse problem spec {text!r}: expected gaussian:M:N, "
-        "sparse:M:N:DENSITY, tomo:N[:phantom], a .mtx file (append ':T' to "
-        "transpose), or a bundle directory"
-    )
 
 
 def _parse_betas(text: str):
@@ -109,10 +72,7 @@ def _build_parser() -> _Parser:
     sub = p.add_subparsers(dest="command", required=True)
 
     ps = sub.add_parser("solve", help="run one method on one problem")
-    ps.add_argument(
-        "--problem", required=True,
-        help="gaussian:M:N | sparse:M:N:D | tomo:N[:phantom] | file.mtx[:T] | bundle dir",
-    )
+    ps.add_argument("--problem", required=True, help=PROBLEM_GRAMMAR)
     ps.add_argument("--method", default="madbcd", choices=METHODS)
     ps.add_argument("--beta", type=float, default=None,
                     help="momentum weight (madbcd / cs-madbcd only)")
@@ -129,7 +89,7 @@ def _build_parser() -> _Parser:
     pb.add_argument("--out", default=None, help="override the config output_dir")
 
     pw = sub.add_parser("sweep-beta", help="momentum parameter grid for madbcd")
-    pw.add_argument("--problem", required=True)
+    pw.add_argument("--problem", required=True, help=PROBLEM_GRAMMAR)
     pw.add_argument("--betas", default="0:0.9:0.05", help="grid lo:hi:step or comma list")
     pw.add_argument("--tol", type=float, default=1e-6)
     pw.add_argument("--max-it", type=int, default=100000)
@@ -142,7 +102,7 @@ def _build_parser() -> _Parser:
     pv.add_argument("--instances", type=int, default=10)
 
     pg = sub.add_parser("gen", help="write a problem bundle to disk")
-    pg.add_argument("--problem", required=True)
+    pg.add_argument("--problem", required=True, help=PROBLEM_GRAMMAR)
     pg.add_argument("--seed", type=int, default=0)
     pg.add_argument("--out", required=True)
 
@@ -156,7 +116,7 @@ def _cmd_solve(args) -> int:
     if args.method == CS_MADBCD and d_factor is None:
         d_factor = 4
     params = MethodParams(args.method, beta=args.beta or 0.0, d_factor=d_factor)
-    spec = _parse_problem(args.problem)
+    spec = parse_problem(args.problem)
     problem = build_problem(spec, args.seed)
     stop = StoppingRule(
         rse_threshold=args.tol,
@@ -211,7 +171,7 @@ def _cmd_bench(args) -> int:
 def _cmd_sweep_beta(args) -> int:
     stop = StoppingRule(rse_threshold=args.tol, max_iterations=args.max_it)
     config = beta_sweep_config(
-        _parse_problem(args.problem), _parse_betas(args.betas), stop,
+        parse_problem(args.problem), _parse_betas(args.betas), stop,
         master_seed=args.seed, repeats=args.repeats,
     )
     return _run_suite(config, args.out)
@@ -284,8 +244,7 @@ def _cmd_verify(args) -> int:
 
 
 def _cmd_gen(args) -> int:
-    spec = _parse_problem(args.problem)
-    problem = build_problem(spec, args.seed)
+    problem = build_problem(parse_problem(args.problem), args.seed)
     write_problem_bundle(args.out, problem)
     print(f"wrote {problem.label} ({problem.A.rows}x{problem.A.cols}) to {args.out}")
     return EXIT_OK
@@ -309,7 +268,7 @@ def main(argv=None) -> int:
         if args.command == "gen":
             return _cmd_gen(args)
         parser.error(f"unknown command {args.command!r}")
-    except (ValueError, OSError) as exc:
+    except (ValueError, OSError, MemoryError) as exc:
         if isinstance(exc, RankDeficiencyError):
             print(f"numerical failure: {exc}", file=sys.stderr)
             return EXIT_NUMERICAL

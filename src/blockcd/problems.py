@@ -1,4 +1,8 @@
-"""Problem generation and on-disk exchange.
+"""Problem specs, generation and on-disk exchange.
+
+`PROBLEM_FIELDS` declares every problem kind and its typed fields;
+`build_problem` realizes a spec for one seed, and `parse_problem` reads the
+command line's short forms (`CLI_FORMS`) through the same table.
 
 Generators cover dense Gaussian, sparse Gaussian and a synthetic
 parallel-beam travel-time tomography (a deliberately simplified stand-in for
@@ -12,14 +16,18 @@ All generators are pure functions of their parameters and seed.
 from __future__ import annotations
 
 import math
+import numbers
 import os
 from dataclasses import dataclass, field
+from typing import get_args
 
 import numpy as np
 
 from .matrix import DenseMatrix, Matrix, SparseMatrixCSC
 
 __all__ = [
+    "PROBLEM_FIELDS",
+    "CLI_FORMS",
     "ProblemInstance",
     "MatrixMarketError",
     "ZeroColumnError",
@@ -32,6 +40,8 @@ __all__ = [
     "write_matrix_market",
     "read_problem_bundle",
     "write_problem_bundle",
+    "build_problem",
+    "parse_problem",
 ]
 
 CONSISTENCY_RTOL = 1e-10
@@ -105,10 +115,6 @@ class ProblemInstance:
             np.linalg.norm(self.b - self.A.matvec(self.x_star))
         ) <= CONSISTENCY_RTOL * float(np.linalg.norm(self.b))
 
-    @property
-    def shape(self) -> tuple[int, int]:
-        return self.A.shape
-
 
 def gen_gaussian_dense(m: int, n: int, seed: int) -> DenseMatrix:
     """i.i.d. standard-normal dense matrix (ziggurat draws from a seeded PCG64)."""
@@ -130,6 +136,8 @@ def gen_sparse_gaussian(m: int, n: int, density: float, seed: int) -> SparseMatr
         raise ValueError(f"density must lie in (0, 1], got {density}")
     if m < n:
         raise ValueError(f"overdetermined contract requires m >= n, got {m} < {n}")
+    if n < 1:
+        raise ValueError("need at least one column")
     rng = np.random.default_rng(seed)
     col_rows: list[np.ndarray] = []
     col_vals: list[np.ndarray] = []
@@ -471,3 +479,133 @@ def read_problem_bundle(directory) -> ProblemInstance:
         x_star=x_star,
         label=os.path.basename(os.path.normpath(str(directory))),
     )
+
+
+# per problem kind: the fields it cannot do without, and the ones it may take
+PROBLEM_FIELDS = {
+    "gaussian": ({"m": int, "n": int}, {}),
+    "sparse-gaussian": ({"m": int, "n": int, "density": float}, {}),
+    "tomography": (
+        {"grid_side": int},
+        {"n_angles": int, "n_detectors": int, "detector_spacing": float, "phantom": str},
+    ),
+    "mtx": ({"path": str}, {"transpose": bool}),
+    "bundle": ({"path": str}, {}),
+}
+
+# per command-line short form NAME:V1:V2...: its kind and the fields its values
+# fill, in order; trailing fields the kind does not require may be left out
+CLI_FORMS = {
+    "gaussian": ("gaussian", ("m", "n")),
+    "sparse": ("sparse-gaussian", ("m", "n", "density")),
+    "tomo": ("tomography", ("grid_side", "phantom")),
+}
+
+
+def _form_usage(name: str) -> str:
+    kind, names = CLI_FORMS[name]
+    required = PROBLEM_FIELDS[kind][0]
+    return name + "".join(f":{f}" if f in required else f"[:{f}]" for f in names).upper()
+
+
+PROBLEM_GRAMMAR = " | ".join([*map(_form_usage, CLI_FORMS), "FILE.mtx[:T]", "BUNDLE_DIR"])
+
+
+def _checked_fields(what: str, raw: dict, declared: dict, required=()) -> dict:
+    """A copy of `raw` holding plain Python numbers, or a ValueError naming
+    the keys that are not in `declared` (name -> type), the `required` keys
+    that are not in `raw`, or the first key whose value does not have its type.
+
+    Any integer (numpy's too) passes where an int is declared and becomes an
+    int, and any real number where a float is, becoming a float; a boolean
+    passes only where a bool is.
+    """
+    if not isinstance(raw, dict):
+        raise ValueError(f"{what} must be a JSON object, got {raw!r}")
+    extra = set(raw) - set(declared)
+    if extra:
+        raise ValueError(f"unknown {what} keys {sorted(extra)}")
+    missing = [key for key in required if key not in raw]
+    if missing:
+        raise ValueError(f"missing {what} keys {missing}")
+    plain = {}
+    for key, value in raw.items():
+        declared_type = declared[key]
+        types = tuple(
+            {int: numbers.Integral, float: numbers.Real}.get(t, t)
+            for t in get_args(declared_type) or (declared_type,)
+        )
+        if not isinstance(value, types) or (isinstance(value, bool) and bool not in types):
+            name = getattr(declared_type, "__name__", str(declared_type))
+            raise ValueError(f"{what} key {key!r} must be {name}, got {value!r}")
+        if isinstance(value, numbers.Real) and not isinstance(value, bool):
+            value = int(value) if isinstance(value, numbers.Integral) else float(value)
+        plain[key] = value
+    return plain
+
+
+def _problem_spec(spec: dict) -> dict:
+    """`spec` checked against its kind's fields, holding plain Python numbers."""
+    kind = spec.get("kind")
+    if kind not in PROBLEM_FIELDS:
+        raise ValueError(f"unknown problem kind {kind!r}")
+    required, optional = PROBLEM_FIELDS[kind]
+    return _checked_fields("problem", spec, {"kind": str, **required, **optional}, required)
+
+
+def parse_problem(text: str) -> dict:
+    """The spec a `--problem` value names: a `CLI_FORMS` short form, each value
+    converted by its field's `PROBLEM_FIELDS` type, a Matrix Market file
+    ('path.mtx', or 'path.mtx:T' to transpose), or a bundle directory."""
+    if os.path.isdir(text):
+        return {"kind": "bundle", "path": text}
+    transpose = text.endswith(":T")
+    mtx_path = text[:-2] if transpose else text
+    if mtx_path.endswith(".mtx"):
+        if not os.path.isfile(mtx_path):
+            raise ValueError(f"no such Matrix Market file: {mtx_path!r}")
+        return {"kind": "mtx", "path": mtx_path, "transpose": transpose}
+    name, *values = text.split(":")
+    if name in CLI_FORMS:
+        kind, names = CLI_FORMS[name]
+        required, optional = PROBLEM_FIELDS[kind]
+        types = {**required, **optional}
+        if len(values) <= len(names) and set(required) <= set(names[: len(values)]):
+            try:
+                return {"kind": kind, **{f: types[f](v) for f, v in zip(names, values)}}
+            except ValueError:
+                pass
+    raise ValueError(f"cannot parse problem spec {text!r}: expected {PROBLEM_GRAMMAR}")
+
+
+def build_problem(spec: dict, seed) -> ProblemInstance:
+    """Realize a problem spec for one seed.
+
+    `spec` holds a `PROBLEM_FIELDS` kind and that kind's fields.  Generated
+    kinds draw the matrix from the seed; mtx draws the right-hand side from it
+    (b = A x_star), and a bundle comes from disk whole.  Any other key, or a
+    value of the wrong type, is refused with a ValueError naming it.
+    """
+    spec = _problem_spec(spec)
+    kind = spec["kind"]
+    ss = np.random.SeedSequence(seed)
+    mat_seed, rhs_seed = (int(s) for s in ss.generate_state(2))
+    if kind == "gaussian":
+        A = gen_gaussian_dense(spec["m"], spec["n"], mat_seed)
+        return make_consistent_problem(A, rhs_seed, label=f"randn{spec['m']}x{spec['n']}")
+    if kind == "sparse-gaussian":
+        A = gen_sparse_gaussian(spec["m"], spec["n"], spec["density"], mat_seed)
+        return make_consistent_problem(
+            A, rhs_seed, label=f"sprandn{spec['m']}x{spec['n']}d{spec['density']:g}"
+        )
+    if kind == "tomography":
+        geometry = {k: v for k, v in spec.items() if k != "kind"}
+        return gen_tomography(**geometry, seed=mat_seed)
+    if kind == "mtx":
+        transpose = spec.get("transpose", False)
+        A = read_matrix_market(spec["path"], transpose=transpose)
+        name = os.path.splitext(os.path.basename(spec["path"]))[0]
+        return make_consistent_problem(
+            A, rhs_seed, label=name + ("^T" if transpose else "")
+        )
+    return read_problem_bundle(spec["path"])

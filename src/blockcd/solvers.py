@@ -57,6 +57,7 @@ METHODS = ("cd", "fbcd", "mrbgs", MADBCD, CS_MADBCD)
 
 # incremental r and w are re-derived from x this often
 RESIDUAL_REFRESH = 50
+MRBGS_FRACTION = 0.3  # mrbgs's block: every j with s_j^2 >= this fraction of max_j s_j^2
 
 
 @dataclass(frozen=True)
@@ -246,14 +247,12 @@ def select_block_fbcd(
     return delta, idx
 
 
-def select_block_mrbgs(s: np.ndarray, fraction: float = 0.3) -> np.ndarray:
-    """Indices whose squared gradient entry reaches `fraction` of the max."""
-    if not 0.0 < fraction <= 1.0:
-        raise ValueError(f"fraction must lie in (0, 1], got {fraction}")
+def select_block_mrbgs(s: np.ndarray) -> np.ndarray:
+    """Indices whose squared gradient entry reaches MRBGS_FRACTION of the max."""
     sq = s * s
     if float(sq.sum()) == 0.0:
         raise ValueError("cannot select a block from a zero gradient")
-    return np.flatnonzero(sq >= fraction * float(sq.max()))
+    return np.flatnonzero(sq >= MRBGS_FRACTION * float(sq.max()))
 
 
 def block_rule(params: MethodParams, A: Matrix) -> Callable[[np.ndarray], np.ndarray]:

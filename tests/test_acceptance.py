@@ -297,7 +297,7 @@ def test_criterion_09_mrbgs_subsolve_optimality():
             s = prob.A.transpose_matvec(state.residual)
             if float(np.dot(s, s)) == 0.0:
                 break
-            block = select_block_mrbgs(s, 0.3)
+            block = select_block_mrbgs(s)
             state = subsolve_update(state, prob.A, block)
             a_tau = prob.A.gather_columns(block)
             resid = float(np.linalg.norm(a_tau.T @ state.residual))

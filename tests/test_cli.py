@@ -51,6 +51,22 @@ def test_bad_problem_spec_exit_one(capsys):
     assert "cannot parse" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("spec", ["sparse:5:0:0.5", "gaussian:0:0"])
+def test_no_columns_exit_one(capsys, spec):
+    assert main(["solve", "--problem", spec]) == 1
+    assert "need at least one column" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command", ["solve", "gen"])
+def test_allocation_too_large_exit_one(tmp_path, capsys, command):
+    # 728 TiB exceeds a 47-bit address space, so numpy's allocation fails at once
+    argv = [command, "--problem", "gaussian:100000000000:1000"]
+    code = main(argv + (["--out", str(tmp_path / "bundle")] if command == "gen" else []))
+    assert code == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "allocate" in err
+
+
 @pytest.mark.parametrize("suffix", ["", ":T"])
 def test_missing_mtx_file_exit_one(tmp_path, capsys, suffix):
     path = tmp_path / "missing" / "A.mtx"

@@ -26,6 +26,7 @@ from blockcd import (
 )
 
 from conftest import random_sparse
+from blockcd.problems import CLI_FORMS, PROBLEM_FIELDS, _problem_spec, parse_problem
 
 
 class TestGaussianDense:
@@ -381,3 +382,46 @@ class TestProblemBundle:
         assert back.x_star is None
         assert not back.consistent
         assert_allclose(back.b, problem.b)
+
+
+# "{dir}" stands for a bundle directory holding A.mtx
+@pytest.mark.parametrize(
+    "text, expected",
+    [
+        ("gaussian:200:30", {"kind": "gaussian", "m": 200, "n": 30}),
+        ("sparse:300:20:0.2", {"kind": "sparse-gaussian", "m": 300, "n": 20, "density": 0.2}),
+        ("tomo:8", {"kind": "tomography", "grid_side": 8}),
+        ("tomo:8:blocks", {"kind": "tomography", "grid_side": 8, "phantom": "blocks"}),
+        ("{dir}/A.mtx", {"kind": "mtx", "path": "{dir}/A.mtx", "transpose": False}),
+        ("{dir}/A.mtx:T", {"kind": "mtx", "path": "{dir}/A.mtx", "transpose": True}),
+        ("{dir}", {"kind": "bundle", "path": "{dir}"}),
+    ],
+)
+def test_parse_problem_grammar(tmp_path, text, expected):
+    write_problem_bundle(tmp_path, make_consistent_problem(gen_gaussian_dense(6, 3, 1), 2))
+
+    def fill(v):
+        return v.format(dir=tmp_path) if isinstance(v, str) else v
+
+    expected = {k: fill(v) for k, v in expected.items()}
+    spec = parse_problem(fill(text))
+    assert spec == expected
+    # == holds between 200 and 200.0, so the types are compared too
+    assert [type(v) for v in spec.values()] == [type(v) for v in expected.values()]
+    assert _problem_spec(spec) == spec
+
+
+@pytest.mark.parametrize("text", ["hilbert:3", "gaussian:1:2:3", "gaussian:50:abc", "tomo:8:blocks:x"])
+def test_parse_problem_refuses(text):
+    with pytest.raises(ValueError, match="cannot parse"):
+        parse_problem(text)
+
+
+def test_cli_forms_fill_fields_of_their_kind():
+    for kind, names in CLI_FORMS.values():
+        required, optional = PROBLEM_FIELDS[kind]
+        types = {**required, **optional}
+        assert set(names) <= set(types)
+        assert set(required) <= set(names)
+        # parse_problem converts by calling the type, and bool("false") is True
+        assert bool not in [types[f] for f in names]

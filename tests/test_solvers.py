@@ -104,7 +104,7 @@ def test_selectors_are_deterministic(rng):
             select_block_fbcd(s, col_norms, frob)[1],
         )
         assert np.array_equal(
-            select_block_mrbgs(s, 0.3), select_block_mrbgs(s, 0.3)
+            select_block_mrbgs(s), select_block_mrbgs(s)
         )
 
 
@@ -120,7 +120,7 @@ def test_blocks_are_int64_index_arrays(rng):
     blocks = [
         select_block_madbcd(s),
         select_block_fbcd(s, col_norms, float(np.linalg.norm(a)))[1],
-        select_block_mrbgs(s, 0.3),
+        select_block_mrbgs(s),
         *(block_rule(params, A)(s) for params in every_method),
     ]
     problem = make_consistent_problem(A, seed=4)
@@ -172,24 +172,20 @@ class TestSelectFbcd:
 
 class TestSelectMrbgs:
     def test_hand_cutoff(self):
-        block = select_block_mrbgs(np.array([3.0, 2.0, 1.0]), 0.3)
+        block = select_block_mrbgs(np.array([3.0, 2.0, 1.0]))
         assert block.tolist() == [0, 1]  # cutoff 2.7 admits 9 and 4
 
     def test_fraction_one_keeps_argmax_ties(self):
-        block = select_block_mrbgs(np.array([2.0, -2.0, 1.0]), 1.0)
+        block = select_block_mrbgs(np.array([2.0, -2.0, 1.0]))
         assert block.tolist() == [0, 1]
 
     @pytest.mark.parametrize("seed", range(10))
     def test_matches_exhaustive_filter(self, seed):
         s = np.random.default_rng(seed).standard_normal(12)
-        block = select_block_mrbgs(s, 0.3)
+        block = select_block_mrbgs(s)
         cutoff = 0.3 * np.max(s * s)
         expected = [j for j in range(12) if s[j] ** 2 >= cutoff]
         assert block.tolist() == expected
-
-    def test_fraction_domain(self):
-        with pytest.raises(ValueError, match="fraction"):
-            select_block_mrbgs(np.ones(3), 0.0)
 
 
 def test_every_method_moves_by_the_shared_transition():
