@@ -64,7 +64,10 @@ def _parse_betas(text: str):
             )
         count = int(round((hi - lo) / step)) + 1
         return [round(lo + i * step, 10) for i in range(count)]
-    return [float(p) for p in text.split(",")]
+    try:
+        return [float(p) for p in text.split(",")]
+    except ValueError:  # an empty or non-numeric entry
+        raise ValueError(f"beta list {text!r} must be comma-separated numbers, e.g. 0,0.3") from None
 
 
 def _build_parser() -> _Parser:

@@ -136,7 +136,7 @@ class DenseMatrix(Matrix):
 
 
 class SparseMatrixCSC(Matrix):
-    """Compressed sparse column storage.
+    """Compressed sparse column storage: `indptr`, `row_indices` and `values`.
 
     Invariants enforced at construction: non-decreasing `indptr` starting at 0
     and ending at nnz, strictly increasing row indices within each column, no
@@ -171,18 +171,14 @@ class SparseMatrixCSC(Matrix):
         self.indptr = indptr
         self.row_indices = row_indices
         self.values = values
-        # column id of each stored entry, precomputed for the bincount kernels
-        self._entry_col = np.repeat(np.arange(cols, dtype=np.int64), np.diff(indptr))
         # columns holding at least one entry: the segments of transpose_matvec
         self._nonempty = np.flatnonzero(np.diff(indptr))
 
         if values.size:
-            same_col = self._entry_col[1:] == self._entry_col[:-1]
-            if np.any(np.diff(row_indices)[same_col] <= 0):
+            col = self.entry_columns
+            if np.any(np.diff(row_indices)[col[1:] == col[:-1]] <= 0):
                 raise ValueError("row indices must be strictly increasing per column")
-        for arr in (
-            self.indptr, self.row_indices, self.values, self._entry_col, self._nonempty
-        ):
+        for arr in (self.indptr, self.row_indices, self.values, self._nonempty):
             arr.flags.writeable = False
 
     @classmethod
@@ -221,7 +217,7 @@ class SparseMatrixCSC(Matrix):
 
     def matvec(self, x):
         x = self._check_vec(x, self.cols, "matvec")
-        w = self.values * x[self._entry_col]
+        w = self.values * np.repeat(x, np.diff(self.indptr))
         return np.bincount(self.row_indices, weights=w, minlength=self.rows)
 
     def transpose_matvec(self, r):
@@ -247,7 +243,7 @@ class SparseMatrixCSC(Matrix):
         return y
 
     def column_norms(self):
-        sq = np.bincount(self._entry_col, weights=self.values**2, minlength=self.cols)
+        sq = np.bincount(self.entry_columns, weights=self.values**2, minlength=self.cols)
         return np.sqrt(sq)
 
     def gather_columns(self, indices):
@@ -260,13 +256,14 @@ class SparseMatrixCSC(Matrix):
 
     def to_dense(self):
         out = np.zeros((self.rows, self.cols), order="F")
-        out[self.row_indices, self._entry_col] = self.values
+        out[self.row_indices, self.entry_columns] = self.values
         return out
 
     @property
     def entry_columns(self) -> np.ndarray:
-        """Column id of each stored entry, aligned with `values`."""
-        return self._entry_col
+        """Column id of each stored entry, aligned with `values`; expanded
+        from `indptr` on every read rather than stored."""
+        return np.repeat(np.arange(self.cols, dtype=np.int64), np.diff(self.indptr))
 
     @property
     def nnz(self) -> int:

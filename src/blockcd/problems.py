@@ -15,10 +15,11 @@ All generators are pure functions of their parameters and seed.
 
 from __future__ import annotations
 
+import functools
 import math
 import numbers
 import os
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import get_args
 
 import numpy as np
@@ -63,17 +64,12 @@ class ZeroColumnError(ValueError):
 
 @dataclass
 class ProblemInstance:
-    """A least-squares instance: coefficients, right-hand side, optional truth.
-
-    `consistent` is computed, not declared: it holds exactly when x_star is
-    given and ||b - A x_star|| <= CONSISTENCY_RTOL ||b||.
-    """
+    """A least-squares instance: coefficients, right-hand side, optional truth."""
 
     A: Matrix
     b: np.ndarray
     x_star: np.ndarray | None = None
     label: str = ""
-    consistent: bool = field(init=False)
 
     def __post_init__(self):
         self.b = np.asarray(self.b, dtype=np.float64)
@@ -111,7 +107,12 @@ class ProblemInstance:
                     "reference solution is all zeros, so the relative solution "
                     "error is undefined; omit x_star to stop on the normal residual"
                 )
-        self.consistent = self.x_star is not None and float(
+
+    @functools.cached_property
+    def consistent(self) -> bool:
+        """Computed from the data on first read, never declared: true exactly
+        when x_star is given and ||b - A x_star|| <= CONSISTENCY_RTOL ||b||."""
+        return self.x_star is not None and float(
             np.linalg.norm(self.b - self.A.matvec(self.x_star))
         ) <= CONSISTENCY_RTOL * float(np.linalg.norm(self.b))
 
@@ -266,24 +267,22 @@ def _blocks_phantom(n: int, seed: int) -> np.ndarray:
 
 
 def gen_tomography(grid_side: int, n_angles: int | None = None,
-                   n_detectors: int | None = None, detector_spacing: float = 1.0,
+                   n_detectors: int | None = None,
                    phantom: str = "shepp-logan-like", seed: int = 0) -> ProblemInstance:
     """Parallel-beam scan of an N-by-N unit-pixel grid projecting a phantom.
 
     `n_angles` angles (default 2N) spread evenly over [0, pi).  For each,
     `n_detectors` parallel rays (default: enough to span the grid diagonal)
-    cross the grid, offset along the perpendicular detector axis by
-    `detector_spacing` and centered on the grid center.  Rays that miss the
-    grid are dropped.  b = A x_star with x_star the rasterized phantom.
+    cross the grid, one pixel width apart along the perpendicular detector
+    axis and centered on the grid center.  Rays that miss the grid are
+    dropped.  b = A x_star with x_star the rasterized phantom.
     """
     if grid_side < 4:
         raise ValueError(f"grid side must be >= 4, got {grid_side}")
-    if detector_spacing <= 0.0:
-        raise ValueError(f"detector spacing must be positive, got {detector_spacing}")
     if n_angles is None:
         n_angles = 2 * grid_side
     if n_detectors is None:
-        n_detectors = math.ceil(1.5 * grid_side / detector_spacing)
+        n_detectors = math.ceil(1.5 * grid_side)
     if n_angles < 1 or n_detectors < 1:
         raise ValueError("need at least one projection angle and one detector")
     if phantom not in ("shepp-logan-like", "blocks"):
@@ -293,7 +292,7 @@ def gen_tomography(grid_side: int, n_angles: int | None = None,
     cols_idx: list[np.ndarray] = []
     vals: list[np.ndarray] = []
     row = 0
-    offsets = (np.arange(n_detectors) - (n_detectors - 1) / 2.0) * detector_spacing
+    offsets = np.arange(n_detectors) - (n_detectors - 1) / 2.0
     center = n / 2.0
     for theta in np.arange(n_angles) * math.pi / n_angles:
         d = np.array([math.cos(theta), math.sin(theta)])
@@ -487,7 +486,7 @@ PROBLEM_FIELDS = {
     "sparse-gaussian": ({"m": int, "n": int, "density": float}, {}),
     "tomography": (
         {"grid_side": int},
-        {"n_angles": int, "n_detectors": int, "detector_spacing": float, "phantom": str},
+        {"n_angles": int, "n_detectors": int, "phantom": str},
     ),
     "mtx": ({"path": str}, {"transpose": bool}),
     "bundle": ({"path": str}, {}),

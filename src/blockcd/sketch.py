@@ -36,24 +36,23 @@ class CountSketch:
     """
 
     d: int
-    m: int
     h: np.ndarray
     signs: np.ndarray
 
     def __post_init__(self):
+        if self.h.ndim != 1 or self.signs.shape != self.h.shape:
+            raise ValueError("bucket map and signs must have one entry per input row")
         if not 1 <= self.d <= self.m:
             raise ValueError(f"need 1 <= d <= m, got d={self.d}, m={self.m}")
-        if self.h.shape != (self.m,) or self.signs.shape != (self.m,):
-            raise ValueError("bucket map and signs must have one entry per input row")
         if self.h.min() < 0 or self.h.max() >= self.d:
             raise ValueError(f"bucket values must lie in [0, {self.d})")
         if not np.all(np.abs(self.signs) == 1.0):
             raise ValueError("signs must be +1 or -1")
 
-    @classmethod
-    def identity(cls, m: int) -> "CountSketch":
-        """The d=m sketch with trivial buckets and +1 signs (test hook)."""
-        return cls(d=m, m=m, h=np.arange(m, dtype=np.int64), signs=np.ones(m))
+    @property
+    def m(self) -> int:
+        """Input row count, one per bucket-map entry."""
+        return len(self.h)
 
 
 def build_count_sketch(d: int, m: int, seed: int) -> CountSketch:
@@ -69,7 +68,7 @@ def build_count_sketch(d: int, m: int, seed: int) -> CountSketch:
     ss_h, ss_signs = np.random.SeedSequence(seed).spawn(2)
     h = np.random.default_rng(ss_h).integers(0, d, size=m, dtype=np.int64)
     signs = np.where(np.random.default_rng(ss_signs).random(m) < 0.5, -1.0, 1.0)
-    return CountSketch(d=d, m=m, h=h, signs=signs)
+    return CountSketch(d=d, h=h, signs=signs)
 
 
 def sketch_apply_vector(sketch: CountSketch, v: np.ndarray) -> np.ndarray:

@@ -382,6 +382,35 @@ def test_criterion_10_pinned_iteration_counts():
     report_line(10, ok, f"per-repeat iteration counts {got}, stop reasons {sorted(reasons)}")
 
 
+def test_pinned_sparse_iteration_counts():
+    # the CSC kernels' share of the behaviour contract: the dense problem above
+    # never runs them
+    config = {
+        "label": "sparse-determinism",
+        "problem": {"kind": "sparse-gaussian", "m": 2000, "n": 100, "density": 0.05},
+        "methods": [
+            {"method": "madbcd", "beta": 0.2},
+            {"method": "fbcd"},
+            {"method": "mrbgs"},
+            {"method": "cs-madbcd", "beta": 0.3, "d_factor": 4},
+        ],
+        "stopping": {"rse_threshold": 1e-6, "max_iterations": 50000},
+        "repeats": 3,
+        "master_seed": MASTER_SEED,
+    }
+    pinned = {
+        "madbcd_b0.2": [12, 12, 13],
+        "fbcd": [36, 37, 36],
+        "mrbgs": [14, 14, 15],
+        "cs-madbcd_b0.3_d4n": [18, 22, 19],
+    }
+    _, reports = run_experiment(ExperimentConfig.from_dict(config))
+    got = {label: [r.iterations for r in runs] for label, runs in reports.items()}
+    reasons = {r.stop_reason for runs in reports.values() for r in runs}
+    assert got == pinned
+    assert reasons == {"converged: rse threshold"}
+
+
 def test_criterion_11_matrix_market_round_trip(tmp_path):
     exact = 0
     for seed in range(20):

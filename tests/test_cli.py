@@ -262,10 +262,15 @@ def test_matrix_market_count_beyond_the_file_exit_one(tmp_path, capsys):
             {"problem": {"kind": "tomography", "grid_side": 8, "detector_spacng": 2.0}},
             "unknown problem keys ['detector_spacng']",
         ),
+        (
+            {"problem": {"kind": "tomography", "grid_side": 8, "detector_spacing": 2.0}},
+            "unknown problem keys ['detector_spacing']",
+        ),
     ],
     ids=["beta-string", "repeats-string", "repeats-float", "m-string", "d_factor-float",
          "rse_threshold-string", "methods-not-list", "method-not-object",
-         "stopping-not-object", "gaussian-problem-typo", "tomography-problem-typo"],
+         "stopping-not-object", "gaussian-problem-typo", "tomography-problem-typo",
+         "tomography-fixed-detector-spacing"],
 )
 def test_bad_config_value_exit_one(tmp_path, capsys, change, message):
     path = write_small_config(tmp_path, **change)
@@ -310,6 +315,15 @@ def test_sweep_beta_bad_grid_exit_one(capsys, grid):
     assert code == 1
     err = capsys.readouterr().err
     assert "must be lo:hi:step" in err and "needs lo <= hi and step > 0" in err
+
+
+@pytest.mark.parametrize("betas", ["0.3,", "a,b", ",0.3", "0.1,,0.2"])
+def test_sweep_beta_bad_list_exit_one(capsys, betas):
+    code = main(["sweep-beta", "--problem", "gaussian:150:50", "--betas", betas])
+    assert code == 1
+    err = capsys.readouterr().err
+    assert f"beta list {betas!r} must be comma-separated numbers" in err
+    assert "could not convert" not in err
 
 
 def test_sweep_beta_grid(tmp_path):

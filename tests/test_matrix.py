@@ -229,6 +229,14 @@ class TestConstruction:
         assert_allclose(A.transpose_matvec(np.ones(3)), np.zeros(2))
         assert_allclose(A.column_norms(), np.zeros(2))
 
+    @pytest.mark.parametrize("seed", range(3))
+    def test_csc_stores_no_per_entry_column_ids(self, seed):
+        # indptr, row ids and values, plus the non-empty column starts; a
+        # column id per stored entry would add another 8 bytes per entry
+        _, _, sp = random_sparse(60, 8, 0.4, seed=seed)
+        stored = sum(v.nbytes for v in vars(sp).values() if isinstance(v, np.ndarray))
+        assert stored <= 16 * sp.nnz + 16 * (sp.cols + 1)
+
     def test_kernel_outputs_are_fresh(self):
         a, _, sp = random_sparse(6, 3, 0.6, seed=2)
         y = sp.matvec(np.ones(3))

@@ -153,6 +153,48 @@ class TestProblemInstanceValidation:
             cs_prepare(problem, 80, seed=1)
 
 
+class TestConsistentIsComputedOnFirstRead:
+    @staticmethod
+    def count_matvecs(monkeypatch, cls):
+        calls = []
+        original = cls.matvec
+
+        def counted(self, x):
+            calls.append(1)
+            return original(self, x)
+
+        monkeypatch.setattr(cls, "matvec", counted)
+        return calls
+
+    @pytest.mark.parametrize("storage", [DenseMatrix, SparseMatrixCSC.from_dense])
+    def test_construction_runs_no_matvec_and_the_first_read_runs_one(
+        self, monkeypatch, rng, storage
+    ):
+        a = rng.standard_normal((30, 5))
+        x_star = rng.standard_normal(5)
+        A = storage(a)
+        calls = self.count_matvecs(monkeypatch, type(A))
+        problem = ProblemInstance(A=A, b=a @ x_star, x_star=x_star)
+        assert calls == []
+        assert problem.consistent and problem.consistent
+        assert calls == [1]
+
+    def test_consistent_cannot_be_declared(self):
+        with pytest.raises(TypeError):
+            ProblemInstance(A=DenseMatrix(np.eye(3)), b=np.ones(3), consistent=True)
+
+    @pytest.mark.parametrize(
+        "A", [gen_gaussian_dense(200, 10, 1), gen_sparse_gaussian(200, 10, 0.3, 1)]
+    )
+    def test_cs_prepare_after_the_first_read_runs_no_matvec(self, monkeypatch, A):
+        problem = make_consistent_problem(A, seed=2)
+        assert problem.consistent
+        calls = self.count_matvecs(monkeypatch, type(A))
+        sketched, _ = cs_prepare(problem, 40, seed=3)
+        assert calls == []
+        assert "consistent" not in vars(sketched)
+
+
 class TestTraceRay:
     def test_horizontal_ray_row_of_ones(self):
         cols, lens = trace_ray((0.0, 0.5), (1.0, 0.0), grid_side=6)

@@ -22,6 +22,11 @@ from blockcd import (
 from conftest import random_sparse
 
 
+def identity_sketch(m: int) -> CountSketch:
+    """The d = m sketch with trivial buckets and +1 signs."""
+    return CountSketch(d=m, h=np.arange(m, dtype=np.int64), signs=np.ones(m))
+
+
 def densify(sketch: CountSketch) -> np.ndarray:
     s = np.zeros((sketch.d, sketch.m))
     s[sketch.h, np.arange(sketch.m)] = sketch.signs
@@ -44,7 +49,7 @@ class TestBuild:
         assert not np.array_equal(s1.h, s3.h)
 
     def test_identity_hook(self):
-        s = CountSketch.identity(4)
+        s = identity_sketch(4)
         v = np.array([1.0, -2.0, 3.0, 4.0])
         assert_allclose(sketch_apply_vector(s, v), v)
         assert_allclose(densify(s), np.eye(4))
@@ -60,21 +65,34 @@ class TestBuild:
 
     def test_validation(self):
         with pytest.raises(ValueError, match="bucket"):
-            CountSketch(d=2, m=3, h=np.array([0, 1, 5]), signs=np.ones(3))
+            CountSketch(d=2, h=np.array([0, 1, 5]), signs=np.ones(3))
         with pytest.raises(ValueError, match="signs"):
-            CountSketch(d=2, m=2, h=np.array([0, 1]), signs=np.array([1.0, 0.5]))
+            CountSketch(d=2, h=np.array([0, 1]), signs=np.array([1.0, 0.5]))
+        with pytest.raises(ValueError, match="one entry per input row"):
+            CountSketch(d=2, h=np.array([0, 1, 0]), signs=np.ones(2))
+        with pytest.raises(ValueError, match="one entry per input row"):
+            CountSketch(d=2, h=np.zeros((2, 2), dtype=np.int64), signs=np.ones((2, 2)))
+        with pytest.raises(ValueError, match="d <= m"):
+            CountSketch(d=3, h=np.array([0, 1]), signs=np.ones(2))
+
+    def test_row_count_is_the_bucket_map_length(self):
+        s = CountSketch(d=2, h=np.array([0, 1, 0, 1, 1]), signs=np.ones(5))
+        assert s.m == len(s.h) == 5
+        assert build_count_sketch(3, 40, seed=1).m == 40
+        with pytest.raises(TypeError):
+            CountSketch(d=2, m=5, h=np.array([0, 1, 0, 1, 1]), signs=np.ones(5))
 
 
 class TestApplyVector:
     def test_hand_example(self):
         s = CountSketch(
-            d=2, m=4, h=np.array([0, 1, 0, 1]), signs=np.array([1.0, -1.0, 1.0, -1.0])
+            d=2, h=np.array([0, 1, 0, 1]), signs=np.array([1.0, -1.0, 1.0, -1.0])
         )
         out = sketch_apply_vector(s, np.array([1.0, 2.0, 3.0, 4.0]))
         assert_allclose(out, [4.0, -6.0])
 
     def test_dimension_mismatch(self):
-        s = CountSketch.identity(3)
+        s = identity_sketch(3)
         with pytest.raises(ValueError, match="length 3"):
             sketch_apply_vector(s, np.ones(4))
 
@@ -91,12 +109,12 @@ class TestApplyVector:
 class TestApplyMatrix:
     def test_identity_hook(self, rng):
         a = rng.standard_normal((5, 3))
-        out = sketch_apply_matrix(CountSketch.identity(5), DenseMatrix(a))
+        out = sketch_apply_matrix(identity_sketch(5), DenseMatrix(a))
         assert_allclose(out.to_dense(), a)
 
     def test_consistency_with_vector_apply(self):
         s = CountSketch(
-            d=2, m=4, h=np.array([0, 1, 0, 1]), signs=np.array([1.0, -1.0, 1.0, -1.0])
+            d=2, h=np.array([0, 1, 0, 1]), signs=np.array([1.0, -1.0, 1.0, -1.0])
         )
         col = np.array([[1.0], [2.0], [3.0], [4.0]])
         out = sketch_apply_matrix(s, DenseMatrix(col))
