@@ -3,7 +3,8 @@
 Subcommands: solve (one method, one problem), bench (a configured suite),
 sweep-beta (momentum grid), verify (oracle audit battery), gen (write a
 problem bundle).  Exit codes: 0 success, 1 usage error, 2 numerical failure,
-3 did not converge (solve only).
+3 did not converge (solve only).  A warning raised during a command is printed
+to stderr as ``warning: <message>``.
 """
 
 from __future__ import annotations
@@ -13,6 +14,7 @@ import json
 import math
 import os
 import sys
+import warnings
 from dataclasses import replace
 
 import numpy as np
@@ -253,33 +255,40 @@ def _cmd_gen(args) -> int:
     return EXIT_OK
 
 
+def _print_warning(message, category, filename, lineno, file=None, line=None):
+    """Print a warning as the CLI prints an error: the message, not the library line."""
+    print(f"warning: {message}", file=sys.stderr)
+
+
 def main(argv=None) -> int:
     parser = _build_parser()
     try:
         args = parser.parse_args(argv)
     except SystemExit as exc:
         return int(exc.code or 0)
-    try:
-        if args.command == "solve":
-            return _cmd_solve(args)
-        if args.command == "bench":
-            return _cmd_bench(args)
-        if args.command == "sweep-beta":
-            return _cmd_sweep_beta(args)
-        if args.command == "verify":
-            return _cmd_verify(args)
-        if args.command == "gen":
-            return _cmd_gen(args)
-        parser.error(f"unknown command {args.command!r}")
-    except (ValueError, OSError, MemoryError) as exc:
-        if isinstance(exc, RankDeficiencyError):
+    with warnings.catch_warnings():
+        warnings.showwarning = _print_warning
+        try:
+            if args.command == "solve":
+                return _cmd_solve(args)
+            if args.command == "bench":
+                return _cmd_bench(args)
+            if args.command == "sweep-beta":
+                return _cmd_sweep_beta(args)
+            if args.command == "verify":
+                return _cmd_verify(args)
+            if args.command == "gen":
+                return _cmd_gen(args)
+            parser.error(f"unknown command {args.command!r}")
+        except (ValueError, OSError, MemoryError) as exc:
+            if isinstance(exc, RankDeficiencyError):
+                print(f"numerical failure: {exc}", file=sys.stderr)
+                return EXIT_NUMERICAL
+            print(f"error: {exc}", file=sys.stderr)
+            return EXIT_USAGE
+        except RuntimeError as exc:
             print(f"numerical failure: {exc}", file=sys.stderr)
             return EXIT_NUMERICAL
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
-    except RuntimeError as exc:
-        print(f"numerical failure: {exc}", file=sys.stderr)
-        return EXIT_NUMERICAL
     return EXIT_OK
 
 

@@ -6,6 +6,10 @@ code never branches on the representation.  Column-major / CSC layout is
 deliberate: every solver step works column-wise (gradient entries are column
 dot-products, updates are column gathers).
 
+A solver step needs A only through A^T A, which ``Matrix.normal_kernel``
+supplies per run: by two passes over CSC storage, or from G = A^T A for a
+dense matrix.
+
 Matrices are immutable after construction and safe to share between
 concurrent runs; every kernel returns a freshly allocated array.
 RankDeficiencyError lives here so that the solvers and the oracle share it
@@ -16,7 +20,14 @@ from __future__ import annotations
 
 import numpy as np
 
-__all__ = ["Matrix", "DenseMatrix", "SparseMatrixCSC", "RankDeficiencyError"]
+__all__ = [
+    "Matrix",
+    "DenseMatrix",
+    "SparseMatrixCSC",
+    "NormalKernel",
+    "GramKernel",
+    "RankDeficiencyError",
+]
 
 
 class RankDeficiencyError(ValueError):
@@ -67,6 +78,10 @@ class Matrix:
     def to_dense(self) -> np.ndarray:
         """Dense 2-D view/copy of the matrix (oracle and test use)."""
         raise NotImplementedError
+
+    def normal_kernel(self) -> "NormalKernel":
+        """A fresh per-run kernel for the products with A^T A a solver step needs."""
+        return NormalKernel(self)
 
     def _check_vec(self, v: np.ndarray, length: int, op: str) -> np.ndarray:
         v = np.asarray(v, dtype=np.float64)
@@ -133,6 +148,9 @@ class DenseMatrix(Matrix):
 
     def to_dense(self):
         return self._a
+
+    def normal_kernel(self) -> "GramKernel":
+        return GramKernel(self)
 
 
 class SparseMatrixCSC(Matrix):
@@ -268,3 +286,45 @@ class SparseMatrixCSC(Matrix):
     @property
     def nnz(self) -> int:
         return len(self.values)
+
+
+class NormalKernel:
+    """Products with A^T A for one solver run, by passes over A.
+
+    `step(block, v)` is the one kernel a solver step calls: it returns
+    (A^T A_tau v, ||A_tau v||^2) for the direction carrying `v` on `block`.
+    `apply(v)` is A^T A v over every column, for the periodic refresh.
+    """
+
+    def __init__(self, A: Matrix):
+        self.A = A
+
+    def step(self, block: np.ndarray, v: np.ndarray) -> tuple[np.ndarray, float]:
+        a_v = self.A.restricted_matvec(block, v)
+        return self.A.transpose_matvec(a_v), float(np.dot(a_v, a_v))
+
+    def apply(self, v: np.ndarray) -> np.ndarray:
+        return self.A.transpose_matvec(self.A.matvec(v))
+
+
+class GramKernel(NormalKernel):
+    """The same products read from G = A^T A, formed once when the kernel is made.
+
+    A step then costs O(n |tau|) and reads no length-m vector; G is n-by-n,
+    never larger than A since problems require m >= n.  Forming it is one
+    BLAS-3 pass that each run pays inside its own timing, so the kernel is
+    made per run and never stored on the shared, immutable matrix.
+    """
+
+    def __init__(self, A: DenseMatrix):
+        super().__init__(A)
+        a = A.array
+        self._g = a.T @ a
+
+    def step(self, block, v):
+        # G is symmetric, so its rows on the block are the columns A^T A_tau
+        g = v @ self._g[block]
+        return g, float(np.dot(v, g[block]))
+
+    def apply(self, v):
+        return self._g @ v

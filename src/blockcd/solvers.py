@@ -12,23 +12,28 @@ Q never formed.  The oracle keeps its own hand-rolled QR as the independent
 route that audits this subsolve.  cs-madbcd is madbcd on (SA, Sb), the
 problem compressed by a count sketch S with d_factor * n rows.
 
-Every method steps through ``SolverState.advance``, the heavy-ball move that
-also updates r = b - A x and the difference image w = A(x - x_prev); both
-are recomputed from scratch every ``RESIDUAL_REFRESH`` steps to bound drift.
-The gradient s is recomputed fresh every iteration since block updates
-touch unpredictable column subsets.
+The loop runs in n-space.  Its state is (x, x_prev, s, u) with s = A^T r and
+u = A^T A (x - x_prev), and every method steps through
+``SolverState.advance``: x moves by d on the block plus beta (x - x_prev),
+u becomes A^T A_tau d + beta u and s becomes s - u.  The one product a step
+needs, (A^T A_tau v, ||A_tau v||^2), comes from the matrix's per-run
+``normal_kernel``: a dense matrix reads it from G = A^T A, formed once per
+run inside the timed solve, and CSC storage pays a restricted and a
+transpose matvec.  Every ``RESIDUAL_REFRESH`` steps s and u are recomputed
+from x to bound drift, and a stop on the normal residual is confirmed on a
+fresh A^T (b - A x) before it is reported.
 """
 
 from __future__ import annotations
 
 import math
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import Callable
 
 import numpy as np
 
-from .matrix import Matrix, RankDeficiencyError
+from .matrix import Matrix, NormalKernel, RankDeficiencyError
 from .sketch import cs_prepare
 
 __all__ = [
@@ -55,8 +60,10 @@ MADBCD = "madbcd"
 CS_MADBCD = "cs-madbcd"
 METHODS = ("cd", "fbcd", "mrbgs", MADBCD, CS_MADBCD)
 
-# incremental r and w are re-derived from x this often
+# the incremental s and u are re-derived from x this often
 RESIDUAL_REFRESH = 50
+ZERO_RESIDUAL_STOP = "converged: zero normal-equation residual"
+GRADIENT_FALLBACK_STOP = "converged: gradient fallback threshold"
 MRBGS_FRACTION = 0.3  # mrbgs's block: every j with s_j^2 >= this fraction of max_j s_j^2
 
 
@@ -128,46 +135,96 @@ class StoppingRule:
 
 @dataclass
 class SolverState:
-    """One iterate of any method, with the incrementally maintained vectors."""
+    """One iterate of any method, with the incrementally maintained n-vectors.
+
+    `grad` is s = A^T (b - A x_curr) and `grad_step` is u = A^T A (x_curr -
+    x_prev), so each step sets grad to the previous grad - grad_step.  r is
+    carried only where a subsolve step produced it (`subsolve_residual`);
+    otherwise `residual` computes it from x on read.
+    """
 
     x_curr: np.ndarray
     x_prev: np.ndarray
-    residual: np.ndarray
-    diff_image: np.ndarray  # w = A (x_curr - x_prev)
+    grad: np.ndarray
+    grad_step: np.ndarray
+    kernel: NormalKernel
+    b: np.ndarray
     k: int = 0
+    subsolve_residual: np.ndarray | None = None
 
     @classmethod
     def initial(cls, A: Matrix, b: np.ndarray, x0: np.ndarray | None = None) -> "SolverState":
-        m, n = A.shape
+        """x_prev = x_curr = x0 (zero by default); makes the run's normal kernel."""
         if x0 is None:
-            x = np.zeros(n)
+            x = np.zeros(A.cols)
             r = np.array(b, dtype=np.float64)
         else:
             x = np.array(x0, dtype=np.float64)
             r = b - A.matvec(x)
-        return cls(x_curr=x, x_prev=x.copy(), residual=r, diff_image=np.zeros(m), k=0)
+        return cls(
+            x_curr=x,
+            x_prev=x.copy(),
+            grad=A.transpose_matvec(r),
+            grad_step=np.zeros(A.cols),
+            kernel=A.normal_kernel(),
+            b=b,
+        )
+
+    @property
+    def residual(self) -> np.ndarray:
+        """r = b - A x_curr."""
+        if self.subsolve_residual is not None:
+            return self.subsolve_residual
+        return self.b - self.kernel.A.matvec(self.x_curr)
 
     def advance(
-        self, block: np.ndarray, d: np.ndarray, a_d: np.ndarray, beta: float = 0.0
+        self,
+        block: np.ndarray,
+        d: np.ndarray,
+        g: np.ndarray,
+        beta: float = 0.0,
+        residual: np.ndarray | None = None,
     ) -> "SolverState":
-        """x + beta (x - x_prev) + d on `block`, with w = a_d + beta w for a_d = A_tau d."""
+        """x + beta (x - x_prev) + d on `block`, with u = g + beta u for g = A^T A_tau d.
+
+        `residual` is the r of the new iterate when the step produced one.
+        """
         x_next = self.x_curr + beta * (self.x_curr - self.x_prev)
         x_next[block] += d
-        w_next = a_d + beta * self.diff_image
+        u_next = g + beta * self.grad_step
         return SolverState(
             x_curr=x_next,
             x_prev=self.x_curr,
-            residual=self.residual - w_next,
-            diff_image=w_next,
+            grad=self.grad - u_next,
+            grad_step=u_next,
+            kernel=self.kernel,
+            b=self.b,
             k=self.k + 1,
+            subsolve_residual=residual,
         )
+
+    def refreshed(self) -> tuple["SolverState", float]:
+        """This iterate with s and u recomputed from x, and the drift ||s - fresh s||."""
+        A = self.kernel.A
+        r = self.b - A.matvec(self.x_curr)
+        grad = A.transpose_matvec(r)
+        drift = float(np.linalg.norm(self.grad - grad))
+        grad_step = self.kernel.apply(self.x_curr - self.x_prev)
+        return replace(self, grad=grad, grad_step=grad_step, subsolve_residual=None), drift
+
+    def kernel_of(self, A: Matrix) -> NormalKernel:
+        """The run's kernel, after checking that `A` is the matrix it was made for."""
+        if A is not self.kernel.A:
+            raise ValueError("the solver state was started on another matrix")
+        return self.kernel
 
 
 @dataclass(frozen=True)
 class IterationRecord:
     """Per-iterate trace entry; block fields describe the step leaving it.
 
-    `normal_residual` is ||A^T r||.  Each curve column is one of these fields.
+    `normal_residual` is ||s||, the incrementally carried s = A^T r (fresh
+    at a refresh and at a stop on it).  Each curve column is one of these fields.
     """
 
     k: int
@@ -180,7 +237,11 @@ class IterationRecord:
 
 @dataclass
 class ConvergenceReport:
-    """Everything a run produced: history, final iterate, and why it stopped."""
+    """Everything a run produced: history, final iterate, and why it stopped.
+
+    `residual_drift` holds (k, ||s - A^T (b - A x_k)||) at every refresh: the
+    drift of the incrementally carried normal-equation residual s.
+    """
 
     method: str
     beta: float
@@ -281,9 +342,8 @@ def line_search_update(
     step; on a singleton block it is the coordinate step s_j / ||a_j||^2.
     """
     eta = s[block]
-    a_eta = A.restricted_matvec(block, eta)
-    denom = float(np.dot(a_eta, a_eta))
-    if denom == 0.0:
+    g, denom = state.kernel_of(A).step(block, eta)
+    if not denom > 0.0:
         raise RankDeficiencyError(
             int(block[0]),
             0.0,
@@ -291,7 +351,7 @@ def line_search_update(
         )
     eta_dot_s = float(np.dot(eta, eta))
     c = eta_dot_s / denom
-    return state.advance(block, c * eta, c * a_eta, beta), eta_dot_s
+    return state.advance(block, c * eta, c * g, beta), eta_dot_s
 
 
 def householder_lstsq(a: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -319,10 +379,17 @@ def householder_lstsq(a: np.ndarray, b: np.ndarray) -> np.ndarray:
 
 
 def subsolve_update(state: SolverState, A: Matrix, block: np.ndarray) -> SolverState:
-    """Maximal-residual block step: exact least-squares subsolve on the block's columns."""
+    """Maximal-residual block step: exact least-squares subsolve on the block's columns.
+
+    r stays incremental, r - A_tau d: near convergence a residual recomputed
+    from x is rounding noise relative to the r the subsolve must make
+    orthogonal to A_tau.
+    """
+    kernel = state.kernel_of(A)
     a_tau = A.gather_columns(block)
+    r = state.residual
     try:
-        d = householder_lstsq(a_tau, state.residual)
+        d = householder_lstsq(a_tau, r)
     except RankDeficiencyError as exc:
         raise RankDeficiencyError(
             int(block[exc.column]),
@@ -330,7 +397,7 @@ def subsolve_update(state: SolverState, A: Matrix, block: np.ndarray) -> SolverS
             f"rank-deficient subproblem on block {block.tolist()}: "
             f"|R_jj|={exc.magnitude:.3e} at block position {exc.column}",
         ) from exc
-    return state.advance(block, d, a_tau @ d)
+    return state.advance(block, d, kernel.step(block, d)[0], residual=r - a_tau @ d)
 
 
 def run_solver(
@@ -372,40 +439,44 @@ def run_solver(
 
     select = block_rule(params, A)
 
+    def verdict(s_norm_sq: float, rse: float | None, k: int, elapsed: float) -> str:
+        if not math.isfinite(s_norm_sq):
+            return "diverged: non-finite normal-equation residual"
+        if rse is not None and stop.rse_threshold is not None and rse < stop.rse_threshold:
+            return "converged: rse threshold"
+        if s_norm_sq == 0.0:
+            return ZERO_RESIDUAL_STOP
+        if grad_floor is not None and grad_floor > 0.0 and math.sqrt(s_norm_sq) <= grad_floor:
+            return GRADIENT_FALLBACK_STOP
+        if stop.max_iterations is not None and k >= stop.max_iterations:
+            return "max iterations exceeded"
+        if stop.time_budget_s is not None and elapsed >= stop.time_budget_s:
+            return "time budget exhausted"
+        return ""
+
+    # G = A^T A of a dense matrix is formed here, so the solve time pays for it
+    t0 = time.perf_counter()
     state = SolverState.initial(A, b, x0)
     records: list[IterationRecord] = []
     drift_log: list[tuple[int, float]] = []
     iterates, blocks = ([state.x_curr.copy()], []) if record_history else (None, None)
 
-    t0 = time.perf_counter()
-    stop_reason = ""
-    converged = False
     while True:
         k = state.k
         rse = compute_rse(state.x_curr, x_star) if x_star is not None else None
-        s = A.transpose_matvec(state.residual)
-        s_norm_sq = float(np.dot(s, s))
-        normal_residual = math.sqrt(s_norm_sq)
+        s_norm_sq = float(np.dot(state.grad, state.grad))
         elapsed = time.perf_counter() - t0
-
-        if not math.isfinite(s_norm_sq):
-            stop_reason = "diverged: non-finite normal-equation residual"
-        elif rse is not None and stop.rse_threshold is not None and rse < stop.rse_threshold:
-            stop_reason = "converged: rse threshold"
-            converged = True
-        elif s_norm_sq == 0.0:
-            stop_reason = "converged: zero normal-equation residual"
-            converged = True
-        elif grad_floor is not None and grad_floor > 0.0 and normal_residual <= grad_floor:
-            stop_reason = "converged: gradient fallback threshold"
-            converged = True
-        elif stop.max_iterations is not None and k >= stop.max_iterations:
-            stop_reason = "max iterations exceeded"
-        elif stop.time_budget_s is not None and elapsed >= stop.time_budget_s:
-            stop_reason = "time budget exhausted"
+        stop_reason = verdict(s_norm_sq, rse, k, elapsed)
+        if stop_reason in (ZERO_RESIDUAL_STOP, GRADIENT_FALLBACK_STOP):
+            # the incremental s may have drifted: stop only if a fresh
+            # A^T (b - A x) agrees, and otherwise go on from the fresh s
+            state, _ = state.refreshed()
+            s_norm_sq = float(np.dot(state.grad, state.grad))
+            stop_reason = verdict(s_norm_sq, rse, k, elapsed)
 
         block_size, eta_dot_s = 0, math.nan
         if not stop_reason:
+            s = state.grad
             block = select(s)
             if params.method == "mrbgs":
                 state = subsolve_update(state, A, block)
@@ -416,7 +487,7 @@ def run_solver(
             IterationRecord(
                 k=k,
                 rse=rse,
-                normal_residual=normal_residual,
+                normal_residual=math.sqrt(s_norm_sq),
                 block_size=block_size,
                 elapsed_s=elapsed,
                 eta_dot_s=eta_dot_s,
@@ -429,11 +500,8 @@ def run_solver(
             blocks.append(block)
 
         if state.k % RESIDUAL_REFRESH == 0:
-            fresh = b - A.matvec(state.x_curr)
-            drift = float(np.linalg.norm(state.residual - fresh))
+            state, drift = state.refreshed()
             drift_log.append((state.k, drift))
-            state.residual = fresh
-            state.diff_image = A.matvec(state.x_curr - state.x_prev)
 
     solve_seconds = time.perf_counter() - t0
     return ConvergenceReport(
@@ -442,7 +510,7 @@ def run_solver(
         records=records,
         x_final=state.x_curr,
         stop_reason=stop_reason,
-        converged=converged,
+        converged=stop_reason.startswith("converged"),
         solve_seconds=solve_seconds,
         prep_seconds=prep_seconds,
         problem_label=problem_label,

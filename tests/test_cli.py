@@ -433,3 +433,21 @@ def test_console_script_entry_point():
     )
     assert proc.returncode == 0
     assert "converged" in proc.stdout
+
+
+def test_inconsistent_sketch_warning_names_the_run_not_the_library(tmp_path, capsys):
+    bundle = tmp_path / "noisy"
+    assert main(["gen", "--problem", "gaussian:400:20", "--out", str(bundle)]) == 0
+    capsys.readouterr()
+    lines = (bundle / "b.txt").read_text().splitlines()
+    lines[0] = repr(float(lines[0]) + 1.0)
+    (bundle / "b.txt").write_text("\n".join(lines) + "\n")
+    proc = subprocess.run(
+        [sys.executable, "-m", "blockcd.cli", "solve", "--problem", str(bundle),
+         "--method", "cs-madbcd", "--max-it", "50"],
+        capture_output=True,
+        text=True,
+    )
+    assert proc.returncode == 3
+    assert "warning: count-sketch preprocessing of an inconsistent system" in proc.stderr
+    assert ".py:" not in proc.stderr and "UserWarning" not in proc.stderr

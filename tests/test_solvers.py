@@ -201,18 +201,19 @@ def test_every_method_moves_by_the_shared_transition():
             A, b = sketched.A, sketched.b
         select = block_rule(params, A)
         state = SolverState.initial(A, b)
+        a = A.to_dense()
         iterates = [state.x_curr]
         for _ in range(6):
-            s = A.transpose_matvec(state.residual)
+            s = state.grad
             block = select(s)
             if method == "mrbgs":
                 nxt = subsolve_update(state, A, block)
             else:
                 nxt = line_search_update(state, A, block, s, params.beta)[0]
             assert np.array_equal(nxt.x_prev, state.x_curr), method
-            assert np.array_equal(nxt.residual, state.residual - nxt.diff_image), method
-            image = A.matvec(nxt.x_curr - nxt.x_prev)
-            err = np.linalg.norm(nxt.diff_image - image)
+            assert np.array_equal(nxt.grad, state.grad - nxt.grad_step), method
+            image = a.T @ (a @ (nxt.x_curr - nxt.x_prev))
+            err = np.linalg.norm(nxt.grad_step - image)
             assert err <= 1e-12 * np.linalg.norm(image), method
             state = nxt
             iterates.append(state.x_curr)
@@ -245,39 +246,50 @@ class TestMadbcdStep:
 
     def test_momentum_arithmetic(self):
         A = DenseMatrix(np.eye(2))
+        # x_curr - x_prev = (0, 2), r = b - x_curr = (1, 0)
         state = SolverState(
             x_curr=np.array([0.0, 2.0]),
             x_prev=np.array([0.0, 0.0]),
-            residual=np.array([1.0, 0.0]),
-            diff_image=np.array([0.0, 2.0]),
+            grad=np.array([1.0, 0.0]),
+            grad_step=np.array([0.0, 2.0]),
+            kernel=A.normal_kernel(),
+            b=np.array([1.0, 2.0]),
             k=1,
         )
         state, block = step(state, A, "madbcd", beta=0.5)
         assert block.tolist() == [0]
         assert_allclose(state.x_curr, [1.0, 3.0])
+        assert_allclose(state.grad_step, [1.0, 1.0])
+        assert_allclose(state.grad, [0.0, -1.0])
+        assert_allclose(state.grad, A.transpose_matvec(state.residual))
 
     def test_beta_zero_ignores_momentum_state(self, rng):
         # beta = 0 takes the general formula, which must leave no trace of a
-        # nonzero x_curr - x_prev or w in the result, bit for bit
+        # nonzero x_curr - x_prev or u in the result, bit for bit
         a = rng.standard_normal((15, 6))
         A = DenseMatrix(a)
         x_curr, x_prev = rng.standard_normal(6), rng.standard_normal(6)
+        b = rng.standard_normal(15)
+        kernel = A.normal_kernel()
         state = SolverState(
             x_curr=x_curr,
             x_prev=x_prev,
-            residual=rng.standard_normal(15) - a @ x_curr,
-            diff_image=a @ (x_curr - x_prev),
+            grad=a.T @ (b - a @ x_curr),
+            grad_step=a.T @ (a @ (x_curr - x_prev)),
+            kernel=kernel,
+            b=b,
             k=3,
         )
-        s = A.transpose_matvec(state.residual)
+        s = state.grad
         block = select_block_madbcd(s)
         nxt, eta_dot_s = line_search_update(state, A, block, s, 0.0)
-        a_eta = A.restricted_matvec(block, s[block])
-        c = eta_dot_s / float(np.dot(a_eta, a_eta))
+        g, denom = kernel.step(block, s[block])
+        c = eta_dot_s / denom
         expected = x_curr.copy()
         expected[block] += c * s[block]
         assert np.array_equal(nxt.x_curr, expected)
-        assert np.array_equal(nxt.diff_image, c * a_eta)
+        assert np.array_equal(nxt.grad_step, c * g)
+        assert np.array_equal(nxt.grad, s - c * g)
         assert np.array_equal(nxt.x_prev, x_curr)
 
     def test_fixed_point_stops_driver(self):
@@ -540,6 +552,65 @@ class TestRunSolver:
         for k, drift in report.residual_drift:
             assert k % RESIDUAL_REFRESH == 0
             assert drift <= 1e-8 * b_norm
+
+    @pytest.mark.parametrize("method", ["cd", "fbcd", "madbcd", "cs-madbcd"])
+    def test_dense_step_touches_no_m_length_kernel(self, monkeypatch, method):
+        # a dense step reads G = A^T A; only refreshes and stop confirmations
+        # pass over A (cs-madbcd also checks the unsketched system's consistency)
+        problem = make_consistent_problem(gen_gaussian_dense(300, 40, 11), 12)
+        calls = dict.fromkeys(("transpose_matvec", "restricted_matvec", "matvec"), 0)
+        for name in calls:
+            original = getattr(DenseMatrix, name)
+
+            def counted(self, *args, _name=name, _original=original):
+                calls[_name] += 1
+                return _original(self, *args)
+
+            monkeypatch.setattr(DenseMatrix, name, counted)
+        momentum = method in ("madbcd", "cs-madbcd")
+        params = MethodParams(
+            method, 0.3 if momentum else 0.0, d_factor=4 if method == "cs-madbcd" else None
+        )
+        steps = 2 * RESIDUAL_REFRESH + 7
+        report = run_solver(
+            problem, params, StoppingRule(rse_threshold=None, max_iterations=steps),
+            sketch_seed=3,
+        )
+        assert report.iterations == steps
+        bound = 2 * math.ceil(steps / RESIDUAL_REFRESH) + 2
+        assert calls["restricted_matvec"] == 0
+        assert calls["transpose_matvec"] <= bound and calls["matvec"] <= bound, calls
+
+    def test_normal_residual_stop_is_true(self):
+        # columns scaled over 1e3 make the drift of the incremental s matter at
+        # this threshold: a gradient-fallback stop must hold on a fresh A^T r
+        rng = np.random.default_rng(12)
+        a = rng.standard_normal((200, 20))
+        scales = np.logspace(0, 3, 20)
+        sparse = a * (rng.random(a.shape) < 0.3) * scales
+        b = rng.standard_normal(200)
+        threshold = 1e-14
+        matrices = {
+            "dense": DenseMatrix(a),
+            "dense-scaled": DenseMatrix(a * scales),
+            "csc-scaled": SparseMatrixCSC.from_dense(sparse),
+        }
+        for label, A in matrices.items():
+            blind = ProblemInstance(A=A, b=b, label=label)
+            dense = A.to_dense()
+            floor = threshold * np.linalg.norm(dense.T @ b)
+            stopped = 0
+            for method, beta in [("cd", 0.0), ("fbcd", 0.0), ("mrbgs", 0.0), ("madbcd", 0.3)]:
+                report = run_solver(
+                    blind, MethodParams(method, beta),
+                    StoppingRule(rse_threshold=threshold, max_iterations=3000),
+                )
+                if report.stop_reason != "converged: gradient fallback threshold":
+                    continue
+                stopped += 1
+                x = report.x_final
+                assert np.linalg.norm(dense.T @ (b - dense @ x)) <= floor, (label, method)
+            assert stopped >= 3, label
 
     def test_max_iterations_is_a_reported_outcome(self):
         problem = make_consistent_problem(gen_gaussian_dense(40, 10, 1), 2)
