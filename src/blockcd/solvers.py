@@ -12,8 +12,10 @@ Q never formed.  The oracle keeps its own hand-rolled QR as the independent
 route that audits this subsolve.  cs-madbcd is madbcd on (SA, Sb), the
 problem compressed by a count sketch S with d_factor * n rows.
 
-The loop runs in n-space.  Its state is (x, x_prev, s, u) with s = A^T r and
-u = A^T A (x - x_prev), and every method steps through
+The loop runs in n-space from x = 0.  Its state is (x, x_prev, s, u) with
+s = A^T r and u = A^T A (x - x_prev), and it holds the run's matrix, so a
+step takes only the state and its block: ``line_search_update(state, block,
+beta)`` and ``subsolve_update(state, block)``.  Both go through
 ``SolverState.advance``: x moves by d on the block plus beta (x - x_prev),
 u becomes A^T A_tau d + beta u and s becomes s - u.  The one product a step
 needs, (A^T A_tau v, ||A_tau v||^2), comes from the matrix's per-run
@@ -153,18 +155,12 @@ class SolverState:
     subsolve_residual: np.ndarray | None = None
 
     @classmethod
-    def initial(cls, A: Matrix, b: np.ndarray, x0: np.ndarray | None = None) -> "SolverState":
-        """x_prev = x_curr = x0 (zero by default); makes the run's normal kernel."""
-        if x0 is None:
-            x = np.zeros(A.cols)
-            r = np.array(b, dtype=np.float64)
-        else:
-            x = np.array(x0, dtype=np.float64)
-            r = b - A.matvec(x)
+    def initial(cls, A: Matrix, b: np.ndarray) -> "SolverState":
+        """x_prev = x_curr = 0, so s = A^T b; makes the run's normal kernel."""
         return cls(
-            x_curr=x,
-            x_prev=x.copy(),
-            grad=A.transpose_matvec(r),
+            x_curr=np.zeros(A.cols),
+            x_prev=np.zeros(A.cols),
+            grad=A.transpose_matvec(b),
             grad_step=np.zeros(A.cols),
             kernel=A.normal_kernel(),
             b=b,
@@ -212,12 +208,6 @@ class SolverState:
         grad_step = self.kernel.apply(self.x_curr - self.x_prev)
         return replace(self, grad=grad, grad_step=grad_step, subsolve_residual=None), drift
 
-    def kernel_of(self, A: Matrix) -> NormalKernel:
-        """The run's kernel, after checking that `A` is the matrix it was made for."""
-        if A is not self.kernel.A:
-            raise ValueError("the solver state was started on another matrix")
-        return self.kernel
-
 
 @dataclass(frozen=True)
 class IterationRecord:
@@ -239,8 +229,9 @@ class IterationRecord:
 class ConvergenceReport:
     """Everything a run produced: history, final iterate, and why it stopped.
 
-    `residual_drift` holds (k, ||s - A^T (b - A x_k)||) at every refresh: the
-    drift of the incrementally carried normal-equation residual s.
+    `residual_drift` holds (k, ||s - A^T (b - A x_k)||) at every refresh,
+    including the one that confirms a stop on the normal residual: the drift
+    of the incrementally carried normal-equation residual s.
     """
 
     method: str
@@ -334,15 +325,16 @@ def block_rule(params: MethodParams, A: Matrix) -> Callable[[np.ndarray], np.nda
 
 
 def line_search_update(
-    state: SolverState, A: Matrix, block: np.ndarray, s: np.ndarray, beta: float
+    state: SolverState, block: np.ndarray, beta: float = 0.0
 ) -> tuple[SolverState, float]:
     """Exact line search along eta = s[block] on the block's columns, plus momentum.
 
-    Returns the next state and eta^T s.  With beta = 0 this is the plain block
-    step; on a singleton block it is the coordinate step s_j / ||a_j||^2.
+    s is the state's `grad`.  Returns the next state and eta^T s.  With
+    beta = 0 this is the plain block step; on a singleton block it is the
+    coordinate step s_j / ||a_j||^2.
     """
-    eta = s[block]
-    g, denom = state.kernel_of(A).step(block, eta)
+    eta = state.grad[block]
+    g, denom = state.kernel.step(block, eta)
     if not denom > 0.0:
         raise RankDeficiencyError(
             int(block[0]),
@@ -378,15 +370,14 @@ def householder_lstsq(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return np.linalg.solve(r[:k, :k], r[:k, k])
 
 
-def subsolve_update(state: SolverState, A: Matrix, block: np.ndarray) -> SolverState:
+def subsolve_update(state: SolverState, block: np.ndarray) -> SolverState:
     """Maximal-residual block step: exact least-squares subsolve on the block's columns.
 
     r stays incremental, r - A_tau d: near convergence a residual recomputed
     from x is rounding noise relative to the r the subsolve must make
     orthogonal to A_tau.
     """
-    kernel = state.kernel_of(A)
-    a_tau = A.gather_columns(block)
+    a_tau = state.kernel.A.gather_columns(block)
     r = state.residual
     try:
         d = householder_lstsq(a_tau, r)
@@ -397,7 +388,7 @@ def subsolve_update(state: SolverState, A: Matrix, block: np.ndarray) -> SolverS
             f"rank-deficient subproblem on block {block.tolist()}: "
             f"|R_jj|={exc.magnitude:.3e} at block position {exc.column}",
         ) from exc
-    return state.advance(block, d, kernel.step(block, d)[0], residual=r - a_tau @ d)
+    return state.advance(block, d, state.kernel.step(block, d)[0], residual=r - a_tau @ d)
 
 
 def run_solver(
@@ -405,13 +396,13 @@ def run_solver(
     params: MethodParams,
     stop: StoppingRule,
     *,
-    x0: np.ndarray | None = None,
     record_history: bool = False,
     sketch_seed: int | None = None,
 ) -> ConvergenceReport:
     """Iterate `params.method` on `problem` until a stopping limit fires.
 
-    Starts from x_prev = x_curr = x0 (zero by default).  Records one
+    Starts from x_prev = x_curr = 0 and steps with ``line_search_update(state,
+    block, beta)`` or ``subsolve_update(state, block)``.  Records one
     IterationRecord per iterate including the initial one, so a run of IT
     steps yields IT + 1 records; `record_history` also keeps every iterate and
     block, for the oracle's audits.  Non-convergence by iteration or time limit
@@ -422,20 +413,14 @@ def run_solver(
     report names the unsketched problem and carries the sketching time as
     prep seconds.
     """
-    problem_label, prep_seconds = getattr(problem, "label", ""), 0.0
+    problem_label, prep_seconds = problem.label, 0.0
     d = params.sketch_rows(problem.A.cols)
     if d is not None:
         if sketch_seed is None:
             raise ValueError(f"{params.method} needs a sketch_seed to draw its count sketch")
         problem, prep_seconds = cs_prepare(problem, d, sketch_seed)
     A: Matrix = problem.A
-    b = problem.b
     x_star = problem.x_star
-
-    # no ground truth: rse_threshold bounds ||A^T r|| / ||A^T b|| instead
-    grad_floor = None
-    if x_star is None and stop.rse_threshold is not None:
-        grad_floor = stop.rse_threshold * float(np.linalg.norm(A.transpose_matvec(b)))
 
     select = block_rule(params, A)
 
@@ -456,7 +441,12 @@ def run_solver(
 
     # G = A^T A of a dense matrix is formed here, so the solve time pays for it
     t0 = time.perf_counter()
-    state = SolverState.initial(A, b, x0)
+    state = SolverState.initial(A, problem.b)
+    # no ground truth: rse_threshold bounds ||A^T r|| / ||A^T b|| instead,
+    # and the start's s is A^T b
+    grad_floor = None
+    if x_star is None and stop.rse_threshold is not None:
+        grad_floor = stop.rse_threshold * float(np.linalg.norm(state.grad))
     records: list[IterationRecord] = []
     drift_log: list[tuple[int, float]] = []
     iterates, blocks = ([state.x_curr.copy()], []) if record_history else (None, None)
@@ -470,18 +460,18 @@ def run_solver(
         if stop_reason in (ZERO_RESIDUAL_STOP, GRADIENT_FALLBACK_STOP):
             # the incremental s may have drifted: stop only if a fresh
             # A^T (b - A x) agrees, and otherwise go on from the fresh s
-            state, _ = state.refreshed()
+            state, drift = state.refreshed()
+            drift_log.append((k, drift))
             s_norm_sq = float(np.dot(state.grad, state.grad))
             stop_reason = verdict(s_norm_sq, rse, k, elapsed)
 
         block_size, eta_dot_s = 0, math.nan
         if not stop_reason:
-            s = state.grad
-            block = select(s)
+            block = select(state.grad)
             if params.method == "mrbgs":
-                state = subsolve_update(state, A, block)
+                state = subsolve_update(state, block)
             else:
-                state, eta_dot_s = line_search_update(state, A, block, s, params.beta)
+                state, eta_dot_s = line_search_update(state, block, params.beta)
             block_size = block.size
         records.append(
             IterationRecord(

@@ -298,7 +298,7 @@ def test_criterion_09_mrbgs_subsolve_optimality():
             if float(np.dot(s, s)) == 0.0:
                 break
             block = select_block_mrbgs(s)
-            state = subsolve_update(state, prob.A, block)
+            state = subsolve_update(state, block)
             a_tau = prob.A.gather_columns(block)
             resid = float(np.linalg.norm(a_tau.T @ state.residual))
             bound = 1e-10 * float(np.linalg.norm(a_tau)) * r_before

@@ -35,13 +35,18 @@ def identity_problem(b):
     return ProblemInstance(A=A, b=b, x_star=b.copy())
 
 
+def blind_problem():
+    """300x40 Gaussian with a random b and no x_star: stops on the gradient fallback."""
+    b = np.random.default_rng(12).standard_normal(300)
+    return ProblemInstance(A=gen_gaussian_dense(300, 40, 11), b=b)
+
+
 def step(state, A, method, beta=0.0):
     """One step of `method` from `state`, built as run_solver builds it."""
-    s = A.transpose_matvec(state.residual)
-    block = block_rule(MethodParams(method, beta), A)(s)
+    block = block_rule(MethodParams(method, beta), A)(state.grad)
     if method == "mrbgs":
-        return subsolve_update(state, A, block), block
-    return line_search_update(state, A, block, s, beta)[0], block
+        return subsolve_update(state, block), block
+    return line_search_update(state, block, beta)[0], block
 
 
 class TestSelectMadbcd:
@@ -81,7 +86,7 @@ class TestSelectMadbcd:
         state = SolverState.initial(A, rng.standard_normal(20))
         s = A.transpose_matvec(state.residual)
         block = select_block_madbcd(s)
-        nxt, eta_dot_s = line_search_update(state, A, block, s, 0.0)
+        nxt, eta_dot_s = line_search_update(state, block)
         step_ = nxt.x_curr - state.x_curr
         off_block = np.setdiff1d(np.arange(9), block)
         assert np.all(step_[off_block] == 0.0)
@@ -207,9 +212,9 @@ def test_every_method_moves_by_the_shared_transition():
             s = state.grad
             block = select(s)
             if method == "mrbgs":
-                nxt = subsolve_update(state, A, block)
+                nxt = subsolve_update(state, block)
             else:
-                nxt = line_search_update(state, A, block, s, params.beta)[0]
+                nxt = line_search_update(state, block, params.beta)[0]
             assert np.array_equal(nxt.x_prev, state.x_curr), method
             assert np.array_equal(nxt.grad, state.grad - nxt.grad_step), method
             image = a.T @ (a @ (nxt.x_curr - nxt.x_prev))
@@ -282,7 +287,7 @@ class TestMadbcdStep:
         )
         s = state.grad
         block = select_block_madbcd(s)
-        nxt, eta_dot_s = line_search_update(state, A, block, s, 0.0)
+        nxt, eta_dot_s = line_search_update(state, block)
         g, denom = kernel.step(block, s[block])
         c = eta_dot_s / denom
         expected = x_curr.copy()
@@ -293,16 +298,16 @@ class TestMadbcdStep:
         assert np.array_equal(nxt.x_prev, x_curr)
 
     def test_fixed_point_stops_driver(self):
-        problem = identity_problem([1.0, 2.0])
+        # b = 0 makes the start x = 0 a solution: s = A^T b is exactly zero
+        problem = ProblemInstance(A=DenseMatrix(np.eye(2)), b=np.zeros(2))
         report = run_solver(
             problem,
             MethodParams("madbcd", 0.0),
             StoppingRule(rse_threshold=None, max_iterations=50),
-            x0=problem.x_star,
         )
         assert report.iterations == 0
         assert report.converged
-        assert_allclose(report.x_final, problem.x_star)
+        assert np.array_equal(report.x_final, np.zeros(2))
 
 
 class TestFbcdStep:
@@ -419,7 +424,7 @@ class TestSubsolveQr:
         A = DenseMatrix(a)
         state = SolverState.initial(A, rng.standard_normal(30))
         with pytest.raises(RankDeficiencyError) as exc:
-            subsolve_update(state, A, np.array([0, 2, 5, 7], dtype=np.int64))
+            subsolve_update(state, np.array([0, 2, 5, 7], dtype=np.int64))
         assert exc.value.column == 5
 
     def test_solver_does_not_use_the_oracle(self, monkeypatch):
@@ -507,7 +512,7 @@ class TestRunSolver:
         assert ks == list(range(report.iterations + 1))
         assert all(rec.block_size >= 1 for rec in report.records[:-1])
         assert report.records[-1].block_size == 0
-        assert report.records[0].rse == pytest.approx(1.0)  # x0 = 0
+        assert report.records[0].rse == pytest.approx(1.0)  # the start is x = 0
         assert report.stop_reason == "converged: rse threshold"
 
     def test_block_lower_bound_identity_on_every_iteration(self):
@@ -581,6 +586,35 @@ class TestRunSolver:
         assert calls["restricted_matvec"] == 0
         assert calls["transpose_matvec"] <= bound and calls["matvec"] <= bound, calls
 
+    def test_blind_run_passes_over_a_once_to_start(self, monkeypatch):
+        # the gradient-fallback floor reads ||A^T b|| from the start's s
+        calls = []
+        original = DenseMatrix.transpose_matvec
+
+        def counted(self, r):
+            calls.append(r.shape)
+            return original(self, r)
+
+        monkeypatch.setattr(DenseMatrix, "transpose_matvec", counted)
+        report = run_solver(
+            blind_problem(),
+            MethodParams("madbcd", 0.3),
+            StoppingRule(rse_threshold=1e-10, max_iterations=1),
+        )
+        assert report.iterations == 1
+        assert len(calls) == 1
+
+    def test_confirming_refresh_logs_its_drift(self):
+        # a gradient-fallback stop is confirmed on a fresh A^T r, whose drift is logged
+        report = run_solver(
+            blind_problem(),
+            MethodParams("madbcd", 0.3),
+            StoppingRule(rse_threshold=1e-10, max_iterations=5000),
+        )
+        assert report.stop_reason == "converged: gradient fallback threshold"
+        assert report.residual_drift
+        assert report.residual_drift[-1][0] == report.iterations
+
     def test_normal_residual_stop_is_true(self):
         # columns scaled over 1e3 make the drift of the incremental s matter at
         # this threshold: a gradient-fallback stop must hold on a fresh A^T r
@@ -624,14 +658,16 @@ class TestRunSolver:
         assert report.iterations == 3
 
     def test_non_finite_iterates_stop_the_run(self):
-        # an overflowing start must terminate even under rse-only stopping
-        problem = make_consistent_problem(gen_gaussian_dense(30, 6, 1), 2)
-        report = run_solver(
-            problem,
-            MethodParams("madbcd", 0.0),
-            StoppingRule(rse_threshold=1e-6),
-            x0=np.full(6, 1e200),
-        )
+        # an overflowing right-hand side must terminate even under rse-only stopping
+        A = gen_gaussian_dense(30, 6, 1)
+        x_star = np.full(6, 1e200)
+        problem = ProblemInstance(A=A, b=A.matvec(x_star), x_star=x_star)
+        with pytest.warns(RuntimeWarning, match="overflow"):
+            report = run_solver(
+                problem,
+                MethodParams("madbcd", 0.0),
+                StoppingRule(rse_threshold=1e-6),
+            )
         assert not report.converged
         assert report.stop_reason.startswith("diverged")
 
