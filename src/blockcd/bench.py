@@ -69,6 +69,8 @@ class ExperimentConfig:
     def __post_init__(self):
         if self.repeats < 1:
             raise ValueError("repeats must be >= 1")
+        if self.master_seed < 0:
+            raise ValueError(f"master_seed must be a non-negative integer, got {self.master_seed}")
         if not self.methods:
             raise ValueError("method list must be nonempty")
         # refuse a bad problem spec before any realization is built

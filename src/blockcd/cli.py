@@ -51,6 +51,13 @@ class _Parser(argparse.ArgumentParser):
         raise SystemExit(EXIT_USAGE)
 
 
+def _seed(text: str) -> int:
+    """A seed option: an integer >= 0, or a usage error naming the option."""
+    if not text.strip().isdecimal():
+        raise argparse.ArgumentTypeError(f"must be a non-negative integer, got {text!r}")
+    return int(text)
+
+
 def _parse_betas(text: str):
     """'a:b:step' grid or a comma-separated list."""
     if ":" in text:
@@ -84,7 +91,7 @@ def _build_parser() -> _Parser:
     ps.add_argument("--tol", type=float, default=1e-6, help="relative solution error threshold")
     ps.add_argument("--max-it", type=int, default=100000)
     ps.add_argument("--time-budget", type=float, default=None)
-    ps.add_argument("--seed", type=int, default=0)
+    ps.add_argument("--seed", type=_seed, default=0)
     ps.add_argument("--d-factor", type=int, default=None,
                     help="sketch rows as a multiple of n (cs-madbcd only, default 4)")
     ps.add_argument("--out", default=None, help="directory for curve.csv and report.json")
@@ -98,17 +105,17 @@ def _build_parser() -> _Parser:
     pw.add_argument("--betas", default="0:0.9:0.05", help="grid lo:hi:step or comma list")
     pw.add_argument("--tol", type=float, default=1e-6)
     pw.add_argument("--max-it", type=int, default=100000)
-    pw.add_argument("--seed", type=int, default=0)
+    pw.add_argument("--seed", type=_seed, default=0)
     pw.add_argument("--repeats", type=int, default=1)
     pw.add_argument("--out", default=None, help="write the bench output files here")
 
     pv = sub.add_parser("verify", help="run the convergence-theory oracle audits")
-    pv.add_argument("--seed", type=int, default=0)
+    pv.add_argument("--seed", type=_seed, default=0)
     pv.add_argument("--instances", type=int, default=10)
 
     pg = sub.add_parser("gen", help="write a problem bundle to disk")
     pg.add_argument("--problem", required=True, help=PROBLEM_GRAMMAR)
-    pg.add_argument("--seed", type=int, default=0)
+    pg.add_argument("--seed", type=_seed, default=0)
     pg.add_argument("--out", required=True)
 
     return p

@@ -6,7 +6,7 @@ code never branches on the representation.  Column-major / CSC layout is
 deliberate: every solver step works column-wise (gradient entries are column
 dot-products, updates are column gathers).
 
-A solver step needs A only through A^T A, which ``Matrix.normal_kernel``
+A solver step needs A only through A^T A_tau, which ``Matrix.normal_kernel``
 supplies per run: by two passes over CSC storage, or from G = A^T A for a
 dense matrix.
 
@@ -289,11 +289,11 @@ class SparseMatrixCSC(Matrix):
 
 
 class NormalKernel:
-    """Products with A^T A for one solver run, by passes over A.
+    """The one product with A^T A a solver step needs, by passes over A.
 
-    `step(block, v)` is the one kernel a solver step calls: it returns
-    (A^T A_tau v, ||A_tau v||^2) for the direction carrying `v` on `block`.
-    `apply(v)` is A^T A v over every column, for the periodic refresh.
+    `step(block, v)` returns (A^T A_tau v, ||A_tau v||^2) for the direction
+    carrying `v` on `block`.  A refresh re-derives s = A^T r from the matrix
+    itself, so the kernel needs no full A^T A v.
     """
 
     def __init__(self, A: Matrix):
@@ -302,9 +302,6 @@ class NormalKernel:
     def step(self, block: np.ndarray, v: np.ndarray) -> tuple[np.ndarray, float]:
         a_v = self.A.restricted_matvec(block, v)
         return self.A.transpose_matvec(a_v), float(np.dot(a_v, a_v))
-
-    def apply(self, v: np.ndarray) -> np.ndarray:
-        return self.A.transpose_matvec(self.A.matvec(v))
 
 
 class GramKernel(NormalKernel):
@@ -325,6 +322,3 @@ class GramKernel(NormalKernel):
         # G is symmetric, so its rows on the block are the columns A^T A_tau
         g = v @ self._g[block]
         return g, float(np.dot(v, g[block]))
-
-    def apply(self, v):
-        return self._g @ v

@@ -130,7 +130,11 @@ def cs_prepare(problem, d: int, seed: int):
     if not problem.consistent:
         warnings.warn(
             "count-sketch preprocessing of an inconsistent system: the sketched "
-            "least-squares solution only approximates the original one",
+            "least-squares solution only approximates the original one"
+            if problem.x_star is not None
+            else "count-sketch preprocessing of a system without x_star: its consistency "
+            "cannot be checked, and if it is inconsistent the sketched least-squares "
+            "solution only approximates the original one",
             stacklevel=2,
         )
     t0 = time.perf_counter()

@@ -21,9 +21,10 @@ u becomes A^T A_tau d + beta u and s becomes s - u.  The one product a step
 needs, (A^T A_tau v, ||A_tau v||^2), comes from the matrix's per-run
 ``normal_kernel``: a dense matrix reads it from G = A^T A, formed once per
 run inside the timed solve, and CSC storage pays a restricted and a
-transpose matvec.  Every ``RESIDUAL_REFRESH`` steps s and u are recomputed
-from x to bound drift, and a stop on the normal residual is confirmed on a
-fresh A^T (b - A x) before it is reported.
+transpose matvec.  Only s accumulates rounding: u is rebuilt from a fresh
+product every step, so its old rounding decays by beta per step.  Every
+``RESIDUAL_REFRESH`` steps, and before a stop on the normal residual is
+reported, ``SolverState.refreshed`` re-derives s alone from x.
 """
 
 from __future__ import annotations
@@ -62,7 +63,7 @@ MADBCD = "madbcd"
 CS_MADBCD = "cs-madbcd"
 METHODS = ("cd", "fbcd", "mrbgs", MADBCD, CS_MADBCD)
 
-# the incremental s and u are re-derived from x this often
+# the incremental s is re-derived from x this often
 RESIDUAL_REFRESH = 50
 ZERO_RESIDUAL_STOP = "converged: zero normal-equation residual"
 GRADIENT_FALLBACK_STOP = "converged: gradient fallback threshold"
@@ -140,8 +141,9 @@ class SolverState:
     """One iterate of any method, with the incrementally maintained n-vectors.
 
     `grad` is s = A^T (b - A x_curr) and `grad_step` is u = A^T A (x_curr -
-    x_prev), so each step sets grad to the previous grad - grad_step.  r is
-    carried only where a subsolve step produced it (`subsolve_residual`);
+    x_prev), so each step sets grad to the previous grad - grad_step.  s alone
+    is refreshed: u is rebuilt each step as a fresh product plus beta u.  r
+    is carried only where a subsolve step produced it (`subsolve_residual`);
     otherwise `residual` computes it from x on read.
     """
 
@@ -174,17 +176,9 @@ class SolverState:
         return self.b - self.kernel.A.matvec(self.x_curr)
 
     def advance(
-        self,
-        block: np.ndarray,
-        d: np.ndarray,
-        g: np.ndarray,
-        beta: float = 0.0,
-        residual: np.ndarray | None = None,
+        self, block: np.ndarray, d: np.ndarray, g: np.ndarray, beta: float = 0.0
     ) -> "SolverState":
-        """x + beta (x - x_prev) + d on `block`, with u = g + beta u for g = A^T A_tau d.
-
-        `residual` is the r of the new iterate when the step produced one.
-        """
+        """x + beta (x - x_prev) + d on `block`, with u = g + beta u for g = A^T A_tau d."""
         x_next = self.x_curr + beta * (self.x_curr - self.x_prev)
         x_next[block] += d
         u_next = g + beta * self.grad_step
@@ -196,17 +190,15 @@ class SolverState:
             kernel=self.kernel,
             b=self.b,
             k=self.k + 1,
-            subsolve_residual=residual,
         )
 
     def refreshed(self) -> tuple["SolverState", float]:
-        """This iterate with s and u recomputed from x, and the drift ||s - fresh s||."""
+        """This iterate with a fresh s = A^T (b - A x), u kept and r dropped, and the drift."""
         A = self.kernel.A
         r = self.b - A.matvec(self.x_curr)
         grad = A.transpose_matvec(r)
         drift = float(np.linalg.norm(self.grad - grad))
-        grad_step = self.kernel.apply(self.x_curr - self.x_prev)
-        return replace(self, grad=grad, grad_step=grad_step, subsolve_residual=None), drift
+        return replace(self, grad=grad, subsolve_residual=None), drift
 
 
 @dataclass(frozen=True)
@@ -229,9 +221,9 @@ class IterationRecord:
 class ConvergenceReport:
     """Everything a run produced: history, final iterate, and why it stopped.
 
-    `residual_drift` holds (k, ||s - A^T (b - A x_k)||) at every refresh,
-    including the one that confirms a stop on the normal residual: the drift
-    of the incrementally carried normal-equation residual s.
+    `residual_drift` holds (k, ||s - A^T (b - A x_k)||) once per refreshed
+    iterate: every RESIDUAL_REFRESH steps, and where a stop on the normal
+    residual is proposed.  It is the drift of the carried s.
     """
 
     method: str
@@ -388,7 +380,8 @@ def subsolve_update(state: SolverState, block: np.ndarray) -> SolverState:
             f"rank-deficient subproblem on block {block.tolist()}: "
             f"|R_jj|={exc.magnitude:.3e} at block position {exc.column}",
         ) from exc
-    return state.advance(block, d, state.kernel.step(block, d)[0], residual=r - a_tau @ d)
+    moved = state.advance(block, d, state.kernel.step(block, d)[0])
+    return replace(moved, subsolve_residual=r - a_tau @ d)
 
 
 def run_solver(
@@ -457,9 +450,11 @@ def run_solver(
         s_norm_sq = float(np.dot(state.grad, state.grad))
         elapsed = time.perf_counter() - t0
         stop_reason = verdict(s_norm_sq, rse, k, elapsed)
-        if stop_reason in (ZERO_RESIDUAL_STOP, GRADIENT_FALLBACK_STOP):
-            # the incremental s may have drifted: stop only if a fresh
-            # A^T (b - A x) agrees, and otherwise go on from the fresh s
+        if stop_reason in (ZERO_RESIDUAL_STOP, GRADIENT_FALLBACK_STOP) or (
+            k > 0 and k % RESIDUAL_REFRESH == 0
+        ):
+            # the incremental s may have drifted: re-derive it, and stop on
+            # it only if the fresh A^T (b - A x) agrees
             state, drift = state.refreshed()
             drift_log.append((k, drift))
             s_norm_sq = float(np.dot(state.grad, state.grad))
@@ -488,10 +483,6 @@ def run_solver(
         if record_history:
             iterates.append(state.x_curr.copy())
             blocks.append(block)
-
-        if state.k % RESIDUAL_REFRESH == 0:
-            state, drift = state.refreshed()
-            drift_log.append((state.k, drift))
 
     solve_seconds = time.perf_counter() - t0
     return ConvergenceReport(

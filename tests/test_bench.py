@@ -67,6 +67,10 @@ class TestConfig:
         with pytest.raises(ValueError, match="repeats"):
             small_config(tmp_path, repeats=0)
 
+    def test_negative_master_seed_refused(self, tmp_path):
+        with pytest.raises(ValueError, match="master_seed must be a non-negative integer, got -3"):
+            small_config(tmp_path, master_seed=-3)
+
     def test_unknown_method_keys_rejected(self, tmp_path):
         with pytest.raises(ValueError, match="unknown method keys"):
             small_config(tmp_path, methods=[{"method": "fbcd", "gamma": 1}])

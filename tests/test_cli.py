@@ -218,9 +218,10 @@ def write_small_config(tmp_path, **overrides):
         ({"problem": {"kind": "gaussian", "m": 50}}, "'n'"),
         ({"problem": DROP}, "missing config keys ['problem']"),
         ({"methods": [{"beta": 0.1}]}, "missing method keys ['method']"),
+        ({"master_seed": -3}, "master_seed must be a non-negative integer, got -3"),
     ],
     ids=["typo-key", "removed-key", "stopping-key", "missing-problem-field",
-         "missing-problem", "missing-method"],
+         "missing-problem", "missing-method", "negative-master-seed"],
 )
 def test_bad_bench_config_exit_one(tmp_path, capsys, change, named):
     path = write_small_config(tmp_path, **change)
@@ -425,6 +426,23 @@ def test_solve_sketch_that_cancels_a_column_exit_one(tmp_path, capsys):
     assert "cancels column 0" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize(
+    "command",
+    [
+        ["solve", "--problem", "gaussian:50:5"],
+        ["sweep-beta", "--problem", "gaussian:50:5"],
+        ["verify"],
+        ["gen", "--problem", "gaussian:50:5", "--out", "bundle"],
+    ],
+    ids=["solve", "sweep-beta", "verify", "gen"],
+)
+def test_negative_seed_is_refused_naming_the_option(tmp_path, monkeypatch, capsys, command):
+    monkeypatch.chdir(tmp_path)
+    assert main(command + ["--seed", "-1"]) == 1
+    assert "argument --seed: must be a non-negative integer, got '-1'" in capsys.readouterr().err
+    assert not (tmp_path / "bundle").exists()
+
+
 def test_console_script_entry_point():
     proc = subprocess.run(
         [sys.executable, "-m", "blockcd.cli", "solve", "--problem", "gaussian:120:20", "--seed", "4"],
@@ -451,3 +469,14 @@ def test_inconsistent_sketch_warning_names_the_run_not_the_library(tmp_path, cap
     assert proc.returncode == 3
     assert "warning: count-sketch preprocessing of an inconsistent system" in proc.stderr
     assert ".py:" not in proc.stderr and "UserWarning" not in proc.stderr
+
+
+def test_sketch_warning_without_x_star_says_consistency_is_unknown(tmp_path, capsys):
+    bundle = tmp_path / "blind"
+    assert main(["gen", "--problem", "gaussian:400:20", "--out", str(bundle)]) == 0
+    (bundle / "x_star.txt").unlink()
+    capsys.readouterr()
+    assert main(["solve", "--problem", str(bundle), "--method", "cs-madbcd"]) == 0
+    err = capsys.readouterr().err
+    assert "warning: count-sketch preprocessing of a system without x_star" in err
+    assert "consistency cannot be checked" in err

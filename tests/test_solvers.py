@@ -1,4 +1,5 @@
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -25,7 +26,7 @@ from blockcd import (
     select_block_mrbgs,
     subsolve_update,
 )
-from blockcd import oracle
+from blockcd import oracle, solvers
 from blockcd.solvers import METHODS, RESIDUAL_REFRESH, householder_lstsq
 
 
@@ -614,6 +615,57 @@ class TestRunSolver:
         assert report.stop_reason == "converged: gradient fallback threshold"
         assert report.residual_drift
         assert report.residual_drift[-1][0] == report.iterations
+
+    def test_refresh_rederives_s_and_keeps_u(self, rng):
+        problem = make_consistent_problem(gen_gaussian_dense(60, 12, 3), 4)
+        A, a = problem.A, problem.A.to_dense()
+        state = SolverState.initial(A, problem.b)
+        for _ in range(3):
+            state, _ = step(state, A, "mrbgs")
+        state = replace(state, grad=state.grad + 1e-3 * rng.standard_normal(12))
+        fresh, drift = state.refreshed()
+        want = a.T @ (problem.b - a @ state.x_curr)
+        assert_allclose(fresh.grad, want, rtol=1e-12, atol=1e-12 * np.linalg.norm(want))
+        assert drift == pytest.approx(np.linalg.norm(state.grad - fresh.grad))
+        assert fresh.grad_step is state.grad_step
+        assert state.subsolve_residual is not None and fresh.subsolve_residual is None
+
+    def test_each_refreshed_iterate_logs_one_drift(self, monkeypatch):
+        # a periodic refresh that meets a proposed stop on s is one refresh
+        monkeypatch.setattr(solvers, "RESIDUAL_REFRESH", 1)
+        report = run_solver(
+            blind_problem(),
+            MethodParams("madbcd", 0.3),
+            StoppingRule(rse_threshold=1e-10, max_iterations=5000),
+        )
+        assert report.stop_reason == "converged: gradient fallback threshold"
+        ks = [k for k, _ in report.residual_drift]
+        assert ks == list(range(1, report.iterations + 1))
+
+    def test_momentum_run_matches_a_replay_that_refreshes_u(self):
+        # u needs no refresh: a replay that also re-derives u = A^T A (x - x_prev)
+        # at every refresh takes the same path
+        problem = make_consistent_problem(gen_gaussian_dense(130, 100, 11), 12)
+        A, a, threshold = problem.A, problem.A.to_dense(), 1e-12
+        report = run_solver(
+            problem,
+            MethodParams("madbcd", 0.5),
+            StoppingRule(rse_threshold=threshold, max_iterations=5000),
+            record_history=True,
+        )
+        assert report.converged and len(report.residual_drift) >= 5
+        state = SolverState.initial(A, problem.b)
+        replayed = [state.x_curr]
+        while compute_rse(state.x_curr, problem.x_star) >= threshold:
+            state, _ = step(state, A, "madbcd", beta=0.5)
+            if state.k % RESIDUAL_REFRESH == 0:
+                state, _ = state.refreshed()
+                u = a.T @ (a @ (state.x_curr - state.x_prev))
+                state = replace(state, grad_step=u)
+            replayed.append(state.x_curr)
+        assert state.k == report.iterations
+        for x, y in zip(report.iterate_history[1:], replayed[1:]):
+            assert np.linalg.norm(x - y) <= 1e-12 * np.linalg.norm(y)
 
     def test_normal_residual_stop_is_true(self):
         # columns scaled over 1e3 make the drift of the incremental s matter at
