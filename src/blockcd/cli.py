@@ -80,43 +80,48 @@ def _parse_betas(text: str):
 
 
 def _build_parser() -> _Parser:
+    # options that mean the same on every subcommand that takes them
+    problem = argparse.ArgumentParser(add_help=False)
+    problem.add_argument("--problem", required=True, help=PROBLEM_GRAMMAR)
+    seed = argparse.ArgumentParser(add_help=False)
+    seed.add_argument("--seed", type=_seed, default=0)
+    stop = argparse.ArgumentParser(add_help=False)
+    stop.add_argument("--tol", type=float, default=1e-6, help="relative solution error threshold")
+    stop.add_argument("--max-it", type=int, default=100000)
+
     p = _Parser(prog="blockcd", description=__doc__)
     sub = p.add_subparsers(dest="command", required=True)
 
-    ps = sub.add_parser("solve", help="run one method on one problem")
-    ps.add_argument("--problem", required=True, help=PROBLEM_GRAMMAR)
+    ps = sub.add_parser("solve", parents=[problem, stop, seed],
+                        help="run one method on one problem")
     ps.add_argument("--method", default="madbcd", choices=METHODS)
-    ps.add_argument("--beta", type=float, default=None,
+    ps.add_argument("--beta", type=float, default=0.0,
                     help="momentum weight (madbcd / cs-madbcd only)")
-    ps.add_argument("--tol", type=float, default=1e-6, help="relative solution error threshold")
-    ps.add_argument("--max-it", type=int, default=100000)
     ps.add_argument("--time-budget", type=float, default=None)
-    ps.add_argument("--seed", type=_seed, default=0)
     ps.add_argument("--d-factor", type=int, default=None,
                     help="sketch rows as a multiple of n (cs-madbcd only, default 4)")
     ps.add_argument("--out", default=None, help="directory for curve.csv and report.json")
+    ps.set_defaults(run=_cmd_solve)
 
     pb = sub.add_parser("bench", help="run a configured experiment suite")
     pb.add_argument("--config", required=True)
     pb.add_argument("--out", default=None, help="override the config output_dir")
+    pb.set_defaults(run=_cmd_bench)
 
-    pw = sub.add_parser("sweep-beta", help="momentum parameter grid for madbcd")
-    pw.add_argument("--problem", required=True, help=PROBLEM_GRAMMAR)
+    pw = sub.add_parser("sweep-beta", parents=[problem, stop, seed],
+                        help="momentum parameter grid for madbcd")
     pw.add_argument("--betas", default="0:0.9:0.05", help="grid lo:hi:step or comma list")
-    pw.add_argument("--tol", type=float, default=1e-6)
-    pw.add_argument("--max-it", type=int, default=100000)
-    pw.add_argument("--seed", type=_seed, default=0)
     pw.add_argument("--repeats", type=int, default=1)
     pw.add_argument("--out", default=None, help="write the bench output files here")
+    pw.set_defaults(run=_cmd_sweep_beta)
 
-    pv = sub.add_parser("verify", help="run the convergence-theory oracle audits")
-    pv.add_argument("--seed", type=_seed, default=0)
+    pv = sub.add_parser("verify", parents=[seed], help="run the convergence-theory oracle audits")
     pv.add_argument("--instances", type=int, default=10)
+    pv.set_defaults(run=_cmd_verify)
 
-    pg = sub.add_parser("gen", help="write a problem bundle to disk")
-    pg.add_argument("--problem", required=True, help=PROBLEM_GRAMMAR)
-    pg.add_argument("--seed", type=_seed, default=0)
+    pg = sub.add_parser("gen", parents=[problem, seed], help="write a problem bundle to disk")
     pg.add_argument("--out", required=True)
+    pg.set_defaults(run=_cmd_gen)
 
     return p
 
@@ -127,7 +132,7 @@ def _cmd_solve(args) -> int:
         raise ValueError(f"--d-factor applies to cs-madbcd only, not {args.method!r}")
     if args.method == CS_MADBCD and d_factor is None:
         d_factor = 4
-    params = MethodParams(args.method, beta=args.beta or 0.0, d_factor=d_factor)
+    params = MethodParams(args.method, beta=args.beta, d_factor=d_factor)
     spec = parse_problem(args.problem)
     problem = build_problem(spec, args.seed)
     stop = StoppingRule(
@@ -206,7 +211,8 @@ def _cmd_verify(args) -> int:
     ok = True
     for _ in range(100):
         x = rng.standard_normal(8)
-        ax = float(np.dot(A.matvec(x), A.matvec(x)))
+        y = A.matvec(x)
+        ax = float(np.dot(y, y))
         nx = float(np.dot(x, x))
         ok &= smin**2 * nx * (1 - 1e-9) <= ax <= smax**2 * nx * (1 + 1e-9)
     check("singular-value sandwich", ok, f"sigma=[{smin:.3f}, {smax:.3f}]")
@@ -268,25 +274,14 @@ def _print_warning(message, category, filename, lineno, file=None, line=None):
 
 
 def main(argv=None) -> int:
-    parser = _build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = _build_parser().parse_args(argv)
     except SystemExit as exc:
         return int(exc.code or 0)
     with warnings.catch_warnings():
         warnings.showwarning = _print_warning
         try:
-            if args.command == "solve":
-                return _cmd_solve(args)
-            if args.command == "bench":
-                return _cmd_bench(args)
-            if args.command == "sweep-beta":
-                return _cmd_sweep_beta(args)
-            if args.command == "verify":
-                return _cmd_verify(args)
-            if args.command == "gen":
-                return _cmd_gen(args)
-            parser.error(f"unknown command {args.command!r}")
+            return args.run(args)
         except (ValueError, OSError, MemoryError) as exc:
             if isinstance(exc, RankDeficiencyError):
                 print(f"numerical failure: {exc}", file=sys.stderr)
@@ -296,7 +291,6 @@ def main(argv=None) -> int:
         except RuntimeError as exc:
             print(f"numerical failure: {exc}", file=sys.stderr)
             return EXIT_NUMERICAL
-    return EXIT_OK
 
 
 if __name__ == "__main__":

@@ -79,6 +79,8 @@ class MethodParams:
     d_factor: int | None = None  # sketch rows as a multiple of n (cs-madbcd only)
 
     def __post_init__(self):
+        if self.method not in METHODS:
+            raise ValueError(f"unknown method {self.method!r}, expected one of {METHODS}")
         if (self.d_factor is None) == (self.method == CS_MADBCD):
             raise ValueError(
                 "'d_factor' (sketch rows as a multiple of n) is required for cs-madbcd "
@@ -87,8 +89,6 @@ class MethodParams:
             )
         if self.d_factor is not None and self.d_factor < 1:
             raise ValueError(f"'d_factor' must be >= 1, got {self.d_factor}")
-        if self.method not in METHODS:
-            raise ValueError(f"unknown method {self.method!r}, expected one of {METHODS}")
         if self.method in (MADBCD, CS_MADBCD):
             if not 0.0 <= self.beta <= 0.9:
                 raise ValueError(f"momentum weight must lie in [0, 0.9], got {self.beta}")

@@ -1,4 +1,5 @@
 import json
+import re
 import subprocess
 import sys
 
@@ -80,6 +81,23 @@ def test_missing_mtx_file_exit_one(tmp_path, capsys, suffix):
 
 def test_missing_argument_exit_one(capsys):
     assert main(["solve"]) == 1
+
+
+@pytest.mark.parametrize(
+    "command, options",
+    [
+        ("solve", "--problem --method --beta --tol --max-it --time-budget --seed --d-factor --out"),
+        ("bench", "--config --out"),
+        ("sweep-beta", "--problem --betas --tol --max-it --seed --repeats --out"),
+        ("verify", "--seed --instances"),
+        ("gen", "--problem --seed --out"),
+    ],
+    ids=["solve", "bench", "sweep-beta", "verify", "gen"],
+)
+def test_help_lists_each_subcommands_options(capsys, command, options):
+    assert main([command, "--help"]) == 0
+    listed = set(re.findall(r"(?<![\w-])--[a-z][a-z-]*", capsys.readouterr().out))
+    assert listed - {"--help"} == set(options.split())
 
 
 def test_tomography_solve_emits_reconstruction_grid(tmp_path):
@@ -219,9 +237,11 @@ def write_small_config(tmp_path, **overrides):
         ({"problem": DROP}, "missing config keys ['problem']"),
         ({"methods": [{"beta": 0.1}]}, "missing method keys ['method']"),
         ({"master_seed": -3}, "master_seed must be a non-negative integer, got -3"),
+        ({"methods": [{"method": "cs_madbcd", "beta": 0.3, "d_factor": 4}]},
+         "unknown method 'cs_madbcd'"),
     ],
     ids=["typo-key", "removed-key", "stopping-key", "missing-problem-field",
-         "missing-problem", "missing-method", "negative-master-seed"],
+         "missing-problem", "missing-method", "negative-master-seed", "method-typo"],
 )
 def test_bad_bench_config_exit_one(tmp_path, capsys, change, named):
     path = write_small_config(tmp_path, **change)
@@ -370,9 +390,13 @@ def test_sweep_beta_without_out_writes_nothing(tmp_path, monkeypatch, capsys):
     assert "wrote" not in capsys.readouterr().out
 
 
-@pytest.mark.parametrize("tol", ["nan", "inf"])
-def test_non_finite_tolerance_exit_one(capsys, tol):
-    code = main(["solve", "--problem", "gaussian:60:10", "--tol", tol, "--max-it", "200"])
+@pytest.mark.parametrize(
+    "command, tol",
+    [("solve", "nan"), ("solve", "inf"), ("sweep-beta", "nan"), ("sweep-beta", "inf")],
+    ids=["nan", "inf", "sweep-beta-nan", "sweep-beta-inf"],
+)
+def test_non_finite_tolerance_exit_one(capsys, command, tol):
+    code = main([command, "--problem", "gaussian:60:10", "--tol", tol, "--max-it", "200"])
     assert code == 1
     assert "rse_threshold must be finite and positive" in capsys.readouterr().err
 
