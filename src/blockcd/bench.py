@@ -17,7 +17,6 @@ from __future__ import annotations
 import csv
 import json
 import os
-import re
 from dataclasses import asdict, dataclass, fields, replace
 from typing import get_args, get_type_hints
 
@@ -223,10 +222,6 @@ def _fmt(v) -> str:
     return str(v)
 
 
-def _safe_name(label: str) -> str:
-    return re.sub(r"[^A-Za-z0-9._-]+", "-", label)
-
-
 def emit_outputs(rows, report_lists, config: ExperimentConfig):
     """Write summary.csv, per-method curve CSVs and a manifest under config.output_dir.
 
@@ -241,7 +236,7 @@ def emit_outputs(rows, report_lists, config: ExperimentConfig):
     written = [summary_path]
 
     for label, runs in report_lists.items():
-        path = os.path.join(curves_dir, f"{_safe_name(label)}.csv")
+        path = os.path.join(curves_dir, f"{label}.csv")
         write_curve_csv(path, runs[0].records)
         written.append(path)
 

@@ -51,11 +51,24 @@ class _Parser(argparse.ArgumentParser):
         raise SystemExit(EXIT_USAGE)
 
 
-def _seed(text: str) -> int:
-    """A seed option: an integer >= 0, or a usage error naming the option."""
-    if not text.strip().isdecimal():
-        raise argparse.ArgumentTypeError(f"must be a non-negative integer, got {text!r}")
-    return int(text)
+def _bounded(convert, within, what: str):
+    """An option type: `convert(text)` when `within` holds for it, else a usage
+    error naming the option, raised before any problem is built."""
+    def parse(text: str):
+        try:
+            value = convert(text)
+        except ValueError:  # not a number of that kind
+            pass
+        else:
+            if within(value):
+                return value
+        raise argparse.ArgumentTypeError(f"must be {what}, got {text!r}")
+    return parse
+
+
+_seed = _bounded(int, lambda v: v >= 0, "a non-negative integer")
+_count = _bounded(int, lambda v: v >= 1, "an integer >= 1")
+_positive = _bounded(float, lambda v: math.isfinite(v) and v > 0.0, "a finite number > 0")
 
 
 def _parse_betas(text: str):
@@ -86,8 +99,9 @@ def _build_parser() -> _Parser:
     seed = argparse.ArgumentParser(add_help=False)
     seed.add_argument("--seed", type=_seed, default=0)
     stop = argparse.ArgumentParser(add_help=False)
-    stop.add_argument("--tol", type=float, default=1e-6, help="relative solution error threshold")
-    stop.add_argument("--max-it", type=int, default=100000)
+    stop.add_argument("--tol", type=_positive, default=1e-6,
+                      help="relative solution error threshold")
+    stop.add_argument("--max-it", type=_count, default=100000)
 
     p = _Parser(prog="blockcd", description=__doc__)
     sub = p.add_subparsers(dest="command", required=True)
@@ -97,8 +111,8 @@ def _build_parser() -> _Parser:
     ps.add_argument("--method", default="madbcd", choices=METHODS)
     ps.add_argument("--beta", type=float, default=0.0,
                     help="momentum weight (madbcd / cs-madbcd only)")
-    ps.add_argument("--time-budget", type=float, default=None)
-    ps.add_argument("--d-factor", type=int, default=None,
+    ps.add_argument("--time-budget", type=_positive, default=None)
+    ps.add_argument("--d-factor", type=_count, default=None,
                     help="sketch rows as a multiple of n (cs-madbcd only, default 4)")
     ps.add_argument("--out", default=None, help="directory for curve.csv and report.json")
     ps.set_defaults(run=_cmd_solve)
@@ -111,12 +125,11 @@ def _build_parser() -> _Parser:
     pw = sub.add_parser("sweep-beta", parents=[problem, stop, seed],
                         help="momentum parameter grid for madbcd")
     pw.add_argument("--betas", default="0:0.9:0.05", help="grid lo:hi:step or comma list")
-    pw.add_argument("--repeats", type=int, default=1)
+    pw.add_argument("--repeats", type=_count, default=1)
     pw.add_argument("--out", default=None, help="write the bench output files here")
     pw.set_defaults(run=_cmd_sweep_beta)
 
     pv = sub.add_parser("verify", parents=[seed], help="run the convergence-theory oracle audits")
-    pv.add_argument("--instances", type=int, default=10)
     pv.set_defaults(run=_cmd_verify)
 
     pg = sub.add_parser("gen", parents=[problem, seed], help="write a problem bundle to disk")
@@ -195,8 +208,6 @@ def _cmd_sweep_beta(args) -> int:
 
 
 def _cmd_verify(args) -> int:
-    if args.instances < 1:
-        raise ValueError(f"--instances must be >= 1, got {args.instances}")
     rng = np.random.default_rng(args.seed)
     failures = 0
 
@@ -219,7 +230,7 @@ def _cmd_verify(args) -> int:
 
     # per-step contraction at beta=0
     violations = 0
-    for _ in range(args.instances):
+    for _ in range(10):
         prob = build_problem({"kind": "gaussian", "m": 40, "n": 10}, int(rng.integers(2**31)))
         report = run_solver(
             prob,

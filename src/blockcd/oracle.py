@@ -77,7 +77,7 @@ def reference_lsq_solve(A, b: np.ndarray) -> np.ndarray:
     return householder_lstsq(_as_dense(A), b)
 
 
-def _jacobi_eigenvalues(g: np.ndarray, max_sweeps: int = 60) -> np.ndarray:
+def _jacobi_eigenvalues(g: np.ndarray) -> np.ndarray:
     """Eigenvalues of a symmetric matrix by cyclic Jacobi rotations."""
     g = np.array(g, dtype=np.float64)
     n = g.shape[0]
@@ -90,7 +90,7 @@ def _jacobi_eigenvalues(g: np.ndarray, max_sweeps: int = 60) -> np.ndarray:
         off = g - np.diag(np.diag(g))
         return float(np.linalg.norm(off))
 
-    for _ in range(max_sweeps):
+    for _ in range(60):
         if off_norm() <= tol:
             return np.diag(g).copy()
         for p in range(n - 1):
@@ -251,7 +251,7 @@ def run_contraction_bounds(report, A) -> list[ContractionBounds]:
     ]
 
 
-def contraction_audit(report, A, x_star: np.ndarray, *, slack: float = 1e-9):
+def contraction_audit(report, A, x_star: np.ndarray):
     """Check the per-step energy contraction of a momentum-free run.
 
     Recomputes F_k = ||A (x_k - x_star)||^2 from the recorded iterates and
@@ -273,6 +273,6 @@ def contraction_audit(report, A, x_star: np.ndarray, *, slack: float = 1e-9):
         f_next = float(np.sum((a @ (iterates[k + 1] - x_star)) ** 2))
         alpha = block_contraction_alpha(a, idx, sigma_min)
         bound = (1.0 - alpha) * f_k
-        if f_next > bound * (1.0 + slack) + 1e-300:
+        if f_next > bound * (1.0 + 1e-9) + 1e-300:
             violations.append((k, f_next, bound))
     return violations

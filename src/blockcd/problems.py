@@ -266,28 +266,23 @@ def _blocks_phantom(n: int, seed: int) -> np.ndarray:
     return img.ravel()
 
 
-def gen_tomography(grid_side: int, n_angles: int | None = None,
-                   n_detectors: int | None = None,
-                   phantom: str = "shepp-logan-like", seed: int = 0) -> ProblemInstance:
+def gen_tomography(grid_side: int, phantom: str = "shepp-logan-like",
+                   seed: int = 0) -> ProblemInstance:
     """Parallel-beam scan of an N-by-N unit-pixel grid projecting a phantom.
 
-    `n_angles` angles (default 2N) spread evenly over [0, pi).  For each,
-    `n_detectors` parallel rays (default: enough to span the grid diagonal)
-    cross the grid, one pixel width apart along the perpendicular detector
-    axis and centered on the grid center.  Rays that miss the grid are
-    dropped.  b = A x_star with x_star the rasterized phantom.
+    2N angles spread evenly over [0, pi).  For each, ceil(1.5 N) parallel rays
+    (enough to span the grid diagonal) cross the grid, one pixel width apart
+    along the perpendicular detector axis and centered on the grid center.
+    Rays that miss the grid are dropped; at least N - 1 per angle pass closer
+    than N/2 to the center and so cross it, which keeps the 2N(N - 1) or more
+    rows above the N^2 pixels.  b = A x_star with x_star the rasterized phantom.
     """
     if grid_side < 4:
         raise ValueError(f"grid side must be >= 4, got {grid_side}")
-    if n_angles is None:
-        n_angles = 2 * grid_side
-    if n_detectors is None:
-        n_detectors = math.ceil(1.5 * grid_side)
-    if n_angles < 1 or n_detectors < 1:
-        raise ValueError("need at least one projection angle and one detector")
     if phantom not in ("shepp-logan-like", "blocks"):
         raise ValueError(f"unknown phantom {phantom!r}")
     n = grid_side
+    n_angles, n_detectors = 2 * n, math.ceil(1.5 * n)
     rows_idx: list[np.ndarray] = []
     cols_idx: list[np.ndarray] = []
     vals: list[np.ndarray] = []
@@ -306,11 +301,6 @@ def gen_tomography(grid_side: int, n_angles: int | None = None,
             cols_idx.append(cols)
             vals.append(lens)
             row += 1
-    if row <= n * n:
-        raise ValueError(
-            f"geometry yields only {row} usable rays for {n * n} pixels; "
-            "the system must be overdetermined"
-        )
     A = SparseMatrixCSC.from_coo(
         row, n * n, np.concatenate(rows_idx), np.concatenate(cols_idx),
         np.concatenate(vals),
@@ -484,10 +474,7 @@ def read_problem_bundle(directory) -> ProblemInstance:
 PROBLEM_FIELDS = {
     "gaussian": ({"m": int, "n": int}, {}),
     "sparse-gaussian": ({"m": int, "n": int, "density": float}, {}),
-    "tomography": (
-        {"grid_side": int},
-        {"n_angles": int, "n_detectors": int, "phantom": str},
-    ),
+    "tomography": ({"grid_side": int}, {"phantom": str}),
     "mtx": ({"path": str}, {"transpose": bool}),
     "bundle": ({"path": str}, {}),
 }

@@ -166,10 +166,15 @@ class TestBuildProblem:
                 {"kind": "tomography", "grid_side": 8, "detector_spacng": 2.0},
                 r"unknown problem keys \['detector_spacng'\]",
             ),
+            (
+                {"kind": "tomography", "grid_side": 8, "n_angles": 16},
+                r"unknown problem keys \['n_angles'\]",
+            ),
             ({"kind": "gaussian", "m": "60", "n": 10}, r"problem key 'm' must be int, got '60'"),
             ({"kind": "mtx", "path": "a.mtx", "transpose": 1}, r"'transpose' must be bool"),
         ],
-        ids=["gaussian-typo", "tomography-typo", "string-size", "int-for-bool"],
+        ids=["gaussian-typo", "tomography-typo", "tomography-fixed-angles", "string-size",
+             "int-for-bool"],
     )
     def test_unknown_or_wrong_typed_field_refused(self, spec, message):
         with pytest.raises(ValueError, match=message):

@@ -14,6 +14,7 @@ from blockcd import (
     read_summary_csv,
     write_matrix_market,
 )
+from blockcd import cli
 from blockcd.cli import main
 
 
@@ -89,7 +90,7 @@ def test_missing_argument_exit_one(capsys):
         ("solve", "--problem --method --beta --tol --max-it --time-budget --seed --d-factor --out"),
         ("bench", "--config --out"),
         ("sweep-beta", "--problem --betas --tol --max-it --seed --repeats --out"),
-        ("verify", "--seed --instances"),
+        ("verify", "--seed"),
         ("gen", "--problem --seed --out"),
     ],
     ids=["solve", "bench", "sweep-beta", "verify", "gen"],
@@ -398,7 +399,27 @@ def test_sweep_beta_without_out_writes_nothing(tmp_path, monkeypatch, capsys):
 def test_non_finite_tolerance_exit_one(capsys, command, tol):
     code = main([command, "--problem", "gaussian:60:10", "--tol", tol, "--max-it", "200"])
     assert code == 1
-    assert "rse_threshold must be finite and positive" in capsys.readouterr().err
+    assert f"argument --tol: must be a finite number > 0, got '{tol}'" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "argv, flag",
+    [
+        (["solve", "--max-it", "-5"], "--max-it"),
+        (["solve", "--time-budget", "-1"], "--time-budget"),
+        (["solve", "--tol", "0"], "--tol"),
+        (["solve", "--method", "cs-madbcd", "--d-factor", "0"], "--d-factor"),
+        (["sweep-beta", "--repeats", "0"], "--repeats"),
+    ],
+    ids=["max-it", "time-budget", "tol", "d-factor", "repeats"],
+)
+def test_out_of_range_number_refused_naming_the_flag(monkeypatch, capsys, argv, flag):
+    built = []
+    for module in (cli, bench):
+        monkeypatch.setattr(module, "build_problem", lambda *a: built.append(a))
+    assert main(argv + ["--problem", "gaussian:60:10"]) == 1
+    assert f"argument {flag}: must be " in capsys.readouterr().err
+    assert built == []
 
 
 @pytest.mark.parametrize("field", ["rse_threshold", "time_budget_s"])
@@ -424,16 +445,17 @@ def test_bad_sketch_size_refused_before_any_cell_runs(tmp_path, capsys, monkeypa
 
 
 def test_verify_subcommand(capsys):
-    assert main(["verify", "--instances", "3", "--seed", "1"]) == 0
-    out = capsys.readouterr().out
-    assert "PASS" in out and "FAIL" not in out
-
-
-@pytest.mark.parametrize("instances", ["0", "-1"])
-def test_verify_refuses_no_instances(capsys, instances):
-    assert main(["verify", "--instances", instances]) == 1
-    captured = capsys.readouterr()
-    assert "--instances must be >= 1" in captured.err and "PASS" not in captured.out
+    assert main(["verify", "--seed", "1"]) == 0
+    lines = capsys.readouterr().out.splitlines()
+    assert [line.split(":")[0] for line in lines[:3]] == [
+        "PASS singular-value sandwich",
+        "PASS per-step contraction (beta=0)",
+        "PASS feasible momentum bracketing",
+    ]
+    assert len(lines) == 4 and lines[3].startswith(
+        ("PASS momentum run within contraction hypothesis",
+         "NOTE momentum run outside contraction hypothesis")
+    )
 
 
 def test_solve_sketch_that_cancels_a_column_exit_one(tmp_path, capsys):
