@@ -9,8 +9,10 @@ from blockcd import (
     DenseMatrix,
     MethodParams,
     ProblemInstance,
+    SparseMatrixCSC,
     StoppingRule,
     build_count_sketch,
+    build_problem,
     cs_prepare,
     gen_gaussian_dense,
     make_consistent_problem,
@@ -18,6 +20,7 @@ from blockcd import (
     sketch_apply_matrix,
     sketch_apply_vector,
 )
+from blockcd.matrix import GramKernel
 
 from conftest import random_sparse
 
@@ -122,12 +125,27 @@ class TestApplyMatrix:
 
     @pytest.mark.parametrize("seed", range(5))
     def test_sparse_columns_match_densified_oracle(self, seed):
-        a, _, sp = random_sparse(50, 6, 0.3, seed=seed)
-        s = build_count_sketch(9, 50, seed=seed)
-        out = sketch_apply_matrix(s, sp)
-        dense_oracle = densify(s) @ a
-        assert_allclose(out.to_dense(), dense_oracle, rtol=1e-14, atol=1e-14)
-        assert out.nnz <= sp.nnz  # sparsity preservation
+        # both sides of the storage rule d n <= 16 nnz(A): 50x6 at 30% (about
+        # 90 stored entries) sketched to 9 rows, 400x6 at 1% (about 25) to 200
+        for m, density, d, storage in (
+            (50, 0.3, 9, DenseMatrix),
+            (400, 0.01, 200, SparseMatrixCSC),
+        ):
+            a, _, sp = random_sparse(m, 6, density, seed=seed)
+            s = build_count_sketch(d, m, seed=seed)
+            out = sketch_apply_matrix(s, sp)
+            assert type(out) is storage
+            assert_allclose(out.to_dense(), densify(s) @ a, rtol=1e-14, atol=1e-14)
+        assert out.nnz <= sp.nnz  # CSC output stores no more than its input
+
+    def test_sparse_storage_threshold_is_inclusive(self):
+        # 25 stored entries in 4 columns: d n = 16 nnz(A) exactly at d = 100
+        a = np.zeros((200, 4))
+        a[7 * np.arange(25), np.arange(25) % 4] = 1.0 + np.arange(25)
+        sp = SparseMatrixCSC.from_dense(a)
+        at = sketch_apply_matrix(build_count_sketch(100, 200, seed=0), sp)
+        past = sketch_apply_matrix(build_count_sketch(101, 200, seed=0), sp)
+        assert type(at) is DenseMatrix and type(past) is SparseMatrixCSC
 
     def test_dense_matches_dense_oracle(self, rng):
         a = rng.standard_normal((40, 5))
@@ -233,6 +251,35 @@ class TestCsPrepare:
         message = str(info.value)
         assert "d=16" in message and "seed 23" in message and "column 0" in message
         assert "another seed or a larger d_factor" in message
+
+    def test_sparse_sketch_that_cancels_a_column_refused_on_the_dense_path(self, rng):
+        # the column and seed above, stored CSC; its 122 stored entries put
+        # the 16-row sketch on the dense-output side of the storage rule
+        a = rng.standard_normal((40, 4))
+        a[:, 0] = 0.0
+        a[[0, 1], 0] = 1.0
+        sp = SparseMatrixCSC.from_dense(a)
+        assert type(sketch_apply_matrix(build_count_sketch(16, 40, 23), sp)) is DenseMatrix
+        problem = make_consistent_problem(sp, 3)
+        stop = StoppingRule(max_iterations=5)
+        with pytest.raises(ValueError) as info:
+            run_solver(problem, MethodParams("cs-madbcd", 0.3, 4), stop, sketch_seed=23)
+        message = str(info.value)
+        assert "d=16" in message and "seed 23" in message and "column 0" in message
+        assert "another seed or a larger d_factor" in message
+
+    def test_sparse_problem_above_the_threshold_solves_from_the_gram_matrix(self):
+        # 2000x100 at 5% holds about 10^4 entries; d = 4n gives d n / nnz near 4
+        problem = build_problem(
+            {"kind": "sparse-gaussian", "m": 2000, "n": 100, "density": 0.05}, 5
+        )
+        assert isinstance(problem.A, SparseMatrixCSC)
+        sketched, _ = cs_prepare(problem, 4 * 100, seed=6)
+        assert type(sketched.A) is DenseMatrix
+        assert type(sketched.A.normal_kernel()) is GramKernel
+        stop = StoppingRule(rse_threshold=1e-6, max_iterations=10000)
+        report = run_solver(problem, MethodParams("cs-madbcd", 0.3, 4), stop, sketch_seed=6)
+        assert report.converged and report.records[-1].rse < 1e-6
 
     def test_cs_madbcd_without_sketch_seed_refused(self):
         problem = make_consistent_problem(gen_gaussian_dense(300, 20, 1), 2)
