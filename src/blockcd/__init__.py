@@ -12,7 +12,6 @@ from .oracle import (
     ContractionBounds,
     beta_feasible_max,
     contraction_audit,
-    embedding_dim_theory,
     gram_extremal_singular_values,
     q_from_recurrence,
     reference_lsq_solve,

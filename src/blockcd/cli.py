@@ -84,7 +84,8 @@ def _parse_betas(text: str):
                 f"beta grid {text!r} must be lo:hi:step with finite numbers; "
                 f"it needs lo <= hi and step > 0, and at most {MAX_BETA_GRID_POINTS} points"
             )
-        count = int(round((hi - lo) / step)) + 1
+        # floor: no point above hi; the tolerance keeps a hi reached up to rounding
+        count = math.floor((hi - lo) / step * (1 + 1e-12)) + 1
         return [round(lo + i * step, 10) for i in range(count)]
     try:
         return [float(p) for p in text.split(",")]
@@ -293,15 +294,12 @@ def main(argv=None) -> int:
         warnings.showwarning = _print_warning
         try:
             return args.run(args)
-        except (ValueError, OSError, MemoryError) as exc:
-            if isinstance(exc, RankDeficiencyError):
-                print(f"numerical failure: {exc}", file=sys.stderr)
-                return EXIT_NUMERICAL
-            print(f"error: {exc}", file=sys.stderr)
-            return EXIT_USAGE
-        except RuntimeError as exc:
+        except (RankDeficiencyError, RuntimeError) as exc:
             print(f"numerical failure: {exc}", file=sys.stderr)
             return EXIT_NUMERICAL
+        except (ValueError, OSError, MemoryError) as exc:
+            print(f"error: {exc}", file=sys.stderr)
+            return EXIT_USAGE
 
 
 if __name__ == "__main__":

@@ -224,17 +224,6 @@ def contraction_bounds(A, block_indices, beta: float, eps: float = 0.0, *,
     )
 
 
-def embedding_dim_theory(n: int, eps: float, delta: float) -> int:
-    """Sketch rows guaranteeing an (eps, delta) subspace embedding: (n^2+n)/(delta eps^2).
-
-    Far larger than the d = O(n) regime that works well in practice; exposed
-    for the test suite, never used as a default.
-    """
-    if not 0.0 < eps < 1.0 or not 0.0 < delta < 1.0:
-        raise ValueError("eps and delta must lie in (0, 1)")
-    return math.ceil((n * n + n) / (delta * eps * eps))
-
-
 def run_contraction_bounds(report, A) -> list[ContractionBounds]:
     """Bound coefficients for every recorded iteration of a run.
 

@@ -358,22 +358,22 @@ def read_matrix_market(path, transpose: bool = False) -> SparseMatrixCSC:
     if sym not in ("general", "symmetric"):
         raise MatrixMarketError(path, 1, f"unsupported symmetry {sym!r}")
 
-    ln = 1
-    size = None
-    for ln in range(2, len(lines) + 1):
-        text = lines[ln - 1].strip()
-        if not text or text.startswith("%"):
-            continue
-        parts = text.split()
-        if len(parts) != 3:
-            raise MatrixMarketError(path, ln, "size line must be 'rows cols nnz'")
-        try:
-            size = tuple(int(p) for p in parts)
-        except ValueError:
-            raise MatrixMarketError(path, ln, f"bad size line {text!r}") from None
-        break
-    if size is None:
-        raise MatrixMarketError(path, len(lines), "missing size line")
+    # (line number, text) of each line after the banner that holds data
+    data = (
+        (ln, text)
+        for ln, text in enumerate((line.strip() for line in lines[1:]), start=2)
+        if text and not text.startswith("%")
+    )
+    ln, text = next(data, (len(lines), ""))
+    if not text:
+        raise MatrixMarketError(path, ln, "missing size line")
+    parts = text.split()
+    if len(parts) != 3:
+        raise MatrixMarketError(path, ln, "size line must be 'rows cols nnz'")
+    try:
+        size = tuple(int(p) for p in parts)
+    except ValueError:
+        raise MatrixMarketError(path, ln, f"bad size line {text!r}") from None
     m, n, nnz = size
     if m < 1 or n < 1 or nnz < 0:
         raise MatrixMarketError(path, ln, f"invalid dimensions {size}")
@@ -387,10 +387,7 @@ def read_matrix_market(path, transpose: bool = False) -> SparseMatrixCSC:
     vv = np.empty(nnz)
     want = 2 if fld == "pattern" else 3
     count = 0
-    for ln in range(ln + 1, len(lines) + 1):
-        text = lines[ln - 1].strip()
-        if not text or text.startswith("%"):
-            continue
+    for ln, text in data:
         parts = text.split()
         if len(parts) != want:
             raise MatrixMarketError(
@@ -479,19 +476,14 @@ PROBLEM_FIELDS = {
     "bundle": ({"path": str}, {}),
 }
 
-# per command-line short form NAME:V1:V2...: its kind and the fields its values
-# fill, in order; trailing fields the kind does not require may be left out
-CLI_FORMS = {
-    "gaussian": ("gaussian", ("m", "n")),
-    "sparse": ("sparse-gaussian", ("m", "n", "density")),
-    "tomo": ("tomography", ("grid_side", "phantom")),
-}
+# per command-line short form NAME:V1:V2...: its kind, whose `PROBLEM_FIELDS`
+# its values fill in order, required fields first; optional ones may be left out
+CLI_FORMS = {"gaussian": "gaussian", "sparse": "sparse-gaussian", "tomo": "tomography"}
 
 
 def _form_usage(name: str) -> str:
-    kind, names = CLI_FORMS[name]
-    required = PROBLEM_FIELDS[kind][0]
-    return name + "".join(f":{f}" if f in required else f"[:{f}]" for f in names).upper()
+    required, optional = PROBLEM_FIELDS[CLI_FORMS[name]]
+    return name + "".join([f":{f}" for f in required] + [f"[:{f}]" for f in optional]).upper()
 
 
 PROBLEM_GRAMMAR = " | ".join([*map(_form_usage, CLI_FORMS), "FILE.mtx[:T]", "BUNDLE_DIR"])
@@ -553,12 +545,12 @@ def parse_problem(text: str) -> dict:
         return {"kind": "mtx", "path": mtx_path, "transpose": transpose}
     name, *values = text.split(":")
     if name in CLI_FORMS:
-        kind, names = CLI_FORMS[name]
+        kind = CLI_FORMS[name]
         required, optional = PROBLEM_FIELDS[kind]
-        types = {**required, **optional}
-        if len(values) <= len(names) and set(required) <= set(names[: len(values)]):
+        fields = {**required, **optional}
+        if len(required) <= len(values) <= len(fields):
             try:
-                return {"kind": kind, **{f: types[f](v) for f, v in zip(names, values)}}
+                return {"kind": kind, **{f: t(v) for (f, t), v in zip(fields.items(), values)}}
             except ValueError:
                 pass
     raise ValueError(f"cannot parse problem spec {text!r}: expected {PROBLEM_GRAMMAR}")

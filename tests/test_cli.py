@@ -8,11 +8,13 @@ import pytest
 
 from blockcd import (
     DenseMatrix,
+    ProblemInstance,
     bench,
     build_problem,
     read_curve_csv,
     read_summary_csv,
     write_matrix_market,
+    write_problem_bundle,
 )
 from blockcd import cli
 from blockcd.cli import main
@@ -357,6 +359,20 @@ def test_sweep_beta_grid(tmp_path):
     assert [r.beta for r in read_summary_csv(tmp_path / "summary.csv")] == [0.0, 0.1, 0.2]
 
 
+@pytest.mark.parametrize(
+    "grid, expected",
+    [
+        ("0:0.55:0.1", [0.0, 0.1, 0.2, 0.3, 0.4, 0.5]),
+        ("0:0.035:0.01", [0.0, 0.01, 0.02, 0.03]),
+        ("0:0.75:0.5", [0.0, 0.5]),
+        ("0.3:0.3:0.1", [0.3]),
+        ("0:0.9:0.05", [round(0.05 * i, 10) for i in range(19)]),  # the default grid
+    ],
+)
+def test_beta_grid_has_no_point_above_hi(grid, expected):
+    assert cli._parse_betas(grid) == expected
+
+
 def test_sweep_beta_subcommand(tmp_path, capsys):
     code = main(
         [
@@ -410,8 +426,9 @@ def test_non_finite_tolerance_exit_one(capsys, command, tol):
         (["solve", "--tol", "0"], "--tol"),
         (["solve", "--method", "cs-madbcd", "--d-factor", "0"], "--d-factor"),
         (["sweep-beta", "--repeats", "0"], "--repeats"),
+        (["solve", "--max-it", "five"], "--max-it"),
     ],
-    ids=["max-it", "time-budget", "tol", "d-factor", "repeats"],
+    ids=["max-it", "time-budget", "tol", "d-factor", "repeats", "max-it-not-a-number"],
 )
 def test_out_of_range_number_refused_naming_the_flag(monkeypatch, capsys, argv, flag):
     built = []
@@ -455,6 +472,28 @@ def test_verify_subcommand(capsys):
     assert len(lines) == 4 and lines[3].startswith(
         ("PASS momentum run within contraction hypothesis",
          "NOTE momentum run outside contraction hypothesis")
+    )
+
+
+def test_rank_deficient_block_exit_two(tmp_path, capsys):
+    rng = np.random.default_rng(3)
+    a = rng.standard_normal((200, 20))
+    a[:, 7] = a[:, 3]  # mrbgs's first block holds both copies
+    write_problem_bundle(tmp_path, ProblemInstance(A=DenseMatrix(a), b=a @ rng.standard_normal(20)))
+    assert main(["solve", "--problem", str(tmp_path), "--method", "mrbgs"]) == 2
+    assert capsys.readouterr().err.startswith(
+        "numerical failure: rank-deficient subproblem on block [3, 5, 7, 15]: "
+    )
+
+
+def test_runtime_error_exit_two(monkeypatch, capsys):
+    def fail(A):
+        raise RuntimeError("Jacobi iteration did not reach the target tolerance")
+
+    monkeypatch.setattr(cli, "gram_extremal_singular_values", fail)
+    assert main(["verify"]) == 2
+    assert capsys.readouterr().err == (
+        "numerical failure: Jacobi iteration did not reach the target tolerance\n"
     )
 
 

@@ -11,7 +11,6 @@ from blockcd import (
     StoppingRule,
     beta_feasible_max,
     contraction_audit,
-    embedding_dim_theory,
     gen_gaussian_dense,
     gram_extremal_singular_values,
     make_consistent_problem,
@@ -233,11 +232,6 @@ class TestContractionBounds:
         a = rng.standard_normal((10, 3))
         with pytest.raises(ValueError, match="eps"):
             contraction_bounds(a, np.array([0]), beta=0.0, eps=1.0)
-
-    def test_embedding_dim_theory(self):
-        assert embedding_dim_theory(4, 0.5, 0.2) == math.ceil(20 / 0.05)
-        with pytest.raises(ValueError):
-            embedding_dim_theory(4, 0.0, 0.2)
 
 
 class TestContractionAudit:

@@ -204,6 +204,11 @@ class TestCsPrepare:
         with pytest.raises(ValueError, match="compress"):
             cs_prepare(problem, 50, seed=0)
 
+    def test_rejects_dim_below_column_count(self):
+        problem = make_consistent_problem(gen_gaussian_dense(50, 5, 1), 2)
+        with pytest.raises(ValueError, match="below the column count 5"):
+            cs_prepare(problem, 4, seed=0)
+
     def test_warns_on_inconsistent_systems(self, rng):
         A = gen_gaussian_dense(40, 6, 5)
         b = rng.standard_normal(40)
