@@ -82,7 +82,7 @@ class ProblemInstance:
             raise ValueError(
                 f"right-hand side must have length {self.A.rows}, got shape {self.b.shape}"
             )
-        _refuse_non_finite("right-hand side", self.b)
+        # A before b: b = A x_star of a bad A is bad too, and A is at fault
         with np.errstate(over="ignore"):  # an overflow is refused just below
             norms = self.A.column_norms()
         # a NaN or infinity anywhere in column j makes its norm non-finite
@@ -93,7 +93,14 @@ class ProblemInstance:
             )
         zero = np.flatnonzero(norms == 0.0)
         if zero.size:
-            raise ZeroColumnError(int(zero[0]))
+            j = int(zero[0])
+            if self.A.gather_columns([j]).any():
+                raise ValueError(
+                    f"matrix column {j} has nonzero entries but its norm underflows "
+                    "to zero; rescale the matrix"
+                )
+            raise ZeroColumnError(j)
+        _refuse_non_finite("right-hand side", self.b)
         if self.x_star is not None:
             self.x_star = np.asarray(self.x_star, dtype=np.float64)
             if self.x_star.shape != (self.A.cols,):

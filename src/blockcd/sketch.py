@@ -9,7 +9,8 @@ The sketch of a sparse matrix is not sparse: each of SA's d rows sums about
 m/d rows of A, and SA has up to min(nnz(A), d n) nonzeros.  So SA is stored
 dense when d n <= DENSE_SKETCH_ENTRIES_PER_NNZ * nnz(A), where its d n
 eight-byte words take at most 8 times the bytes of A's CSC storage and the
-sketched solve steps from the Gram matrix; sparser inputs keep CSC output.
+sketched solve steps from the Gram matrix.  Dense SA, of dense or CSC input,
+is written by one bucket sum per column; sparser inputs keep CSC output.
 """
 
 from __future__ import annotations
@@ -34,8 +35,9 @@ __all__ = [
 
 # Dense SA of CSC input may hold up to this many entries per stored entry of A.
 # On 20000x500 sparse Gaussians (2-CPU x86, 1 BLAS thread), sketch plus solve
-# ran faster dense at up to 13 entries per nonzero, and faster on CSC from 20
-# at d = 4n and 8n and from 50 at d = 2n.
+# ran faster dense at up to 13 entries per nonzero and faster on CSC from 20,
+# timed with an earlier dense kernel (one flat bincount) slower than the
+# per-column one, so 16 now leans toward CSC; it is kept on purpose.
 DENSE_SKETCH_ENTRIES_PER_NNZ = 16
 
 
@@ -93,34 +95,32 @@ def sketch_apply_vector(sketch: CountSketch, v: np.ndarray) -> np.ndarray:
 
 
 def sketch_apply_matrix(sketch: CountSketch, A: Matrix) -> Matrix:
-    """Sketch every column.
-
-    Dense input gives dense output.  CSC input gives dense output when
-    d n <= DENSE_SKETCH_ENTRIES_PER_NNZ * nnz(A), written by one bincount over
-    the flat column-major index j d + h[i] of each stored entry; otherwise it
-    stays CSC.  Entries colliding in a bucket are summed; exact cancellations
-    are dropped from CSC output during assembly.
-    """
+    """Sketch every column.  Dense output (of dense input, or of CSC input with
+    d n <= DENSE_SKETCH_ENTRIES_PER_NNZ * nnz(A)) holds one bucket sum per
+    column; sparser CSC input gives CSC output, assembled by
+    `SparseMatrixCSC.from_coo`, which drops exact cancellations."""
     if A.rows != sketch.m:
         raise ValueError(
             f"sketch_apply_matrix: sketch expects {sketch.m} input rows, matrix has {A.rows}"
         )
     if isinstance(A, SparseMatrixCSC):
-        buckets = sketch.h[A.row_indices]
-        weights = A.values * sketch.signs[A.row_indices]
+        entry_buckets = sketch.h[A.row_indices]
+        entry_signs = sketch.signs[A.row_indices]
         if sketch.d * A.cols > DENSE_SKETCH_ENTRIES_PER_NNZ * A.nnz:
             return SparseMatrixCSC.from_coo(
-                sketch.d, A.cols, buckets, A.entry_columns, weights
+                sketch.d, A.cols, entry_buckets, A.entry_columns, A.values * entry_signs
             )
-        flat = buckets + sketch.d * A.entry_columns
-        sums = np.bincount(flat, weights=weights, minlength=sketch.d * A.cols)
-        return DenseMatrix(sums.reshape(A.cols, sketch.d).T)
-    dense = A.to_dense()
-    out = np.empty((sketch.d, A.cols), order="F")
-    for j in range(A.cols):
-        out[:, j] = np.bincount(
-            sketch.h, weights=sketch.signs * dense[:, j], minlength=sketch.d
+        bounds = A.indptr.tolist()
+        columns = (
+            (entry_buckets[lo:hi], entry_signs[lo:hi], A.values[lo:hi])
+            for lo, hi in zip(bounds[:-1], bounds[1:])
         )
+    else:
+        dense = A.to_dense()
+        columns = ((sketch.h, sketch.signs, dense[:, j]) for j in range(A.cols))
+    out = np.empty((sketch.d, A.cols), order="F")
+    for j, (buckets, signs, values) in enumerate(columns):
+        out[:, j] = np.bincount(buckets, weights=signs * values, minlength=sketch.d)
     return DenseMatrix(out)
 
 

@@ -26,7 +26,13 @@ from blockcd import (
 )
 
 from conftest import random_sparse
-from blockcd.problems import CLI_FORMS, PROBLEM_FIELDS, _problem_spec, parse_problem
+from blockcd.problems import (
+    CLI_FORMS,
+    PROBLEM_FIELDS,
+    ZeroColumnError,
+    _problem_spec,
+    parse_problem,
+)
 
 
 class TestGaussianDense:
@@ -101,6 +107,16 @@ class TestProblemInstanceValidation:
         with pytest.raises(ValueError, match="zero column at index 1"):
             ProblemInstance(A=DenseMatrix(a), b=np.ones(3))
 
+    def test_underflowing_column_named(self):
+        # 1e-170 squared underflows to zero, so the column's norm reads 0.0
+        a = np.eye(3)
+        a[:, 1] = 1e-170
+        for A in (DenseMatrix(a), SparseMatrixCSC.from_dense(a)):
+            assert A.column_norms()[1] == 0.0
+            with pytest.raises(ValueError, match="column 1 .* underflows") as info:
+                ProblemInstance(A=A, b=np.ones(3))
+            assert not isinstance(info.value, ZeroColumnError)
+
     def test_non_finite_rhs_named(self):
         b = np.ones(3)
         b[2] = np.nan
@@ -112,10 +128,12 @@ class TestProblemInstanceValidation:
         a = np.eye(3)
         a[0, 1] = bad
         for A in (DenseMatrix(a), SparseMatrixCSC.from_dense(a)):
-            with pytest.raises(
-                ValueError, match="column 1 has a non-finite entry or overflowing norm"
-            ):
-                ProblemInstance(A=A, b=np.ones(3))
+            # b = A 1 inherits the bad entry, and the matrix is still named
+            for b in (np.ones(3), A.matvec(np.ones(3))):
+                with pytest.raises(
+                    ValueError, match="column 1 has a non-finite entry or overflowing norm"
+                ):
+                    ProblemInstance(A=A, b=b)
 
     @pytest.mark.parametrize("bad", [np.inf, np.nan])
     def test_non_finite_reference_solution_named(self, bad):

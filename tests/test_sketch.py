@@ -147,6 +147,21 @@ class TestApplyMatrix:
         past = sketch_apply_matrix(build_count_sketch(101, 200, seed=0), sp)
         assert type(at) is DenseMatrix and type(past) is SparseMatrixCSC
 
+    @pytest.mark.parametrize("seed", range(3))
+    def test_dense_output_does_not_depend_on_input_storage(self, seed):
+        # columns 0, 3 and 7 are empty; 60x8 at about 40% holds about 120
+        # entries, so every d < 60 is on the dense-output side of the rule
+        rng = np.random.default_rng(seed)
+        a = np.where(rng.random((60, 8)) < 0.4, rng.standard_normal((60, 8)), 0.0)
+        a[:, [0, 3, 7]] = 0.0
+        for d in (5, 12, 30):
+            s = build_count_sketch(d, 60, seed=seed)
+            dense = sketch_apply_matrix(s, DenseMatrix(a))
+            csc = sketch_apply_matrix(s, SparseMatrixCSC.from_dense(a))
+            assert type(dense) is DenseMatrix and type(csc) is DenseMatrix
+            bits = [np.ascontiguousarray(o.to_dense()).view(np.uint64) for o in (dense, csc)]
+            assert np.array_equal(*bits)
+
     def test_dense_matches_dense_oracle(self, rng):
         a = rng.standard_normal((40, 5))
         s = build_count_sketch(8, 40, seed=3)
@@ -285,6 +300,27 @@ class TestCsPrepare:
         stop = StoppingRule(rse_threshold=1e-6, max_iterations=10000)
         report = run_solver(problem, MethodParams("cs-madbcd", 0.3, 4), stop, sketch_seed=6)
         assert report.converged and report.records[-1].rse < 1e-6
+
+    @pytest.mark.parametrize(("problem_seed", "sketch_seed", "iterations"),
+                             [(0, 100, 15), (1, 101, 16), (2, 102, 16)])
+    def test_sparse_problem_below_the_threshold_solves_on_csc(
+        self, problem_seed, sketch_seed, iterations
+    ):
+        # 20000x100 at 0.2% holds about 4000 entries; d = 8n gives d n / nnz near 20
+        problem = build_problem(
+            {"kind": "sparse-gaussian", "m": 20000, "n": 100, "density": 0.002},
+            problem_seed,
+        )
+        sketched, _ = cs_prepare(problem, 8 * 100, seed=sketch_seed)
+        assert type(sketched.A) is SparseMatrixCSC
+        assert sketched.A.nnz <= problem.A.nnz
+        stop = StoppingRule(rse_threshold=1e-6, max_iterations=10000)
+        one = run_solver(
+            problem, MethodParams("cs-madbcd", 0.3, 8), stop, sketch_seed=sketch_seed
+        )
+        two = run_solver(sketched, MethodParams("madbcd", 0.3), stop)
+        assert (one.iterations, one.stop_reason) == (iterations, "converged: rse threshold")
+        assert np.array_equal(one.x_final, two.x_final)
 
     def test_cs_madbcd_without_sketch_seed_refused(self):
         problem = make_consistent_problem(gen_gaussian_dense(300, 20, 1), 2)
