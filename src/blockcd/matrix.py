@@ -24,8 +24,6 @@ __all__ = [
     "Matrix",
     "DenseMatrix",
     "SparseMatrixCSC",
-    "NormalKernel",
-    "GramKernel",
     "RankDeficiencyError",
 ]
 

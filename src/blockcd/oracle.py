@@ -19,9 +19,7 @@ import numpy as np
 from .matrix import Matrix, RankDeficiencyError
 
 __all__ = [
-    "RankDeficiencyError",
     "ContractionBounds",
-    "householder_lstsq",
     "reference_lsq_solve",
     "gram_extremal_singular_values",
     "q_from_recurrence",

@@ -27,11 +27,8 @@ import numpy as np
 from .matrix import DenseMatrix, Matrix, SparseMatrixCSC
 
 __all__ = [
-    "PROBLEM_FIELDS",
-    "CLI_FORMS",
     "ProblemInstance",
     "MatrixMarketError",
-    "ZeroColumnError",
     "gen_gaussian_dense",
     "gen_sparse_gaussian",
     "gen_tomography",
@@ -42,7 +39,6 @@ __all__ = [
     "read_problem_bundle",
     "write_problem_bundle",
     "build_problem",
-    "parse_problem",
 ]
 
 CONSISTENCY_RTOL = 1e-10

@@ -29,7 +29,6 @@ __all__ = [
     "build_count_sketch",
     "sketch_apply_vector",
     "sketch_apply_matrix",
-    "check_sketch_dimension",
     "cs_prepare",
 ]
 

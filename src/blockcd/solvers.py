@@ -32,18 +32,15 @@ from __future__ import annotations
 import math
 import time
 from dataclasses import dataclass, field, replace
-from typing import Callable
+from typing import Callable, get_type_hints
 
 import numpy as np
 
 from .matrix import Matrix, NormalKernel, RankDeficiencyError
+from .problems import _checked_fields
 from .sketch import cs_prepare
 
 __all__ = [
-    "METHODS",
-    "MADBCD",
-    "CS_MADBCD",
-    "RESIDUAL_REFRESH",
     "MethodParams",
     "StoppingRule",
     "SolverState",
@@ -72,7 +69,7 @@ MRBGS_FRACTION = 0.3  # mrbgs's block: every j with s_j^2 >= this fraction of ma
 
 @dataclass(frozen=True)
 class MethodParams:
-    """Which method to run and its scalar knobs."""
+    """Which method to run and its scalar knobs, typed as a config's are."""
 
     method: str
     beta: float = 0.0
@@ -81,6 +78,7 @@ class MethodParams:
     def __post_init__(self):
         if self.method not in METHODS:
             raise ValueError(f"unknown method {self.method!r}, expected one of {METHODS}")
+        _checked_fields("method", vars(self), get_type_hints(MethodParams))
         if (self.d_factor is None) == (self.method == CS_MADBCD):
             raise ValueError(
                 "'d_factor' (sketch rows as a multiple of n) is required for cs-madbcd "
@@ -109,7 +107,7 @@ class MethodParams:
 
 @dataclass(frozen=True)
 class StoppingRule:
-    """Run limits; at least one of the three must be set.
+    """Run limits, typed as a config's are; at least one of the three must be set.
 
     `rse_threshold` bounds the relative solution error when the problem
     carries a reference solution.  Without one it bounds the normalized
@@ -122,6 +120,7 @@ class StoppingRule:
     time_budget_s: float | None = None
 
     def __post_init__(self):
+        _checked_fields("stopping", vars(self), get_type_hints(StoppingRule))
         if (
             self.rse_threshold is None
             and self.max_iterations is None
@@ -223,7 +222,9 @@ class ConvergenceReport:
 
     `residual_drift` holds (k, ||s - A^T (b - A x_k)||) once per refreshed
     iterate: every RESIDUAL_REFRESH steps, and where a stop on the normal
-    residual is proposed.  It is the drift of the carried s.
+    residual is proposed.  It is the drift of the carried s.  `converged`
+    follows `stop_reason`: derived from it when not given, refused when it
+    disagrees.
     """
 
     method: str
@@ -231,13 +232,22 @@ class ConvergenceReport:
     records: list[IterationRecord]
     x_final: np.ndarray
     stop_reason: str
-    converged: bool
     solve_seconds: float
+    converged: bool | None = None
     prep_seconds: float = 0.0
     problem_label: str = ""
     residual_drift: list[tuple[int, float]] = field(default_factory=list)
     iterate_history: list[np.ndarray] | None = None
     block_history: list[np.ndarray] | None = None
+
+    def __post_init__(self):
+        converged = self.stop_reason.startswith("converged")
+        if self.converged is None:
+            self.converged = converged
+        elif self.converged != converged:
+            raise ValueError(
+                f"converged={self.converged} contradicts stop reason {self.stop_reason!r}"
+            )
 
     @property
     def iterations(self) -> int:
@@ -339,18 +349,14 @@ def line_search_update(
 
 
 def householder_lstsq(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Minimize ||b - a x||_2 on a dense m-by-k block with m >= k.
+    """Minimize ||b - a x||_2 on a dense m-by-k block; b has length m, and m >= k.
 
     Factors [a | b] by LAPACK's blocked Householder QR (dgeqrf) without
     forming Q, so that R[:k, k] = Q^T b, then solves R[:k, :k] x = R[:k, k].
     Raises RankDeficiencyError at the first block position j with
     |R_jj| <= 1e-12 * ||a||_F, the same contract as the oracle's QR.
     """
-    m, k = a.shape
-    if m < k:
-        raise ValueError(f"need m >= n for a full-column-rank solve, got {a.shape}")
-    if b.shape != (m,):
-        raise ValueError(f"rhs must have length {m}, got shape {b.shape}")
+    k = a.shape[1]
     r = np.linalg.qr(np.column_stack((a, b)), mode="r")
     diag = np.abs(np.diagonal(r)[:k])
     small = np.flatnonzero(diag <= 1e-12 * np.linalg.norm(a))
@@ -491,7 +497,6 @@ def run_solver(
         records=records,
         x_final=state.x_curr,
         stop_reason=stop_reason,
-        converged=stop_reason.startswith("converged"),
         solve_seconds=solve_seconds,
         prep_seconds=prep_seconds,
         problem_label=problem_label,

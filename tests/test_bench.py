@@ -120,6 +120,12 @@ class TestConfig:
         with pytest.raises(ValueError, match=f"'d_factor' must be >= 1, got {d_factor}"):
             MethodParams(method="cs-madbcd", beta=0.3, d_factor=d_factor)
 
+    @pytest.mark.parametrize("field, value", [("d_factor", 2.5), ("d_factor", True), ("beta", False)])
+    def test_knob_of_a_type_a_config_refuses_is_refused(self, field, value):
+        knobs = {"beta": 0.3, "d_factor": 2, field: value}
+        with pytest.raises(ValueError, match=f"method key '{field}' must be"):
+            MethodParams(method="cs-madbcd", **knobs)
+
     def test_json_round_trip(self, tmp_path):
         cfg = small_config(tmp_path)
         path = tmp_path / "cfg.json"

@@ -6,7 +6,9 @@ import pytest
 from numpy.testing import assert_allclose
 
 from blockcd import (
+    ConvergenceReport,
     DenseMatrix,
+    IterationRecord,
     MethodParams,
     ProblemInstance,
     RankDeficiencyError,
@@ -481,6 +483,39 @@ class TestParamsValidation:
     def test_non_finite_limit_refused(self, field, value):
         with pytest.raises(ValueError, match=f"{field} must be finite and positive"):
             StoppingRule(max_iterations=10, **{field: value})
+
+    @pytest.mark.parametrize(
+        "field, value",
+        [("max_iterations", 2.5), ("max_iterations", True), ("rse_threshold", True), ("time_budget_s", True)],
+    )
+    def test_limit_of_a_type_a_config_refuses_is_refused(self, field, value):
+        with pytest.raises(ValueError, match=f"stopping key '{field}' must be"):
+            StoppingRule(**{"max_iterations": 10, field: value})
+
+
+class TestConvergenceReport:
+    @staticmethod
+    def report(stop_reason, **kwargs):
+        return ConvergenceReport(
+            method="madbcd",
+            beta=0.0,
+            records=[IterationRecord(k=0, rse=1.0, normal_residual=1.0, block_size=0, elapsed_s=0.0)],
+            x_final=np.zeros(2),
+            stop_reason=stop_reason,
+            solve_seconds=0.0,
+            **kwargs,
+        )
+
+    @pytest.mark.parametrize(
+        "stop_reason, converged",
+        [("converged: rse threshold", True), ("max iterations exceeded", False)],
+    )
+    def test_converged_derived_from_stop_reason(self, stop_reason, converged):
+        assert self.report(stop_reason).converged is converged
+
+    def test_converged_contradicting_stop_reason_refused(self):
+        with pytest.raises(ValueError, match="contradicts stop reason 'max iterations exceeded'"):
+            self.report("max iterations exceeded", converged=True)
 
 
 class TestRunSolver:
