@@ -23,7 +23,7 @@ from typing import get_args, get_type_hints
 import numpy as np
 
 from . import __version__
-from .problems import _checked_fields, _problem_spec, build_problem
+from .problems import _checked_fields, _problem_spec, _store_checked, build_problem
 from .sketch import check_sketch_dimension
 from .solvers import (
     MADBCD,
@@ -66,6 +66,9 @@ class ExperimentConfig:
     label: str = "experiment"
 
     def __post_init__(self):
+        hints = get_type_hints(ExperimentConfig)
+        scalars = ("repeats", "master_seed", "output_dir", "label")
+        _store_checked(self, "config", {key: hints[key] for key in scalars})
         if self.repeats < 1:
             raise ValueError("repeats must be >= 1")
         if self.master_seed < 0:

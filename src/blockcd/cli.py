@@ -141,11 +141,7 @@ def _build_parser() -> _Parser:
 
 
 def _cmd_solve(args) -> int:
-    d_factor = args.d_factor
-    if args.method != CS_MADBCD and d_factor is not None:
-        raise ValueError(f"--d-factor applies to cs-madbcd only, not {args.method!r}")
-    if args.method == CS_MADBCD and d_factor is None:
-        d_factor = 4
+    d_factor = 4 if args.method == CS_MADBCD and args.d_factor is None else args.d_factor
     params = MethodParams(args.method, beta=args.beta, d_factor=d_factor)
     spec = parse_problem(args.problem)
     problem = build_problem(spec, args.seed)

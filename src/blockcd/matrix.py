@@ -99,6 +99,13 @@ class Matrix:
             )
         return idx
 
+    def _check_direction(self, indices, values) -> tuple[np.ndarray, np.ndarray]:
+        idx = self._check_indices(indices)
+        vals = np.asarray(values, dtype=np.float64)
+        if vals.shape != idx.shape:
+            raise ValueError("indices and direction values must have equal length")
+        return idx, vals
+
 
 class DenseMatrix(Matrix):
     """Column-major (Fortran-order) dense matrix of 64-bit floats."""
@@ -126,16 +133,8 @@ class DenseMatrix(Matrix):
         return self._a.T @ r
 
     def restricted_matvec(self, indices, values):
-        idx = self._check_indices(indices)
-        vals = np.asarray(values, dtype=np.float64)
-        if vals.shape != idx.shape:
-            raise ValueError("indices and direction values must have equal length")
-        # accumulating per column beats gathering a submatrix: no m-by-|tau| copy
-        y = np.zeros(self.rows)
-        a = self._a
-        for j, v in zip(idx, vals):
-            y += v * a[:, j]
-        return y
+        idx, vals = self._check_direction(indices, values)
+        return self._a[:, idx] @ vals
 
     def column_norms(self):
         return np.sqrt(np.einsum("ij,ij->j", self._a, self._a))
@@ -247,10 +246,7 @@ class SparseMatrixCSC(Matrix):
         return s
 
     def restricted_matvec(self, indices, values):
-        idx = self._check_indices(indices)
-        vals = np.asarray(values, dtype=np.float64)
-        if vals.shape != idx.shape:
-            raise ValueError("indices and direction values must have equal length")
+        idx, vals = self._check_direction(indices, values)
         y = np.zeros(self.rows)
         # row indices are unique within a column, so fancy += is collision-free
         for j, v in zip(idx, vals):

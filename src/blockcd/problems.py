@@ -43,6 +43,13 @@ __all__ = [
 
 CONSISTENCY_RTOL = 1e-10
 
+# 4 log2 max_j ||a_j|| + 2 log2 max_i |b_i| estimates log2 ||A_tau eta||^2, the
+# squared norm a line-search step divides by.  A consistent 200x20 Gaussian
+# scaled by 1e-53 gives about -1034 and still solves to 1e-12; scaled by 1e-55
+# it gives about -1073, ||s||^2 and ||A_tau eta||^2 underflow, and a full-rank
+# problem would stop on a false rank deficiency or zero residual.
+SCALE_LOG2_FLOOR = -1050
+
 
 def _refuse_non_finite(what: str, v: np.ndarray) -> None:
     bad = np.flatnonzero(~np.isfinite(v))
@@ -97,6 +104,15 @@ class ProblemInstance:
                 )
             raise ZeroColumnError(j)
         _refuse_non_finite("right-hand side", self.b)
+        b_max = float(np.abs(self.b).max())
+        if b_max > 0.0:  # b = 0 is solved by x = 0 at any scale
+            a_max = float(norms.max())
+            # in log2, so that the check itself cannot underflow
+            if 4 * math.log2(a_max) + 2 * math.log2(b_max) < SCALE_LOG2_FLOOR:
+                raise ValueError(
+                    f"matrix and right-hand side are too small to solve in double precision "
+                    f"(largest column norm {a_max:.3e}, largest |b_i| {b_max:.3e}); rescale them"
+                )
         if self.x_star is not None:
             self.x_star = np.asarray(self.x_star, dtype=np.float64)
             if self.x_star.shape != (self.A.cols,):
@@ -523,6 +539,15 @@ def _checked_fields(what: str, raw: dict, declared: dict, required=()) -> dict:
             value = int(value) if isinstance(value, numbers.Integral) else float(value)
         plain[key] = value
     return plain
+
+
+def _store_checked(record, what: str, declared: dict) -> None:
+    """Refuse, as `_checked_fields` does, a `declared` field of the frozen
+    dataclass `record` whose value does not have its type, and store the plain
+    Python value of each in its place."""
+    raw = {key: getattr(record, key) for key in declared}
+    for key, value in _checked_fields(what, raw, declared).items():
+        object.__setattr__(record, key, value)
 
 
 def _problem_spec(spec: dict) -> dict:

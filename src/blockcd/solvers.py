@@ -37,7 +37,7 @@ from typing import Callable, get_type_hints
 import numpy as np
 
 from .matrix import Matrix, NormalKernel, RankDeficiencyError
-from .problems import _checked_fields
+from .problems import _store_checked
 from .sketch import cs_prepare
 
 __all__ = [
@@ -78,7 +78,7 @@ class MethodParams:
     def __post_init__(self):
         if self.method not in METHODS:
             raise ValueError(f"unknown method {self.method!r}, expected one of {METHODS}")
-        _checked_fields("method", vars(self), get_type_hints(MethodParams))
+        _store_checked(self, "method", get_type_hints(MethodParams))
         if (self.d_factor is None) == (self.method == CS_MADBCD):
             raise ValueError(
                 "'d_factor' (sketch rows as a multiple of n) is required for cs-madbcd "
@@ -120,7 +120,7 @@ class StoppingRule:
     time_budget_s: float | None = None
 
     def __post_init__(self):
-        _checked_fields("stopping", vars(self), get_type_hints(StoppingRule))
+        _store_checked(self, "stopping", get_type_hints(StoppingRule))
         if (
             self.rse_threshold is None
             and self.max_iterations is None

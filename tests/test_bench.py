@@ -126,6 +126,46 @@ class TestConfig:
         with pytest.raises(ValueError, match=f"method key '{field}' must be"):
             MethodParams(method="cs-madbcd", **knobs)
 
+    @pytest.mark.parametrize(
+        "field, value, message",
+        [
+            ("repeats", 2.5, "config key 'repeats' must be int, got 2.5"),
+            ("repeats", True, "config key 'repeats' must be int, got True"),
+            ("master_seed", 1.5, "config key 'master_seed' must be int, got 1.5"),
+            ("output_dir", 3, "config key 'output_dir' must be str, got 3"),
+            ("label", None, "config key 'label' must be str, got None"),
+        ],
+        ids=["repeats-float", "repeats-bool", "master_seed-float", "output_dir-int", "label-None"],
+    )
+    def test_config_field_of_a_wrong_type_is_refused_when_built_directly(
+        self, field, value, message
+    ):
+        with pytest.raises(ValueError, match=message):
+            ExperimentConfig(
+                problem={"kind": "gaussian", "m": 60, "n": 10},
+                methods=(MethodParams("madbcd", 0.1),),
+                stopping=StoppingRule(1e-6, 1000),
+                **{field: value},
+            )
+
+    def test_records_built_from_numpy_scalars_write_a_plain_manifest(self, tmp_path):
+        cfg = ExperimentConfig(
+            problem={"kind": "gaussian", "m": 120, "n": 10},
+            methods=(MethodParams("cs-madbcd", 0.3, d_factor=np.int64(2)),),
+            stopping=StoppingRule(1e-6, np.int64(500)),
+            repeats=np.int64(1),
+            output_dir=str(tmp_path / "out"),
+        )
+        assert type(cfg.methods[0].d_factor) is int
+        assert type(cfg.stopping.max_iterations) is int and type(cfg.repeats) is int
+        rows, reports = run_experiment(cfg)
+        emit_outputs(rows, reports, cfg)
+        with open(f"{cfg.output_dir}/manifest.json") as fh:
+            manifest = json.load(fh)
+        assert manifest["config"]["methods"][0]["d_factor"] == 2
+        assert manifest["config"]["stopping"]["max_iterations"] == 500
+        assert manifest["config"]["repeats"] == 1
+
     def test_json_round_trip(self, tmp_path):
         cfg = small_config(tmp_path)
         path = tmp_path / "cfg.json"
@@ -317,6 +357,12 @@ class TestEmitOutputs:
         emit_outputs(rows, reports, cfg)
         back = read_summary_csv(f"{cfg.output_dir}/summary.csv")
         assert back == rows
+
+    def test_summary_with_foreign_columns_refused(self, tmp_path):
+        path = tmp_path / "summary.csv"
+        path.write_text("label,iterations\nmadbcd_b0.1,12\n")
+        with pytest.raises(ValueError, match=r"unexpected columns \['label', 'iterations'\]"):
+            read_summary_csv(path)
 
     def test_curve_has_iterations_plus_one_lines(self, tmp_path):
         cfg = small_config(

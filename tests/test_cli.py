@@ -2,6 +2,7 @@ import json
 import re
 import subprocess
 import sys
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -148,7 +149,7 @@ def test_d_factor_without_sketch_exit_one(capsys):
         ["solve", "--problem", "gaussian:200:20", "--method", "madbcd", "--d-factor", "8"]
     )
     assert code == 1
-    assert "--d-factor" in capsys.readouterr().err
+    assert "'d_factor'" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("method", ["cd", "fbcd", "mrbgs", "madbcd", "cs-madbcd"])
@@ -484,6 +485,22 @@ def test_rank_deficient_block_exit_two(tmp_path, capsys):
     assert capsys.readouterr().err.startswith(
         "numerical failure: rank-deficient subproblem on block [3, 5, 7, 15]: "
     )
+
+
+def test_bundle_scaled_below_the_floor_exit_one(tmp_path):
+    rng = np.random.default_rng(3)
+    a = rng.standard_normal((200, 20)) * 1e-100
+    x_star = rng.standard_normal(20)
+    # a ProblemInstance of it is refused, so the bundle is written from plain fields
+    write_problem_bundle(tmp_path, SimpleNamespace(A=DenseMatrix(a), b=a @ x_star, x_star=x_star))
+    proc = subprocess.run(
+        [sys.executable, "-m", "blockcd.cli", "solve", "--problem", str(tmp_path)],
+        capture_output=True,
+        text=True,
+    )
+    assert proc.returncode == 1
+    assert proc.stderr.startswith("error: matrix and right-hand side are too small")
+    assert "rescale" in proc.stderr and "Traceback" not in proc.stderr
 
 
 def test_runtime_error_exit_two(monkeypatch, capsys):

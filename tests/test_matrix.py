@@ -106,6 +106,22 @@ class TestRestrictedMatvec:
         with pytest.raises(ValueError, match="out of range"):
             A.restricted_matvec(np.array([2]), np.array([1.0]))
 
+    @pytest.mark.parametrize("storage", [DenseMatrix, SparseMatrixCSC.from_dense],
+                             ids=["dense", "csc"])
+    def test_direction_length_mismatch(self, storage):
+        A = storage(np.eye(3))
+        with pytest.raises(ValueError, match="equal length"):
+            A.restricted_matvec(np.array([0, 2]), np.array([1.0]))
+
+    @pytest.mark.parametrize("storage", [DenseMatrix, SparseMatrixCSC.from_dense],
+                             ids=["dense", "csc"])
+    def test_two_dimensional_indices_refused(self, storage):
+        A = storage(np.eye(3))
+        with pytest.raises(ValueError, match="one-dimensional"):
+            A.restricted_matvec(np.array([[0, 1]]), np.array([[1.0, 1.0]]))
+        with pytest.raises(ValueError, match="one-dimensional"):
+            A.gather_columns(np.array([[0], [1]]))
+
 
 class TestColumnNorms:
     def test_identity(self):
@@ -214,6 +230,26 @@ class TestConstruction:
             SparseMatrixCSC(2, 2, [0, 2], [0, 1], [1.0, 1.0])
         with pytest.raises(ValueError, match="non-decreasing"):
             SparseMatrixCSC(2, 2, [0, 2, 1], [0, 1], [1.0, 1.0])
+
+    def test_csc_rejects_no_rows(self):
+        with pytest.raises(ValueError, match=r"dimensions must be >= 1, got \(0, 2\)"):
+            SparseMatrixCSC(0, 2, [0, 0, 0], [], [])
+
+    def test_rejects_indptr_end_other_than_the_entry_count(self):
+        with pytest.raises(ValueError, match=r"indptr\[-1\] must equal"):
+            SparseMatrixCSC(2, 1, [0, 2], [0], [1.0])
+
+    @pytest.mark.parametrize(
+        "rows, cols, vals, message",
+        [
+            ([0, 1], [0], [1.0, 2.0], "equal length"),
+            ([0], [2], [1.0], r"column index out of range: valid range is \[0, 2\)"),
+        ],
+        ids=["unequal-lengths", "column-out-of-range"],
+    )
+    def test_from_coo_rejects_bad_triplets(self, rows, cols, vals, message):
+        with pytest.raises(ValueError, match=message):
+            SparseMatrixCSC.from_coo(2, 2, rows, cols, vals)
 
     def test_rejects_out_of_range_rows(self):
         with pytest.raises(ValueError, match="row index out of range"):

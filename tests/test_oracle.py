@@ -57,6 +57,10 @@ class TestReferenceSolve:
         with pytest.raises(ValueError, match="m >= n"):
             reference_lsq_solve(np.ones((2, 3)), np.ones(2))
 
+    def test_rejects_rhs_of_wrong_length(self):
+        with pytest.raises(ValueError, match=r"rhs must have length 3, got shape \(2,\)"):
+            reference_lsq_solve(np.eye(3), np.ones(2))
+
 
 class TestGramSingularValues:
     def test_padded_diagonal(self):
@@ -227,6 +231,10 @@ class TestContractionBounds:
         assert cb.gamma1 == pytest.approx(1.32 * 2.25 - 1.3 * 0.8, rel=1e-12)
         assert cb.gamma1 == pytest.approx(1.93, rel=1e-12)
         assert not cb.feasible
+
+    def test_empty_block_refused(self):
+        with pytest.raises(ValueError, match="block index set must be nonempty"):
+            contraction_bounds(np.eye(3), [], 0.0)
 
     def test_eps_domain(self, rng):
         a = rng.standard_normal((10, 3))

@@ -82,6 +82,10 @@ class TestSparseGaussian:
         with pytest.raises(ValueError, match="density"):
             gen_sparse_gaussian(10, 2, 0.0, seed=0)
 
+    def test_overdetermined_contract(self):
+        with pytest.raises(ValueError, match="m >= n, got 5 < 6"):
+            gen_sparse_gaussian(5, 6, 0.5, seed=0)
+
 
 class TestMakeConsistent:
     def test_identity_rhs_is_solution(self):
@@ -117,6 +121,33 @@ class TestProblemInstanceValidation:
                 ProblemInstance(A=A, b=np.ones(3))
             assert not isinstance(info.value, ZeroColumnError)
 
+    @pytest.mark.parametrize("exponent", [-55, -60, -80, -100])
+    @pytest.mark.parametrize(
+        "storage", [DenseMatrix, SparseMatrixCSC.from_dense], ids=["dense", "csc"]
+    )
+    def test_underflowing_scale_refused(self, storage, exponent):
+        # full rank, but a step's squared norms ||s||^2 and ||A_tau eta||^2 underflow
+        a = gen_gaussian_dense(200, 20, seed=0).to_dense() * 10.0**exponent
+        x_star = np.random.default_rng(1).standard_normal(20)
+        with pytest.raises(
+            ValueError, match=r"largest column norm .*, largest \|b_i\| .*; rescale them"
+        ):
+            ProblemInstance(A=storage(a), b=a @ x_star, x_star=x_star)
+
+    @pytest.mark.parametrize("exponent", [-50, -53])
+    @pytest.mark.parametrize("method", ["cd", "fbcd", "mrbgs", "madbcd", "cs-madbcd"])
+    def test_scale_above_the_floor_solves(self, method, exponent):
+        a = gen_gaussian_dense(200, 20, seed=0).to_dense() * 10.0**exponent
+        x_star = np.random.default_rng(1).standard_normal(20)
+        problem = ProblemInstance(A=DenseMatrix(a), b=a @ x_star, x_star=x_star)
+        params = MethodParams(method, d_factor=4 if method == "cs-madbcd" else None)
+        report = run_solver(problem, params, StoppingRule(1e-12, 20000), sketch_seed=1)
+        assert report.stop_reason == "converged: rse threshold"
+
+    def test_zero_rhs_is_not_refused_at_any_scale(self):
+        problem = ProblemInstance(A=DenseMatrix(np.eye(3) * 1e-100), b=np.zeros(3))
+        assert not problem.b.any()
+
     def test_non_finite_rhs_named(self):
         b = np.ones(3)
         b[2] = np.nan
@@ -143,6 +174,12 @@ class TestProblemInstanceValidation:
             ValueError, match="reference solution has a non-finite entry at index 1"
         ):
             ProblemInstance(A=DenseMatrix(np.eye(3)), b=np.ones(3), x_star=x_star)
+
+    def test_reference_solution_length(self):
+        with pytest.raises(
+            ValueError, match=r"reference solution must have length 3, got shape \(2,\)"
+        ):
+            ProblemInstance(A=DenseMatrix(np.eye(3)), b=np.ones(3), x_star=np.ones(2))
 
     def test_all_zero_reference_solution_refused(self):
         with pytest.raises(ValueError, match="all zeros.*undefined.*omit x_star"):
@@ -234,6 +271,11 @@ class TestTraceRay:
         assert_allclose(lens, np.ones(4))
 
 
+    def test_zero_direction_refused(self):
+        with pytest.raises(ValueError, match="ray direction must be nonzero"):
+            trace_ray([1.0, 1.0], [0.0, 0.0], 4)
+
+
 class TestTomography:
     def test_row_sums_conserve_chord_length(self):
         p = gen_tomography(8, phantom="blocks", seed=1)
@@ -300,6 +342,10 @@ class TestTomography:
         assert p1.A.rows == p2.A.rows == p3.A.rows == 168
         assert np.array_equal(p1.x_star, p2.x_star)
         assert not np.array_equal(p1.x_star, p3.x_star)
+
+    def test_grid_side_below_four_refused(self):
+        with pytest.raises(ValueError, match="grid side must be >= 4, got 3"):
+            gen_tomography(3)
 
     def test_unknown_phantom(self):
         with pytest.raises(ValueError, match="phantom"):

@@ -177,6 +177,10 @@ class TestSelectFbcd:
         assert block.tolist() == expected
         assert len(expected) >= 1
 
+    def test_zero_gradient_is_a_signal(self):
+        with pytest.raises(ValueError, match="zero gradient"):
+            select_block_fbcd(np.zeros(3), np.ones(3), np.sqrt(3.0))
+
 
 class TestSelectMrbgs:
     def test_hand_cutoff(self):
@@ -194,6 +198,10 @@ class TestSelectMrbgs:
         cutoff = 0.3 * np.max(s * s)
         expected = [j for j in range(12) if s[j] ** 2 >= cutoff]
         assert block.tolist() == expected
+
+    def test_zero_gradient_is_a_signal(self):
+        with pytest.raises(ValueError, match="zero gradient"):
+            select_block_mrbgs(np.zeros(3))
 
 
 def test_every_method_moves_by_the_shared_transition():
@@ -472,6 +480,11 @@ class TestParamsValidation:
     def test_beta_zero_for_non_momentum_methods(self):
         with pytest.raises(ValueError, match="does not take"):
             MethodParams("fbcd", beta=0.2)
+
+    @pytest.mark.parametrize("value", [0, -3])
+    def test_max_iterations_below_one_refused(self, value):
+        with pytest.raises(ValueError, match="max_iterations must be >= 1"):
+            StoppingRule(max_iterations=value)
 
     def test_stopping_needs_a_limit(self):
         with pytest.raises(ValueError, match="stopping limit"):
