@@ -100,9 +100,9 @@ def _build_parser() -> _Parser:
     seed = argparse.ArgumentParser(add_help=False)
     seed.add_argument("--seed", type=_seed, default=0)
     stop = argparse.ArgumentParser(add_help=False)
-    stop.add_argument("--tol", type=_positive, default=1e-6,
+    stop.add_argument("--tol", type=_positive, default=StoppingRule.rse_threshold,
                       help="relative solution error threshold")
-    stop.add_argument("--max-it", type=_count, default=100000)
+    stop.add_argument("--max-it", type=_count, default=StoppingRule.max_iterations)
 
     p = _Parser(prog="blockcd", description=__doc__)
     sub = p.add_subparsers(dest="command", required=True)

@@ -99,7 +99,8 @@ class MethodParams:
     def label(self) -> str:
         parts = [self.method]
         if self.method in (MADBCD, CS_MADBCD):
-            parts.append(f"b{self.beta:g}")
+            # shortest round-trip form, so distinct weights get distinct labels
+            parts.append(f"b{np.format_float_positional(self.beta, trim='-')}")
         if self.d_factor is not None:
             parts.append(f"d{self.d_factor}n")
         return "_".join(parts)
@@ -107,31 +108,25 @@ class MethodParams:
 
 @dataclass(frozen=True)
 class StoppingRule:
-    """Run limits, typed as a config's are; at least one of the three must be set.
+    """Run limits, typed as a config's are; every run is capped at `max_iterations`.
 
     `rse_threshold` bounds the relative solution error when the problem
     carries a reference solution.  Without one it bounds the normalized
     gradient ||A^T r|| / ||A^T b|| instead (stop reason "converged: gradient
-    fallback threshold").
+    fallback threshold").  `rse_threshold` and `time_budget_s` may be None.
     """
 
     rse_threshold: float | None = 1e-6
-    max_iterations: int | None = None
+    max_iterations: int = 100_000
     time_budget_s: float | None = None
 
     def __post_init__(self):
         _store_checked(self, "stopping", get_type_hints(StoppingRule))
-        if (
-            self.rse_threshold is None
-            and self.max_iterations is None
-            and self.time_budget_s is None
-        ):
-            raise ValueError("at least one stopping limit must be finite")
         for name in ("rse_threshold", "time_budget_s"):
             v = getattr(self, name)
             if v is not None and not (math.isfinite(v) and v > 0.0):
                 raise ValueError(f"{name} must be finite and positive, got {v}")
-        if self.max_iterations is not None and self.max_iterations < 1:
+        if self.max_iterations < 1:
             raise ValueError("max_iterations must be >= 1")
 
 
@@ -338,10 +333,13 @@ def line_search_update(
     eta = state.grad[block]
     g, denom = state.kernel.step(block, eta)
     if not denom > 0.0:
+        # eta = A_tau^T r, so ||A_tau eta||^2 = 0 only if eta = 0, which the
+        # block rule excludes: the product underflowed
         raise RankDeficiencyError(
             int(block[0]),
-            0.0,
-            "rank deficiency detected: selected columns map the direction to zero",
+            denom,
+            f"the step's squared norm ||A_tau eta||^2 underflowed to {denom:.3e} on a "
+            f"block of {block.size} column(s); rescale the problem",
         )
     eta_dot_s = float(np.dot(eta, eta))
     c = eta_dot_s / denom
@@ -430,9 +428,9 @@ def run_solver(
             return "converged: rse threshold"
         if s_norm_sq == 0.0:
             return ZERO_RESIDUAL_STOP
-        if grad_floor is not None and grad_floor > 0.0 and math.sqrt(s_norm_sq) <= grad_floor:
+        if grad_floor is not None and math.sqrt(s_norm_sq) <= grad_floor:
             return GRADIENT_FALLBACK_STOP
-        if stop.max_iterations is not None and k >= stop.max_iterations:
+        if k >= stop.max_iterations:
             return "max iterations exceeded"
         if stop.time_budget_s is not None and elapsed >= stop.time_budget_s:
             return "time budget exhausted"

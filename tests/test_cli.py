@@ -276,6 +276,7 @@ def test_matrix_market_count_beyond_the_file_exit_one(tmp_path, capsys):
             "method key 'd_factor' must be int | None",
         ),
         ({"stopping": {"rse_threshold": "1e-6"}}, "stopping key 'rse_threshold' must be float"),
+        ({"stopping": {"max_iterations": None}}, "stopping key 'max_iterations' must be int, got None"),
         ({"methods": 5}, "config key 'methods' must be list"),
         ({"methods": [5]}, "method must be a JSON object, got 5"),
         ({"stopping": 5}, "config key 'stopping' must be dict"),
@@ -293,7 +294,7 @@ def test_matrix_market_count_beyond_the_file_exit_one(tmp_path, capsys):
         ),
     ],
     ids=["beta-string", "repeats-string", "repeats-float", "m-string", "d_factor-float",
-         "rse_threshold-string", "methods-not-list", "method-not-object",
+         "rse_threshold-string", "max_iterations-null", "methods-not-list", "method-not-object",
          "stopping-not-object", "gaussian-problem-typo", "tomography-problem-typo",
          "tomography-fixed-detector-spacing"],
 )
@@ -318,6 +319,15 @@ def test_report_json_and_manifest_share_run_fields(tmp_path):
     assert set(run) == set(report) - {"method"}
 
 
+def test_config_without_stopping_runs_under_the_default_cap(tmp_path):
+    path = write_small_config(tmp_path, stopping=DROP)
+    assert main(["bench", "--config", str(path)]) == 0
+    manifest = json.loads((tmp_path / "bench-out" / "manifest.json").read_text())
+    assert manifest["config"]["stopping"] == {
+        "rse_threshold": 1e-6, "max_iterations": 100000, "time_budget_s": None,
+    }
+
+
 def test_bench_parallel_flag_is_gone(tmp_path, capsys):
     path = write_small_config(tmp_path)
     assert main(["bench", "--config", str(path), "--parallel"]) == 1
@@ -328,6 +338,17 @@ def test_sweep_beta_duplicate_betas_exit_one(capsys):
     code = main(["sweep-beta", "--problem", "gaussian:150:50", "--betas", "0.1,0.1"])
     assert code == 1
     assert "distinct" in capsys.readouterr().err
+
+
+def test_sweep_beta_weights_equal_to_six_digits_get_distinct_cells(tmp_path):
+    code = main(
+        ["sweep-beta", "--problem", "gaussian:60:10", "--betas", "0.1234561,0.1234562",
+         "--out", str(tmp_path)]
+    )
+    assert code == 0
+    assert sorted(p.stem for p in (tmp_path / "curves").glob("*.csv")) == [
+        "madbcd_b0.1234561", "madbcd_b0.1234562",
+    ]
 
 
 @pytest.mark.parametrize(
@@ -497,6 +518,7 @@ def test_bundle_scaled_below_the_floor_exit_one(tmp_path):
         [sys.executable, "-m", "blockcd.cli", "solve", "--problem", str(tmp_path)],
         capture_output=True,
         text=True,
+        timeout=120,
     )
     assert proc.returncode == 1
     assert proc.stderr.startswith("error: matrix and right-hand side are too small")
@@ -550,6 +572,7 @@ def test_console_script_entry_point():
         [sys.executable, "-m", "blockcd.cli", "solve", "--problem", "gaussian:120:20", "--seed", "4"],
         capture_output=True,
         text=True,
+        timeout=120,
     )
     assert proc.returncode == 0
     assert "converged" in proc.stdout
@@ -567,6 +590,7 @@ def test_inconsistent_sketch_warning_names_the_run_not_the_library(tmp_path, cap
          "--method", "cs-madbcd", "--max-it", "50"],
         capture_output=True,
         text=True,
+        timeout=120,
     )
     assert proc.returncode == 3
     assert "warning: count-sketch preprocessing of an inconsistent system" in proc.stderr

@@ -308,6 +308,14 @@ class TestMadbcdStep:
         assert np.array_equal(nxt.grad, s - c * g)
         assert np.array_equal(nxt.x_prev, x_curr)
 
+    @pytest.mark.parametrize("storage", [DenseMatrix, SparseMatrixCSC.from_dense])
+    def test_underflowing_step_is_named_as_underflow(self, storage):
+        # one nonzero column: ||A_tau eta||^2 = 1e-600 underflows to zero
+        A = storage(np.array([[1e-150], [0.0]]))
+        state = SolverState.initial(A, np.array([1.0, 0.0]))
+        with pytest.raises(RankDeficiencyError, match="underflowed .* rescale the problem"):
+            step(state, A, "madbcd")
+
     def test_fixed_point_stops_driver(self):
         # b = 0 makes the start x = 0 a solution: s = A^T b is exactly zero
         problem = ProblemInstance(A=DenseMatrix(np.eye(2)), b=np.zeros(2))
@@ -486,10 +494,20 @@ class TestParamsValidation:
         with pytest.raises(ValueError, match="max_iterations must be >= 1"):
             StoppingRule(max_iterations=value)
 
+    @pytest.mark.parametrize(
+        "beta, label",
+        [(0.0, "madbcd_b0"), (0.35, "madbcd_b0.35"), (1e-5, "madbcd_b0.00001"),
+         (0.1234561, "madbcd_b0.1234561")],
+    )
+    def test_label_writes_beta_in_shortest_round_trip_form(self, beta, label):
+        assert MethodParams("madbcd", beta).label() == label
+
     def test_stopping_needs_a_limit(self):
-        with pytest.raises(ValueError, match="stopping limit"):
-            StoppingRule(rse_threshold=None)
-        StoppingRule(rse_threshold=None, max_iterations=10)
+        # every rule is capped: the cap has a default and cannot be None
+        assert StoppingRule().max_iterations == 100000
+        assert StoppingRule(rse_threshold=None).max_iterations == 100000
+        with pytest.raises(ValueError, match="stopping key 'max_iterations' must be int, got None"):
+            StoppingRule(max_iterations=None)
 
     @pytest.mark.parametrize("value", [math.nan, math.inf])
     @pytest.mark.parametrize("field", ["rse_threshold", "time_budget_s"])
@@ -757,8 +775,26 @@ class TestRunSolver:
         assert report.stop_reason == "max iterations exceeded"
         assert report.iterations == 3
 
+    def test_default_cap_ends_a_run_that_cannot_meet_its_threshold(self):
+        # the sketched least-squares solution of a noisy system misses the
+        # unsketched one by far more than the threshold
+        A = gen_gaussian_dense(40, 5, 1)
+        noise = 0.1 * np.random.default_rng(2).standard_normal(40)
+        b = A.matvec(np.random.default_rng(3).standard_normal(5)) + noise
+        problem = ProblemInstance(A=A, b=b, x_star=reference_lsq_solve(A, b))
+        with pytest.warns(UserWarning, match="inconsistent"):
+            report = run_solver(
+                problem,
+                MethodParams("cs-madbcd", 0.3, d_factor=4),
+                StoppingRule(rse_threshold=1e-6),
+                sketch_seed=4,
+            )
+        assert report.stop_reason == "max iterations exceeded"
+        assert report.iterations == 100000
+        assert report.records[-1].rse > 1e-6
+
     def test_non_finite_iterates_stop_the_run(self):
-        # an overflowing right-hand side must terminate even under rse-only stopping
+        # an overflowing right-hand side is stopped as diverged, not by the cap
         A = gen_gaussian_dense(30, 6, 1)
         x_star = np.full(6, 1e200)
         problem = ProblemInstance(A=A, b=A.matvec(x_star), x_star=x_star)
