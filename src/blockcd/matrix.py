@@ -8,7 +8,8 @@ dot-products, updates are column gathers).
 
 A solver step needs A only through A^T A_tau, which ``Matrix.normal_kernel``
 supplies per run: by two passes over CSC storage, or from G = A^T A for a
-dense matrix.
+dense matrix.  The mrbgs subsolve also takes the gathered A_tau and
+G_tau = A_tau^T A_tau from it: read from G, or formed from the gathered block.
 
 Matrices are immutable after construction and safe to share between
 concurrent runs; every kernel returns a freshly allocated array.
@@ -29,7 +30,13 @@ __all__ = [
 
 
 class RankDeficiencyError(ValueError):
-    """Numerical rank deficiency detected during a factorization."""
+    """A numerical failure on a block of columns, from one of two causes.
+
+    A pivot of a factorization falls below its tolerance (mrbgs's QR
+    fallback, the oracle's QR); `column` is the first dependent column.  Or
+    a step's squared norm ||A_tau eta||^2 underflows
+    (``line_search_update``); `column` is the block's first.
+    """
 
     def __init__(self, column: int, magnitude: float, message: str | None = None):
         self.column = column
@@ -141,7 +148,8 @@ class DenseMatrix(Matrix):
 
     def gather_columns(self, indices):
         idx = self._check_indices(indices)
-        return np.array(self._a[:, idx], order="F")
+        # rows of the C-ordered transpose: one contiguous copy, in Fortran order
+        return self._a.T[idx].T
 
     def to_dense(self):
         return self._a
@@ -287,7 +295,8 @@ class NormalKernel:
 
     `step(block, v)` returns (A^T A_tau v, ||A_tau v||^2) for the direction
     carrying `v` on `block`.  A refresh re-derives s = A^T r from the matrix
-    itself, so the kernel needs no full A^T A v.
+    itself, so the kernel needs no full A^T A v.  `block_system(block)`
+    gives the mrbgs subsolve its A_tau and G_tau.
     """
 
     def __init__(self, A: Matrix):
@@ -296,6 +305,11 @@ class NormalKernel:
     def step(self, block: np.ndarray, v: np.ndarray) -> tuple[np.ndarray, float]:
         a_v = self.A.restricted_matvec(block, v)
         return self.A.transpose_matvec(a_v), float(np.dot(a_v, a_v))
+
+    def block_system(self, block: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """The block's columns A_tau, gathered dense, and G_tau = A_tau^T A_tau."""
+        a_tau = self.A.gather_columns(block)
+        return a_tau, a_tau.T @ a_tau
 
 
 class GramKernel(NormalKernel):
@@ -316,3 +330,6 @@ class GramKernel(NormalKernel):
         # G is symmetric, so its rows on the block are the columns A^T A_tau
         g = v @ self._g[block]
         return g, float(np.dot(v, g[block]))
+
+    def block_system(self, block):
+        return self.A.gather_columns(block), self._g[np.ix_(block, block)]

@@ -7,10 +7,11 @@ the block rule: the singleton {argmax |s_j|} (greedy coordinate descent,
 cd), the averaged threshold of the fast block method (fbcd), or the mean
 ||s||^2 / n threshold of the adaptive method (madbcd).  The maximal-residual
 block baseline (mrbgs) swaps the line search for an exact least-squares
-subsolve on its block: LAPACK's blocked Householder QR of [A_tau | r], with
-Q never formed.  The oracle keeps its own hand-rolled QR as the independent
-route that audits this subsolve.  cs-madbcd is madbcd on (SA, Sb), the
-problem compressed by a count sketch S with d_factor * n rows.
+subsolve on its block: the corrected semi-normal equations on
+G_tau = A_tau^T A_tau, with LAPACK's blocked Householder QR of [A_tau | r]
+as the rank-revealing fallback.  The oracle keeps its own hand-rolled QR as
+the independent route that audits this subsolve.  cs-madbcd is madbcd on
+(SA, Sb), the problem compressed by a count sketch S with d_factor * n rows.
 
 The loop runs in n-space from x = 0.  Its state is (x, x_prev, s, u) with
 s = A^T r and u = A^T A (x - x_prev), and it holds the run's matrix, so a
@@ -21,7 +22,7 @@ u becomes A^T A_tau d + beta u and s becomes s - u.  The one product a step
 needs, (A^T A_tau v, ||A_tau v||^2), comes from the matrix's per-run
 ``normal_kernel``: a dense matrix reads it from G = A^T A, formed once per
 run inside the timed solve, and CSC storage pays a restricted and a
-transpose matvec.  Only s accumulates rounding: u is rebuilt from a fresh
+transpose matvec.  The same kernel gives the mrbgs subsolve A_tau and G_tau.  Only s accumulates rounding: u is rebuilt from a fresh
 product every step, so its old rounding decays by beta per step.  Every
 ``RESIDUAL_REFRESH`` steps, and before a stop on the normal residual is
 reported, ``SolverState.refreshed`` re-derives s alone from x.
@@ -65,6 +66,10 @@ RESIDUAL_REFRESH = 50
 ZERO_RESIDUAL_STOP = "converged: zero normal-equation residual"
 GRADIENT_FALLBACK_STOP = "converged: gradient fallback threshold"
 MRBGS_FRACTION = 0.3  # mrbgs's block: every j with s_j^2 >= this fraction of max_j s_j^2
+# a Cholesky factor of G_tau whose smallest pivot is below this fraction of
+# its largest leaves the mrbgs block to the QR, which solves it or names the
+# dependent column
+CSNE_PIVOT_RATIO = 1e-6
 
 
 @dataclass(frozen=True)
@@ -366,24 +371,48 @@ def householder_lstsq(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return np.linalg.solve(r[:k, :k], r[:k, k])
 
 
+def csne_lstsq(a: np.ndarray, g: np.ndarray, b: np.ndarray) -> np.ndarray | None:
+    """Minimize ||b - a x||_2 by the corrected semi-normal equations on g = a^T a.
+
+    Solves g x = a^T b, then makes one correction x += g^-1 a^T (b - a x)
+    (Bjorck, Linear Algebra Appl. 1987): the first solve alone loses accuracy
+    with the square of the condition number of a.  Returns None, leaving the
+    block to a QR, when g is not safely positive definite: its Cholesky
+    factorization fails, or its smallest pivot is below CSNE_PIVOT_RATIO of
+    its largest.
+    """
+    try:
+        pivots = np.diagonal(np.linalg.cholesky(g))
+    except np.linalg.LinAlgError:
+        return None
+    if not pivots.min() >= CSNE_PIVOT_RATIO * pivots.max():
+        return None
+    x = np.linalg.solve(g, a.T @ b)
+    return x + np.linalg.solve(g, a.T @ (b - a @ x))
+
+
 def subsolve_update(state: SolverState, block: np.ndarray) -> SolverState:
     """Maximal-residual block step: exact least-squares subsolve on the block's columns.
 
+    Solves by ``csne_lstsq`` on the kernel's G_tau; a block it leaves goes to
+    ``householder_lstsq``, whose RankDeficiencyError names the global column.
     r stays incremental, r - A_tau d: near convergence a residual recomputed
     from x is rounding noise relative to the r the subsolve must make
     orthogonal to A_tau.
     """
-    a_tau = state.kernel.A.gather_columns(block)
+    a_tau, g_tau = state.kernel.block_system(block)
     r = state.residual
-    try:
-        d = householder_lstsq(a_tau, r)
-    except RankDeficiencyError as exc:
-        raise RankDeficiencyError(
-            int(block[exc.column]),
-            exc.magnitude,
-            f"rank-deficient subproblem on block {block.tolist()}: "
-            f"|R_jj|={exc.magnitude:.3e} at block position {exc.column}",
-        ) from exc
+    d = csne_lstsq(a_tau, g_tau, r)
+    if d is None:
+        try:
+            d = householder_lstsq(a_tau, r)
+        except RankDeficiencyError as exc:
+            raise RankDeficiencyError(
+                int(block[exc.column]),
+                exc.magnitude,
+                f"rank-deficient subproblem on block {block.tolist()}: "
+                f"|R_jj|={exc.magnitude:.3e} at block position {exc.column}",
+            ) from exc
     moved = state.advance(block, d, state.kernel.step(block, d)[0])
     return replace(moved, subsolve_residual=r - a_tau @ d)
 

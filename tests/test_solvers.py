@@ -459,6 +459,97 @@ class TestSubsolveQr:
         assert report.converged
 
 
+@pytest.fixture
+def qr_calls(monkeypatch):
+    """Counts the subsolve's calls to the QR fallback, solving as before."""
+    calls = []
+
+    def counted(a, b):
+        calls.append(a.shape[1])
+        return householder_lstsq(a, b)
+
+    monkeypatch.setattr(solvers, "householder_lstsq", counted)
+    return calls
+
+
+class TestSubsolveCsne:
+    """The corrected semi-normal equations on G_tau, and their QR fallback."""
+
+    @pytest.mark.parametrize("storage", ["dense", "csc"])
+    @pytest.mark.parametrize("top", [0, 6])
+    def test_agrees_with_oracle(self, rng, qr_calls, storage, top):
+        scales = np.logspace(0, top, 12)
+        a = rng.standard_normal((80, 12))
+        if storage == "csc":
+            a *= rng.random(a.shape) < 0.4
+        a *= scales
+        b = rng.standard_normal(80)
+        A = DenseMatrix(a) if storage == "dense" else SparseMatrixCSC.from_dense(a)
+        # the last block spans the whole 1e6 and may fall back to the QR
+        for block in ([0, 3, 5, 7], [2, 9], [0, 4, 8, 11]):
+            block = np.array(block)
+            d = subsolve_update(SolverState.initial(A, b), block).x_curr[block]
+            want = oracle.householder_lstsq(a[:, block], b)
+            # compared on the equilibrated columns, where both solves are accurate
+            err = np.linalg.norm((d - want) * scales[block])
+            assert err <= 1e-12 * np.linalg.norm(want * scales[block]), block
+            if block[-1] != 11:
+                assert qr_calls == [], block
+
+    @pytest.mark.parametrize("storage", ["dense", "csc"])
+    def test_correction_step_keeps_qr_accuracy(self, rng, qr_calls, storage):
+        # column 3 lies within 1e-4 of column 0: cond(A_tau) is about 2e4, so the
+        # uncorrected solve of G_tau would err by about cond^2 u, near 1e-8
+        a = rng.standard_normal((80, 6))
+        if storage == "csc":
+            a *= rng.random(a.shape) < 0.4
+        a[:, 3] = a[:, 0] + 1e-4 * rng.standard_normal(80)
+        block = np.array([0, 1, 2, 3])
+        x = rng.standard_normal(4)
+        b = a[:, block] @ x
+        A = DenseMatrix(a) if storage == "dense" else SparseMatrixCSC.from_dense(a)
+        d = subsolve_update(SolverState.initial(A, b), block).x_curr[block]
+        assert qr_calls == []
+        want = oracle.householder_lstsq(a[:, block], b)
+        assert np.linalg.norm(d - want) <= 1e-11 * np.linalg.norm(want)
+        assert np.linalg.norm(d - x) <= 1e-11 * np.linalg.norm(x)
+
+    def test_gaussian_run_makes_no_qr_call(self, qr_calls):
+        problem = make_consistent_problem(gen_gaussian_dense(200, 20, 3), 4)
+        report = run_solver(
+            problem, MethodParams("mrbgs"), StoppingRule(rse_threshold=1e-12, max_iterations=1000)
+        )
+        assert report.converged and report.iterations > 5
+        assert qr_calls == []
+
+    def test_block_below_the_pivot_ratio_falls_back_to_the_qr(self, rng, qr_calls):
+        a = rng.standard_normal((30, 3))
+        a[:, 2] = a[:, 0] + 1e-7 * rng.standard_normal(30)
+        b = rng.standard_normal(30)
+        assert solvers.csne_lstsq(a, a.T @ a, b) is None
+        state = SolverState.initial(DenseMatrix(a), b)
+        d = subsolve_update(state, np.arange(3)).x_curr
+        assert qr_calls == [3]
+        want = oracle.householder_lstsq(a, b)
+        assert_allclose(d, want, rtol=1e-6)
+
+    @pytest.mark.parametrize("top, steps", [(3, 276), (6, 1484), (9, 4496)])
+    def test_pinned_counts_on_scaled_columns(self, qr_calls, top, steps):
+        # the counts of the QR-only subsolve, which CSNE keeps; under the wider
+        # scalings some blocks' Cholesky pivots spread past CSNE_PIVOT_RATIO
+        rng = np.random.default_rng(0)
+        a = rng.standard_normal((200, 20)) * np.logspace(0, top, 20)
+        b = rng.standard_normal(200)
+        report = run_solver(
+            ProblemInstance(A=DenseMatrix(a), b=b),
+            MethodParams("mrbgs"),
+            StoppingRule(rse_threshold=1e-10),
+        )
+        assert report.stop_reason == "converged: gradient fallback threshold"
+        assert report.iterations == steps
+        assert (len(qr_calls) > 0) == (top > 3)
+
+
 class TestComputeRse:
     def test_exact(self):
         assert compute_rse(np.array([1.0, 2.0]), np.array([1.0, 2.0])) == 0.0
