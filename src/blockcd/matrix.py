@@ -84,6 +84,10 @@ class Matrix:
         """Dense 2-D view/copy of the matrix (oracle and test use)."""
         raise NotImplementedError
 
+    def scaled(self, e: int) -> "Matrix":
+        """2^e A, a copy; exact unless an entry leaves the normal range."""
+        raise NotImplementedError
+
     def normal_kernel(self) -> "NormalKernel":
         """A fresh per-run kernel for the products with A^T A a solver step needs."""
         return NormalKernel(self)
@@ -153,6 +157,9 @@ class DenseMatrix(Matrix):
 
     def to_dense(self):
         return self._a
+
+    def scaled(self, e):
+        return DenseMatrix(np.ldexp(self._a, e))
 
     def normal_kernel(self) -> "GramKernel":
         return GramKernel(self)
@@ -278,6 +285,9 @@ class SparseMatrixCSC(Matrix):
         out = np.zeros((self.rows, self.cols), order="F")
         out[self.row_indices, self.entry_columns] = self.values
         return out
+
+    def scaled(self, e):
+        return SparseMatrixCSC(*self.shape, self.indptr, self.row_indices, np.ldexp(self.values, e))
 
     @property
     def entry_columns(self) -> np.ndarray:

@@ -43,12 +43,9 @@ __all__ = [
 
 CONSISTENCY_RTOL = 1e-10
 
-# 4 log2 max_j ||a_j|| + 2 log2 max_i |b_i| estimates log2 ||A_tau eta||^2, the
-# squared norm a line-search step divides by.  A consistent 200x20 Gaussian
-# scaled by 1e-53 gives about -1034 and still solves to 1e-12; scaled by 1e-55
-# it gives about -1073, ||s||^2 and ||A_tau eta||^2 underflow, and a full-rank
-# problem would stop on a false rank deficiency or zero residual.
-SCALE_LOG2_FLOOR = -1050
+# run_solver rescales a problem whose largest column norm or |b_i| lies outside
+# 2^+-SCALE_BAND_LOG2: beyond it, a run's squared norms near the ends of double range
+SCALE_BAND_LOG2 = 100
 
 
 def _refuse_non_finite(what: str, v: np.ndarray) -> None:
@@ -67,7 +64,10 @@ class ZeroColumnError(ValueError):
 
 @dataclass
 class ProblemInstance:
-    """A least-squares instance: coefficients, right-hand side, optional truth."""
+    """A least-squares instance: coefficients, right-hand side, optional truth.
+
+    Construction derives `scale_exponents` (p, q): run_solver solves 2^p A x = 2^q b.
+    """
 
     A: Matrix
     b: np.ndarray
@@ -104,15 +104,9 @@ class ProblemInstance:
                 )
             raise ZeroColumnError(j)
         _refuse_non_finite("right-hand side", self.b)
-        b_max = float(np.abs(self.b).max())
-        if b_max > 0.0:  # b = 0 is solved by x = 0 at any scale
-            a_max = float(norms.max())
-            # in log2, so that the check itself cannot underflow
-            if 4 * math.log2(a_max) + 2 * math.log2(b_max) < SCALE_LOG2_FLOOR:
-                raise ValueError(
-                    f"matrix and right-hand side are too small to solve in double precision "
-                    f"(largest column norm {a_max:.3e}, largest |b_i| {b_max:.3e}); rescale them"
-                )
+        # out of band, 2^p max_j ||a_j|| and 2^q max_i |b_i| lie in [1/2, 1)
+        p, q = (-math.frexp(float(v.max()))[1] for v in (norms, np.abs(self.b)))
+        self.scale_exponents = (0, 0) if max(abs(p), abs(q)) <= SCALE_BAND_LOG2 else (p, q)
         if self.x_star is not None:
             self.x_star = np.asarray(self.x_star, dtype=np.float64)
             if self.x_star.shape != (self.A.cols,):

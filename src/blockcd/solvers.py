@@ -206,6 +206,7 @@ class IterationRecord:
 
     `normal_residual` is ||s||, the incrementally carried s = A^T r (fresh
     at a refresh and at a stop on it).  Each curve column is one of these fields.
+    A rescaled run (`run_solver`) keeps `eta_dot_s`, a square, in its own units.
     """
 
     k: int
@@ -344,7 +345,7 @@ def line_search_update(
             int(block[0]),
             denom,
             f"the step's squared norm ||A_tau eta||^2 underflowed to {denom:.3e} on a "
-            f"block of {block.size} column(s); rescale the problem",
+            f"block of {block.size} column(s); rescale the problem's columns",
         )
     eta_dot_s = float(np.dot(eta, eta))
     c = eta_dot_s / denom
@@ -432,7 +433,9 @@ def run_solver(
     IterationRecord per iterate including the initial one, so a run of IT
     steps yields IT + 1 records; `record_history` also keeps every iterate and
     block, for the oracle's audits.  Non-convergence by iteration or time limit
-    is a reported outcome, not an error.
+    is a reported outcome, not an error.  A problem with nonzero `scale_exponents`
+    (p, q) is solved as 2^p A x = 2^q b, in the same steps, and x maps back by
+    2^(p - q) and ||s|| by 2^-(p + q).
 
     cs-madbcd first compresses `problem` with a count sketch drawn from
     `sketch_seed` (which it requires, and the other methods ignore); its
@@ -440,6 +443,10 @@ def run_solver(
     prep seconds.
     """
     problem_label, prep_seconds = problem.label, 0.0
+    p, q = problem.scale_exponents
+    if p or q:
+        x_star = problem.x_star if problem.x_star is None else np.ldexp(problem.x_star, q - p)
+        problem = replace(problem, A=problem.A.scaled(p), b=np.ldexp(problem.b, q), x_star=x_star)
     d = params.sketch_rows(problem.A.cols)
     if d is not None:
         if sketch_seed is None:
@@ -518,11 +525,19 @@ def run_solver(
             blocks.append(block)
 
     solve_seconds = time.perf_counter() - t0
+    if p or q:  # a norm beyond double range in the problem's units reads inf there
+        iterates = iterates and [np.ldexp(x, p - q) for x in iterates]
+        with np.errstate(over="ignore"):
+            records = [
+                replace(r, normal_residual=float(np.ldexp(r.normal_residual, -p - q)))
+                for r in records
+            ]
+            drift_log = [(k, float(np.ldexp(v, -p - q))) for k, v in drift_log]
     return ConvergenceReport(
         method=params.method,
         beta=params.beta,
         records=records,
-        x_final=state.x_curr,
+        x_final=np.ldexp(state.x_curr, p - q),
         stop_reason=stop_reason,
         solve_seconds=solve_seconds,
         prep_seconds=prep_seconds,

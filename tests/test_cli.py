@@ -2,7 +2,6 @@ import json
 import re
 import subprocess
 import sys
-from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -508,21 +507,21 @@ def test_rank_deficient_block_exit_two(tmp_path, capsys):
     )
 
 
-def test_bundle_scaled_below_the_floor_exit_one(tmp_path):
+def test_bundle_scaled_by_1e_minus_100_exit_zero(tmp_path):
+    # too small for doubles as it stands: the run solves its power-of-two rescale
     rng = np.random.default_rng(3)
     a = rng.standard_normal((200, 20)) * 1e-100
     x_star = rng.standard_normal(20)
-    # a ProblemInstance of it is refused, so the bundle is written from plain fields
-    write_problem_bundle(tmp_path, SimpleNamespace(A=DenseMatrix(a), b=a @ x_star, x_star=x_star))
+    write_problem_bundle(tmp_path, ProblemInstance(A=DenseMatrix(a), b=a @ x_star, x_star=x_star))
     proc = subprocess.run(
-        [sys.executable, "-m", "blockcd.cli", "solve", "--problem", str(tmp_path)],
+        [sys.executable, "-W", "error::RuntimeWarning", "-m", "blockcd.cli"]
+        + ["solve", "--problem", str(tmp_path)],
         capture_output=True,
         text=True,
         timeout=120,
     )
-    assert proc.returncode == 1
-    assert proc.stderr.startswith("error: matrix and right-hand side are too small")
-    assert "rescale" in proc.stderr and "Traceback" not in proc.stderr
+    assert proc.returncode == 0, proc.stderr
+    assert "converged: rse threshold" in proc.stdout and not proc.stderr
 
 
 def test_runtime_error_exit_two(monkeypatch, capsys):

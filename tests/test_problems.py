@@ -11,6 +11,7 @@ from blockcd import (
     ProblemInstance,
     SparseMatrixCSC,
     StoppingRule,
+    build_problem,
     cs_prepare,
     gen_gaussian_dense,
     gen_sparse_gaussian,
@@ -121,28 +122,37 @@ class TestProblemInstanceValidation:
                 ProblemInstance(A=A, b=np.ones(3))
             assert not isinstance(info.value, ZeroColumnError)
 
-    @pytest.mark.parametrize("exponent", [-55, -60, -80, -100])
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    @pytest.mark.parametrize(
+        "exponent", [-100, -80, -60, -55, -54, -53, -50, 50, 52, 60, 75, 100, 150]
+    )
+    @pytest.mark.parametrize("method", ["cd", "fbcd", "mrbgs", "madbcd", "cs-madbcd"])
     @pytest.mark.parametrize(
         "storage", [DenseMatrix, SparseMatrixCSC.from_dense], ids=["dense", "csc"]
     )
-    def test_underflowing_scale_refused(self, storage, exponent):
-        # full rank, but a step's squared norms ||s||^2 and ||A_tau eta||^2 underflow
-        a = gen_gaussian_dense(200, 20, seed=0).to_dense() * 10.0**exponent
-        x_star = np.random.default_rng(1).standard_normal(20)
-        with pytest.raises(
-            ValueError, match=r"largest column norm .*, largest \|b_i\| .*; rescale them"
-        ):
-            ProblemInstance(A=storage(a), b=a @ x_star, x_star=x_star)
+    def test_scaled_problem_solves_in_the_unscaled_count(self, storage, method, exponent):
+        # unscaled, squared norms of a run underflow from about 1e-54 and
+        # overflow from about 1e52; the run solves its power-of-two rescale
+        base = build_problem({"kind": "gaussian", "m": 200, "n": 20}, 2)
+        a = base.A.to_dense()
+        params = MethodParams(
+            method,
+            0.3 if method in ("madbcd", "cs-madbcd") else 0.0,
+            4 if method == "cs-madbcd" else None,
+        )
 
-    @pytest.mark.parametrize("exponent", [-50, -53])
-    @pytest.mark.parametrize("method", ["cd", "fbcd", "mrbgs", "madbcd", "cs-madbcd"])
-    def test_scale_above_the_floor_solves(self, method, exponent):
-        a = gen_gaussian_dense(200, 20, seed=0).to_dense() * 10.0**exponent
-        x_star = np.random.default_rng(1).standard_normal(20)
-        problem = ProblemInstance(A=DenseMatrix(a), b=a @ x_star, x_star=x_star)
-        params = MethodParams(method, d_factor=4 if method == "cs-madbcd" else None)
-        report = run_solver(problem, params, StoppingRule(1e-12, 20000), sketch_seed=1)
-        assert report.stop_reason == "converged: rse threshold"
+        def solve(factor):
+            problem = ProblemInstance(
+                A=storage(a * factor), b=base.b * factor, x_star=base.x_star
+            )
+            report = run_solver(problem, params, StoppingRule(1e-12, 2000), sketch_seed=1)
+            return problem, report
+
+        problem, scaled = solve(10.0**exponent)
+        assert problem.scale_exponents != (0, 0)
+        _, unscaled = solve(1.0)
+        assert unscaled.stop_reason == "converged: rse threshold"
+        assert (scaled.iterations, scaled.stop_reason) == (unscaled.iterations, unscaled.stop_reason)
 
     def test_zero_rhs_is_not_refused_at_any_scale(self):
         problem = ProblemInstance(A=DenseMatrix(np.eye(3) * 1e-100), b=np.zeros(3))

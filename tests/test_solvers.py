@@ -28,7 +28,7 @@ from blockcd import (
     select_block_mrbgs,
     subsolve_update,
 )
-from blockcd import oracle, solvers
+from blockcd import oracle, problems, solvers
 from blockcd.solvers import METHODS, RESIDUAL_REFRESH, householder_lstsq
 
 
@@ -884,19 +884,40 @@ class TestRunSolver:
         assert report.iterations == 100000
         assert report.records[-1].rse > 1e-6
 
-    def test_non_finite_iterates_stop_the_run(self):
-        # an overflowing right-hand side is stopped as diverged, not by the cap
+    def test_non_finite_iterates_stop_the_run(self, monkeypatch):
+        # the rescale keeps the squares of finite data in range, so a step
+        # that overflows s is injected: the run stops as diverged, not by the cap
+        def overflowing(state, block, beta):
+            moved, eta_dot_s = line_search_update(state, block, beta)
+            return replace(moved, grad=np.full_like(moved.grad, np.inf)), eta_dot_s
+
+        monkeypatch.setattr(solvers, "line_search_update", overflowing)
+        problem = make_consistent_problem(gen_gaussian_dense(30, 6, 1), 2)
+        report = run_solver(problem, MethodParams("madbcd"), StoppingRule(rse_threshold=1e-6))
+        assert not report.converged
+        assert report.stop_reason.startswith("diverged")
+        assert report.iterations == 1
+
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    def test_overflowing_right_hand_side_is_solved_rescaled(self):
+        # unscaled, ||s||^2 of this problem overflows at the start
         A = gen_gaussian_dense(30, 6, 1)
         x_star = np.full(6, 1e200)
         problem = ProblemInstance(A=A, b=A.matvec(x_star), x_star=x_star)
-        with pytest.warns(RuntimeWarning, match="overflow"):
-            report = run_solver(
-                problem,
-                MethodParams("madbcd", 0.0),
-                StoppingRule(rse_threshold=1e-6),
-            )
-        assert not report.converged
-        assert report.stop_reason.startswith("diverged")
+        report = run_solver(problem, MethodParams("madbcd"), StoppingRule(rse_threshold=1e-6))
+        assert report.stop_reason == "converged: rse threshold"
+        assert report.records[-1].rse < 1e-6
+        # x_star . x_star overflows, so the error is read per entry
+        assert_allclose(report.x_final, x_star, rtol=1e-2)
+
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    def test_normal_residual_beyond_double_range_reads_inf(self):
+        A = gen_gaussian_dense(200, 20, 1)
+        b = 1e307 * np.random.default_rng(0).standard_normal(200)
+        report = run_solver(ProblemInstance(A=A, b=b), MethodParams("madbcd"), StoppingRule())
+        assert report.stop_reason == "converged: gradient fallback threshold"
+        assert report.records[0].normal_residual == np.inf
+        assert np.isfinite(report.x_final).all()
 
     def test_time_budget_fires(self):
         problem = make_consistent_problem(gen_gaussian_dense(2000, 200, 1), 2)
@@ -961,3 +982,52 @@ class TestRunSolver:
         rs = run_solver(sparse, MethodParams("madbcd", 0.1), stop)
         assert rd.iterations == rs.iterations
         assert_allclose(rd.x_final, rs.x_final, rtol=1e-9)
+
+
+def rescale_cell(problem, cell):
+    """Run one cell of the forced-rescale check; returns the exponents of the run too."""
+    stop = StoppingRule(rse_threshold=1e-12, max_iterations=5000)
+    if cell == "cs-madbcd-two-call":
+        problem, _ = cs_prepare(problem, 4 * problem.A.cols, seed=1)
+        cell = "madbcd"
+    beta = 0.3 if cell in ("madbcd", "cs-madbcd") else 0.0
+    params = MethodParams(cell, beta, 4 if cell == "cs-madbcd" else None)
+    report = run_solver(problem, params, stop, record_history=True, sketch_seed=1)
+    return report, problem.scale_exponents
+
+
+class TestRescale:
+    @pytest.mark.parametrize(
+        "cell", ["cd", "fbcd", "mrbgs", "madbcd", "cs-madbcd", "cs-madbcd-two-call"]
+    )
+    @pytest.mark.parametrize(
+        "storage", [DenseMatrix, SparseMatrixCSC.from_dense], ids=["dense", "csc"]
+    )
+    def test_forced_rescale_maps_back_bit_for_bit(self, monkeypatch, storage, cell):
+        # a power-of-two rescale changes no rounding, so the rescaled run takes
+        # the same steps; its x and ||s|| map back exactly
+        a = gen_gaussian_dense(200, 20, 5).to_dense()
+        x_star = 10.0 * np.random.default_rng(6).standard_normal(20)  # so that p != q
+
+        def problem():
+            return ProblemInstance(A=storage(a), b=a @ x_star, x_star=x_star)
+
+        plain, exps = rescale_cell(problem(), cell)
+        assert exps == (0, 0)
+        monkeypatch.setattr(problems, "SCALE_BAND_LOG2", -1)
+        scaled, (p, q) = rescale_cell(problem(), cell)
+        assert p != q and p + q != 0
+        assert plain.stop_reason == scaled.stop_reason == "converged: rse threshold"
+        assert plain.iterations == scaled.iterations
+        assert np.array_equal(plain.x_final, scaled.x_final)
+        for x, y in zip(plain.iterate_history, scaled.iterate_history, strict=True):
+            assert np.array_equal(x, y)
+        for field in ("rse", "normal_residual", "block_size"):
+            curve = [getattr(r, field) for r in plain.records]
+            assert curve == [getattr(r, field) for r in scaled.records], field
+        assert plain.residual_drift == scaled.residual_drift
+        # eta_dot_s, a square, stays in the run's units
+        eta = np.array([r.eta_dot_s for r in plain.records])
+        assert np.array_equal(
+            np.ldexp(eta, 2 * (p + q)), [r.eta_dot_s for r in scaled.records], equal_nan=True
+        )
