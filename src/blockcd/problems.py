@@ -66,7 +66,8 @@ class ZeroColumnError(ValueError):
 class ProblemInstance:
     """A least-squares instance: coefficients, right-hand side, optional truth.
 
-    Construction derives `scale_exponents` (p, q): run_solver solves 2^p A x = 2^q b.
+    Construction keeps A's `column_norms`, read-only, for fbcd's block rule,
+    and derives `scale_exponents` (p, q): run_solver solves 2^p A x = 2^q b.
     """
 
     A: Matrix
@@ -87,7 +88,8 @@ class ProblemInstance:
             )
         # A before b: b = A x_star of a bad A is bad too, and A is at fault
         with np.errstate(over="ignore"):  # an overflow is refused just below
-            norms = self.A.column_norms()
+            self.column_norms = norms = self.A.column_norms()
+        norms.flags.writeable = False
         # a NaN or infinity anywhere in column j makes its norm non-finite
         bad = np.flatnonzero(~np.isfinite(norms))
         if bad.size:

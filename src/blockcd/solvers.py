@@ -25,7 +25,7 @@ run inside the timed solve, and CSC storage pays a restricted and a
 transpose matvec.  The same kernel gives the mrbgs subsolve A_tau and G_tau.  Only s accumulates rounding: u is rebuilt from a fresh
 product every step, so its old rounding decays by beta per step.  Every
 ``RESIDUAL_REFRESH`` steps, and before a stop on the normal residual is
-reported, ``SolverState.refreshed`` re-derives s alone from x.
+reported, ``SolverState.refreshed`` re-derives s from x; mrbgs reads its r.
 """
 
 from __future__ import annotations
@@ -38,7 +38,7 @@ from typing import Callable, get_type_hints
 import numpy as np
 
 from .matrix import Matrix, NormalKernel, RankDeficiencyError
-from .problems import _store_checked
+from .problems import SCALE_BAND_LOG2, _store_checked
 from .sketch import cs_prepare
 
 __all__ = [
@@ -142,8 +142,8 @@ class SolverState:
     `grad` is s = A^T (b - A x_curr) and `grad_step` is u = A^T A (x_curr -
     x_prev), so each step sets grad to the previous grad - grad_step.  s alone
     is refreshed: u is rebuilt each step as a fresh product plus beta u.  r
-    is carried only where a subsolve step produced it (`subsolve_residual`);
-    otherwise `residual` computes it from x on read.
+    is carried (`carried_residual`) where the start, a refresh or a subsolve
+    step formed it; otherwise `residual` computes it from x on read.
     """
 
     x_curr: np.ndarray
@@ -153,11 +153,11 @@ class SolverState:
     kernel: NormalKernel
     b: np.ndarray
     k: int = 0
-    subsolve_residual: np.ndarray | None = None
+    carried_residual: np.ndarray | None = None
 
     @classmethod
     def initial(cls, A: Matrix, b: np.ndarray) -> "SolverState":
-        """x_prev = x_curr = 0, so s = A^T b; makes the run's normal kernel."""
+        """x_prev = x_curr = 0, so r = b and s = A^T b; makes the run's normal kernel."""
         return cls(
             x_curr=np.zeros(A.cols),
             x_prev=np.zeros(A.cols),
@@ -165,13 +165,14 @@ class SolverState:
             grad_step=np.zeros(A.cols),
             kernel=A.normal_kernel(),
             b=b,
+            carried_residual=b,
         )
 
     @property
     def residual(self) -> np.ndarray:
         """r = b - A x_curr."""
-        if self.subsolve_residual is not None:
-            return self.subsolve_residual
+        if self.carried_residual is not None:
+            return self.carried_residual
         return self.b - self.kernel.A.matvec(self.x_curr)
 
     def advance(
@@ -192,12 +193,12 @@ class SolverState:
         )
 
     def refreshed(self) -> tuple["SolverState", float]:
-        """This iterate with a fresh s = A^T (b - A x), u kept and r dropped, and the drift."""
+        """This iterate with fresh r = b - A x and s = A^T r, u kept, and the drift."""
         A = self.kernel.A
         r = self.b - A.matvec(self.x_curr)
         grad = A.transpose_matvec(r)
         drift = float(np.linalg.norm(self.grad - grad))
-        return replace(self, grad=grad, subsolve_residual=None), drift
+        return replace(self, grad=grad, carried_residual=r), drift
 
 
 @dataclass(frozen=True)
@@ -257,27 +258,41 @@ class ConvergenceReport:
 
 def compute_rse(x: np.ndarray, x_star: np.ndarray) -> float:
     """Relative solution error ||x - x_star||^2 / ||x_star||^2."""
+    return rse_to(x_star)(x)
+
+
+def rse_to(x_star: np.ndarray) -> Callable[[np.ndarray], float]:
+    """x -> compute_rse(x, x_star), with the scale and ||x_star||^2 settled once.
+
+    Outside 2^+-SCALE_BAND_LOG2, the power of two that brings max |x_star_i|
+    into [1/2, 1) scales x and x_star: the ratio is exact and stays in range.
+    """
+    e = -math.frexp(float(np.abs(x_star).max()))[1]
+    e = e if abs(e) > SCALE_BAND_LOG2 else 0
+    x_star = np.ldexp(x_star, e)
     ref = float(np.dot(x_star, x_star))
     if ref == 0.0:
         raise ValueError("relative solution error is undefined for x_star = 0")
-    diff = x - x_star
-    return float(np.dot(diff, diff)) / ref
+
+    def rse(x: np.ndarray) -> float:
+        diff = (np.ldexp(x, e) if e else x) - x_star
+        return float(np.dot(diff, diff)) / ref
+
+    return rse
 
 
 def select_block_madbcd(s: np.ndarray) -> np.ndarray:
     """Indices whose squared gradient entry meets the mean ||s||^2 / n.
 
     Inclusive comparison, ties kept, no cap on the block size.  The argmax
-    always qualifies, so the result is nonempty whenever s != 0.
+    always qualifies, so the result is nonempty whenever s != 0: the rounded
+    mean can exceed every s_j^2 when they tie, so it is capped at their max.
     """
     sq = s * s
     s_norm_sq = float(sq.sum())
     if s_norm_sq == 0.0:
         raise ValueError("cannot select a block from a zero gradient")
-    idx = np.flatnonzero(sq >= s_norm_sq / len(s))
-    if idx.size == 0:  # float guard, mathematically unreachable
-        idx = np.array([int(np.argmax(sq))], dtype=np.int64)
-    return idx
+    return np.flatnonzero(sq >= min(s_norm_sq / len(s), float(sq.max())))
 
 
 def select_block_fbcd(
@@ -297,7 +312,7 @@ def select_block_fbcd(
     ratios = sq / cn_sq
     delta = 0.5 * (float(ratios.max()) / s_norm_sq + 1.0 / frobenius**2)
     idx = np.flatnonzero(sq >= delta * s_norm_sq * cn_sq)
-    if idx.size == 0:  # float guard
+    if idx.size == 0:  # tied ratios can round past every s_j^2; a cap would reround all
         idx = np.array([int(np.argmax(ratios))], dtype=np.int64)
     return delta, idx
 
@@ -310,8 +325,8 @@ def select_block_mrbgs(s: np.ndarray) -> np.ndarray:
     return np.flatnonzero(sq >= MRBGS_FRACTION * float(sq.max()))
 
 
-def block_rule(params: MethodParams, A: Matrix) -> Callable[[np.ndarray], np.ndarray]:
-    """The method's block selector s -> column indices, with its constants of A bound.
+def block_rule(params: MethodParams, col_norms: np.ndarray) -> Callable[[np.ndarray], np.ndarray]:
+    """The method's block selector s -> column indices; fbcd's binds A's column norms.
 
     Looks the selectors up per run, not at import time, so that one rebound on
     this module (as perfbench's tracer does) is the one used.
@@ -319,7 +334,6 @@ def block_rule(params: MethodParams, A: Matrix) -> Callable[[np.ndarray], np.nda
     if params.method in (MADBCD, CS_MADBCD):
         return select_block_madbcd
     if params.method == "fbcd":
-        col_norms = A.column_norms()
         frobenius = float(np.linalg.norm(col_norms))
         return lambda s: select_block_fbcd(s, col_norms, frobenius)[1]
     if params.method == "mrbgs":
@@ -415,7 +429,7 @@ def subsolve_update(state: SolverState, block: np.ndarray) -> SolverState:
                 f"|R_jj|={exc.magnitude:.3e} at block position {exc.column}",
             ) from exc
     moved = state.advance(block, d, state.kernel.step(block, d)[0])
-    return replace(moved, subsolve_residual=r - a_tau @ d)
+    return replace(moved, carried_residual=r - a_tau @ d)
 
 
 def run_solver(
@@ -453,9 +467,8 @@ def run_solver(
             raise ValueError(f"{params.method} needs a sketch_seed to draw its count sketch")
         problem, prep_seconds = cs_prepare(problem, d, sketch_seed)
     A: Matrix = problem.A
-    x_star = problem.x_star
-
-    select = block_rule(params, A)
+    rse_of = None if problem.x_star is None else rse_to(problem.x_star)
+    select = block_rule(params, problem.column_norms)
 
     def verdict(s_norm_sq: float, rse: float | None, k: int, elapsed: float) -> str:
         if not math.isfinite(s_norm_sq):
@@ -478,7 +491,7 @@ def run_solver(
     # no ground truth: rse_threshold bounds ||A^T r|| / ||A^T b|| instead,
     # and the start's s is A^T b
     grad_floor = None
-    if x_star is None and stop.rse_threshold is not None:
+    if rse_of is None and stop.rse_threshold is not None:
         grad_floor = stop.rse_threshold * float(np.linalg.norm(state.grad))
     records: list[IterationRecord] = []
     drift_log: list[tuple[int, float]] = []
@@ -486,7 +499,7 @@ def run_solver(
 
     while True:
         k = state.k
-        rse = compute_rse(state.x_curr, x_star) if x_star is not None else None
+        rse = None if rse_of is None else rse_of(state.x_curr)
         s_norm_sq = float(np.dot(state.grad, state.grad))
         elapsed = time.perf_counter() - t0
         stop_reason = verdict(s_norm_sq, rse, k, elapsed)

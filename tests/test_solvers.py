@@ -46,7 +46,7 @@ def blind_problem():
 
 def step(state, A, method, beta=0.0):
     """One step of `method` from `state`, built as run_solver builds it."""
-    block = block_rule(MethodParams(method, beta), A)(state.grad)
+    block = block_rule(MethodParams(method, beta), A.column_norms())(state.grad)
     if method == "mrbgs":
         return subsolve_update(state, block), block
     return line_search_update(state, block, beta)[0], block
@@ -73,6 +73,12 @@ class TestSelectMadbcd:
     def test_zero_gradient_is_a_signal(self):
         with pytest.raises(ValueError, match="zero gradient"):
             select_block_madbcd(np.zeros(3))
+
+    def test_ties_are_kept_when_the_rounded_mean_exceeds_them(self):
+        s = np.full(3, 57.99732627352366)
+        sq = s * s
+        assert sq.sum() / 3 > sq.max()
+        assert select_block_madbcd(s).tolist() == [0, 1, 2]
 
     @pytest.mark.parametrize("seed", range(10))
     def test_matches_exhaustive_filter(self, seed):
@@ -129,7 +135,7 @@ def test_blocks_are_int64_index_arrays(rng):
         select_block_madbcd(s),
         select_block_fbcd(s, col_norms, float(np.linalg.norm(a)))[1],
         select_block_mrbgs(s),
-        *(block_rule(params, A)(s) for params in every_method),
+        *(block_rule(params, A.column_norms())(s) for params in every_method),
     ]
     problem = make_consistent_problem(A, seed=4)
     for params in every_method:
@@ -181,6 +187,14 @@ class TestSelectFbcd:
         with pytest.raises(ValueError, match="zero gradient"):
             select_block_fbcd(np.zeros(3), np.ones(3), np.sqrt(3.0))
 
+    def test_rounding_that_admits_no_column_takes_the_best_ratio(self):
+        s = np.full(2, 0.14415961271963373)
+        col_norms = np.full(2, 0.9486494471372439)
+        delta, block = select_block_fbcd(s, col_norms, float(np.linalg.norm(col_norms)))
+        sq = s * s
+        assert not np.any(sq >= delta * sq.sum() * col_norms**2)
+        assert block.tolist() == [0]
+
 
 class TestSelectMrbgs:
     def test_hand_cutoff(self):
@@ -215,7 +229,7 @@ def test_every_method_moves_by_the_shared_transition():
         if params.d_factor is not None:
             sketched, _ = cs_prepare(problem, params.sketch_rows(A.cols), seed=5)
             A, b = sketched.A, sketched.b
-        select = block_rule(params, A)
+        select = block_rule(params, A.column_norms())
         state = SolverState.initial(A, b)
         a = A.to_dense()
         iterates = [state.x_curr]
@@ -564,6 +578,29 @@ class TestComputeRse:
         with pytest.raises(ValueError, match="undefined"):
             compute_rse(np.ones(2), np.zeros(2))
 
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    @pytest.mark.parametrize("e", [700, -700])
+    @pytest.mark.parametrize("gap", [1.0, 1e-9])
+    def test_exact_where_the_squares_leave_double_range(self, rng, e, gap):
+        v = rng.standard_normal(30)
+        w = v + gap * rng.standard_normal(30)
+        assert compute_rse(np.ldexp(w, e), np.ldexp(v, e)) == compute_rse(w, v)
+
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    def test_huge_reference_entry_inside_the_scale_band_reads_finite(self):
+        # b and the column norms lie in band, so the run is not rescaled, yet
+        # x_star_5^2 overflows; the run still cannot converge on this column
+        rng = np.random.default_rng(0)
+        a = rng.standard_normal((200, 20))
+        a[:, 5] *= 1e-140
+        x_star = rng.standard_normal(20)
+        x_star[5] = 1e160
+        problem = ProblemInstance(A=DenseMatrix(a), b=a @ x_star, x_star=x_star)
+        assert problem.scale_exponents == (0, 0)
+        report = run_solver(problem, MethodParams("cd"), StoppingRule(max_iterations=200))
+        assert report.stop_reason == "max iterations exceeded"
+        assert all(math.isfinite(r.rse) for r in report.records)
+
 
 class TestParamsValidation:
     def test_method_names(self):
@@ -744,6 +781,41 @@ class TestRunSolver:
         assert calls["restricted_matvec"] == 0
         assert calls["transpose_matvec"] <= bound and calls["matvec"] <= bound, calls
 
+    @pytest.mark.parametrize("storage", [DenseMatrix, SparseMatrixCSC.from_dense])
+    def test_fbcd_reads_the_column_norms_its_problem_holds(self, monkeypatch, storage):
+        # building a problem measures its columns; a run measures them again
+        # only where it builds its own rescaled problem
+        a = np.random.default_rng(5).standard_normal((200, 20))
+        calls = []
+        for cls in (DenseMatrix, SparseMatrixCSC):
+            original = cls.column_norms
+            monkeypatch.setattr(
+                cls, "column_norms", lambda self, f=original: calls.append(1) or f(self)
+            )
+        for factor, want in ((1.0, 0), (1e60, 1)):
+            problem = make_consistent_problem(storage(a * factor), 6)
+            calls.clear()
+            report = run_solver(problem, MethodParams("fbcd"), StoppingRule())
+            assert report.converged and len(calls) == want
+
+    @pytest.mark.parametrize("blind", [False, True])
+    def test_mrbgs_forms_r_once_per_refresh(self, monkeypatch, blind):
+        # r starts as b and each refresh, periodic or confirming a stop, keeps
+        # the r it forms, so the refresh's matvec is the run's only one
+        if blind:
+            problem, stop = blind_problem(), StoppingRule(rse_threshold=1e-10)
+        else:
+            problem = make_consistent_problem(gen_gaussian_dense(300, 40, 11), 12)
+            stop = StoppingRule(rse_threshold=None, max_iterations=2 * RESIDUAL_REFRESH + 7)
+        calls = []
+        original = DenseMatrix.matvec
+        monkeypatch.setattr(
+            DenseMatrix, "matvec", lambda self, x: calls.append(1) or original(self, x)
+        )
+        report = run_solver(problem, MethodParams("mrbgs"), stop)
+        assert len(report.residual_drift) >= 2
+        assert len(calls) == len(report.residual_drift)
+
     def test_blind_run_passes_over_a_once_to_start(self, monkeypatch):
         # the gradient-fallback floor reads ||A^T b|| from the start's s
         calls = []
@@ -785,7 +857,9 @@ class TestRunSolver:
         assert_allclose(fresh.grad, want, rtol=1e-12, atol=1e-12 * np.linalg.norm(want))
         assert drift == pytest.approx(np.linalg.norm(state.grad - fresh.grad))
         assert fresh.grad_step is state.grad_step
-        assert state.subsolve_residual is not None and fresh.subsolve_residual is None
+        # the refresh keeps the r it formed, so mrbgs reads it without a matvec
+        assert np.array_equal(fresh.carried_residual, problem.b - A.matvec(state.x_curr))
+        assert fresh.residual is fresh.carried_residual
 
     def test_each_refreshed_iterate_logs_one_drift(self, monkeypatch):
         # a periodic refresh that meets a proposed stop on s is one refresh
