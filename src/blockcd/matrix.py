@@ -19,6 +19,8 @@ without the solvers importing the oracle.
 
 from __future__ import annotations
 
+import functools
+
 import numpy as np
 
 __all__ = [
@@ -329,6 +331,7 @@ class GramKernel(NormalKernel):
     never larger than A since problems require m >= n.  Forming it is one
     BLAS-3 pass that each run pays inside its own timing, so the kernel is
     made per run and never stored on the shared, immutable matrix.
+    `gram_residual` gives a refresh s = A^T b - G x without a pass over A.
     """
 
     def __init__(self, A: DenseMatrix):
@@ -343,3 +346,12 @@ class GramKernel(NormalKernel):
 
     def block_system(self, block):
         return self.A.gather_columns(block), self._g[np.ix_(block, block)]
+
+    def gram_residual(self, c: np.ndarray, x: np.ndarray) -> tuple[np.ndarray, float]:
+        """c - G x, for c = A^T b the s = A^T (b - A x), and eps ||G||_F ||x||, the
+        scale of its rounding; the norm of G is taken on the first call."""
+        return c - self._g @ x, self._rounding * float(np.linalg.norm(x))
+
+    @functools.cached_property
+    def _rounding(self) -> float:
+        return float(np.finfo(np.float64).eps * np.linalg.norm(self._g))

@@ -87,15 +87,23 @@ class ProblemInstance:
                 f"right-hand side must have length {self.A.rows}, got shape {self.b.shape}"
             )
         # A before b: b = A x_star of a bad A is bad too, and A is at fault
-        with np.errstate(over="ignore"):  # an overflow is refused just below
+        with np.errstate(over="ignore"):  # an overflow is measured again just below
             self.column_norms = norms = self.A.column_norms()
-        norms.flags.writeable = False
-        # a NaN or infinity anywhere in column j makes its norm non-finite
         bad = np.flatnonzero(~np.isfinite(norms))
+        if bad.size:
+            # a squared norm that overflows is taken again from the column times
+            # the power of two that brings its largest entry into [1/2, 1); a
+            # NaN or infinity in the column, or a norm beyond range, stays
+            cols = self.A.gather_columns(bad)
+            e = -np.frexp(np.abs(cols).max(axis=0))[1]
+            with np.errstate(over="ignore", invalid="ignore"):
+                norms[bad] = np.ldexp(np.linalg.norm(np.ldexp(cols, e), axis=0), -e)
+            bad = bad[~np.isfinite(norms[bad])]
         if bad.size:
             raise ValueError(
                 f"matrix column {bad[0]} has a non-finite entry or overflowing norm"
             )
+        norms.flags.writeable = False
         zero = np.flatnonzero(norms == 0.0)
         if zero.size:
             j = int(zero[0])
@@ -126,10 +134,15 @@ class ProblemInstance:
     @functools.cached_property
     def consistent(self) -> bool:
         """Computed from the data on first read, never declared: true exactly
-        when x_star is given and ||b - A x_star|| <= CONSISTENCY_RTOL ||b||."""
-        return self.x_star is not None and float(
-            np.linalg.norm(self.b - self.A.matvec(self.x_star))
-        ) <= CONSISTENCY_RTOL * float(np.linalg.norm(self.b))
+        when x_star is given and ||b - A x_star|| <= CONSISTENCY_RTOL ||b||,
+        both taken times 2^q (`scale_exponents`), so their squares stay in range."""
+        if self.x_star is None:
+            return False
+        q = self.scale_exponents[1]
+        r = np.ldexp(self.b - self.A.matvec(self.x_star), q)
+        return float(np.linalg.norm(r)) <= CONSISTENCY_RTOL * float(
+            np.linalg.norm(np.ldexp(self.b, q))
+        )
 
 
 def gen_gaussian_dense(m: int, n: int, seed: int) -> DenseMatrix:

@@ -22,10 +22,13 @@ u becomes A^T A_tau d + beta u and s becomes s - u.  The one product a step
 needs, (A^T A_tau v, ||A_tau v||^2), comes from the matrix's per-run
 ``normal_kernel``: a dense matrix reads it from G = A^T A, formed once per
 run inside the timed solve, and CSC storage pays a restricted and a
-transpose matvec.  The same kernel gives the mrbgs subsolve A_tau and G_tau.  Only s accumulates rounding: u is rebuilt from a fresh
-product every step, so its old rounding decays by beta per step.  Every
-``RESIDUAL_REFRESH`` steps, and before a stop on the normal residual is
-reported, ``SolverState.refreshed`` re-derives s from x; mrbgs reads its r.
+transpose matvec.  The same kernel gives the mrbgs subsolve A_tau and G_tau.
+Only s accumulates rounding: u is rebuilt from a fresh product every step,
+so its old rounding decays by beta per step.  Every ``RESIDUAL_REFRESH``
+steps, and before a stop on the normal residual is reported,
+``SolverState.refreshed`` re-derives s from x: as c - G x (c = A^T b) on a
+dense line-search run while ||s|| is far above that form's rounding, else,
+and for every stop it confirms, as A^T (b - A x); mrbgs reads that r.
 """
 
 from __future__ import annotations
@@ -37,7 +40,7 @@ from typing import Callable, get_type_hints
 
 import numpy as np
 
-from .matrix import Matrix, NormalKernel, RankDeficiencyError
+from .matrix import GramKernel, Matrix, NormalKernel, RankDeficiencyError
 from .problems import SCALE_BAND_LOG2, _store_checked
 from .sketch import cs_prepare
 
@@ -63,6 +66,8 @@ METHODS = ("cd", "fbcd", "mrbgs", MADBCD, CS_MADBCD)
 
 # the incremental s is re-derived from x this often
 RESIDUAL_REFRESH = 50
+# s = c - G x only while ||s|| exceeds this times its eps ||G||_F ||x|| rounding
+GRAM_REFRESH_MARGIN = 1e6
 ZERO_RESIDUAL_STOP = "converged: zero normal-equation residual"
 GRADIENT_FALLBACK_STOP = "converged: gradient fallback threshold"
 MRBGS_FRACTION = 0.3  # mrbgs's block: every j with s_j^2 >= this fraction of max_j s_j^2
@@ -144,6 +149,7 @@ class SolverState:
     is refreshed: u is rebuilt each step as a fresh product plus beta u.  r
     is carried (`carried_residual`) where the start, a refresh or a subsolve
     step formed it; otherwise `residual` computes it from x on read.
+    `normal_rhs` is c = A^T b, the start's s, which a refresh from G reads.
     """
 
     x_curr: np.ndarray
@@ -154,18 +160,21 @@ class SolverState:
     b: np.ndarray
     k: int = 0
     carried_residual: np.ndarray | None = None
+    normal_rhs: np.ndarray | None = None
 
     @classmethod
     def initial(cls, A: Matrix, b: np.ndarray) -> "SolverState":
         """x_prev = x_curr = 0, so r = b and s = A^T b; makes the run's normal kernel."""
+        c = A.transpose_matvec(b)
         return cls(
             x_curr=np.zeros(A.cols),
             x_prev=np.zeros(A.cols),
-            grad=A.transpose_matvec(b),
+            grad=c,
             grad_step=np.zeros(A.cols),
             kernel=A.normal_kernel(),
             b=b,
             carried_residual=b,
+            normal_rhs=c,
         )
 
     @property
@@ -179,9 +188,10 @@ class SolverState:
         self, block: np.ndarray, d: np.ndarray, g: np.ndarray, beta: float = 0.0
     ) -> "SolverState":
         """x + beta (x - x_prev) + d on `block`, with u = g + beta u for g = A^T A_tau d."""
-        x_next = self.x_curr + beta * (self.x_curr - self.x_prev)
+        # beta = 0 gives the same values without the temporaries
+        x_next = self.x_curr + beta * (self.x_curr - self.x_prev) if beta else self.x_curr.copy()
         x_next[block] += d
-        u_next = g + beta * self.grad_step
+        u_next = g + beta * self.grad_step if beta else g
         return SolverState(
             x_curr=x_next,
             x_prev=self.x_curr,
@@ -190,13 +200,25 @@ class SolverState:
             kernel=self.kernel,
             b=self.b,
             k=self.k + 1,
+            normal_rhs=self.normal_rhs,
         )
 
-    def refreshed(self) -> tuple["SolverState", float]:
-        """This iterate with fresh r = b - A x and s = A^T r, u kept, and the drift."""
-        A = self.kernel.A
-        r = self.b - A.matvec(self.x_curr)
-        grad = A.transpose_matvec(r)
+    def refreshed(self, floor: float = 0.0) -> tuple["SolverState", float]:
+        """This iterate with a fresh s, u kept, and the drift ||s - fresh s||.
+
+        s = c - G x on a GramKernel with c and no r carried, while the carried
+        and the fresh ||s|| exceed `floor` and GRAM_REFRESH_MARGIN eps ||G||_F
+        ||x||: G^-1 amplifies that rounding by 1/sigma_min^2, the rounding of
+        A^T (b - A x) by 1/sigma_min only.  Else s = A^T r for a fresh, kept r.
+        """
+        kernel, c = self.kernel, self.normal_rhs
+        if self.carried_residual is None and c is not None and isinstance(kernel, GramKernel):
+            grad, rounding = kernel.gram_residual(c, self.x_curr)
+            cut = max(floor, GRAM_REFRESH_MARGIN * rounding)
+            if min(np.linalg.norm(self.grad), np.linalg.norm(grad)) > cut:
+                return replace(self, grad=grad), float(np.linalg.norm(self.grad - grad))
+        r = self.b - kernel.A.matvec(self.x_curr)
+        grad = kernel.A.transpose_matvec(r)
         drift = float(np.linalg.norm(self.grad - grad))
         return replace(self, grad=grad, carried_residual=r), drift
 
@@ -222,11 +244,12 @@ class IterationRecord:
 class ConvergenceReport:
     """Everything a run produced: history, final iterate, and why it stopped.
 
-    `residual_drift` holds (k, ||s - A^T (b - A x_k)||) once per refreshed
-    iterate: every RESIDUAL_REFRESH steps, and where a stop on the normal
-    residual is proposed.  It is the drift of the carried s.  `converged`
-    follows `stop_reason`: derived from it when not given, refused when it
-    disagrees.
+    `residual_drift` holds (k, ||s - fresh s||) once per refreshed iterate:
+    every RESIDUAL_REFRESH steps, and where a stop on the normal residual is
+    proposed.  It is the drift of the carried s, against the s the refresh
+    took (``SolverState.refreshed``): c - G x_k or A^T (b - A x_k).
+    `converged` follows `stop_reason`: derived from it when not given,
+    refused when it disagrees.
     """
 
     method: str
@@ -338,7 +361,7 @@ def block_rule(params: MethodParams, col_norms: np.ndarray) -> Callable[[np.ndar
         return lambda s: select_block_fbcd(s, col_norms, frobenius)[1]
     if params.method == "mrbgs":
         return select_block_mrbgs
-    return lambda s: np.array([int(np.argmax(np.abs(s)))], dtype=np.int64)
+    return lambda s: np.abs(s).argmax(keepdims=True)
 
 
 def line_search_update(
@@ -507,8 +530,9 @@ def run_solver(
             k > 0 and k % RESIDUAL_REFRESH == 0
         ):
             # the incremental s may have drifted: re-derive it, and stop on
-            # it only if the fresh A^T (b - A x) agrees
-            state, drift = state.refreshed()
+            # it only if the fresh A^T (b - A x) agrees (a refresh from G
+            # never admits a stop on s)
+            state, drift = state.refreshed(grad_floor or 0.0)
             drift_log.append((k, drift))
             s_norm_sq = float(np.dot(state.grad, state.grad))
             stop_reason = verdict(s_norm_sq, rse, k, elapsed)

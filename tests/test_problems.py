@@ -124,7 +124,7 @@ class TestProblemInstanceValidation:
 
     @pytest.mark.filterwarnings("error::RuntimeWarning")
     @pytest.mark.parametrize(
-        "exponent", [-100, -80, -60, -55, -54, -53, -50, 50, 52, 60, 75, 100, 150]
+        "exponent", [-100, -80, -60, -55, -54, -53, -50, 50, 52, 60, 75, 100, 150, 200]
     )
     @pytest.mark.parametrize("method", ["cd", "fbcd", "mrbgs", "madbcd", "cs-madbcd"])
     @pytest.mark.parametrize(
@@ -133,6 +133,7 @@ class TestProblemInstanceValidation:
     def test_scaled_problem_solves_in_the_unscaled_count(self, storage, method, exponent):
         # unscaled, squared norms of a run underflow from about 1e-54 and
         # overflow from about 1e52; the run solves its power-of-two rescale
+        # (from about 1e154, the squares of the column norms overflow too)
         base = build_problem({"kind": "gaussian", "m": 200, "n": 20}, 2)
         a = base.A.to_dense()
         params = MethodParams(
@@ -164,7 +165,7 @@ class TestProblemInstanceValidation:
         with pytest.raises(ValueError, match="non-finite entry at index 2"):
             ProblemInstance(A=DenseMatrix(np.eye(3)), b=b)
 
-    @pytest.mark.parametrize("bad", [np.inf, np.nan, 1e200])
+    @pytest.mark.parametrize("bad", [np.inf, np.nan])
     def test_non_finite_matrix_column_named(self, bad):
         a = np.eye(3)
         a[0, 1] = bad
@@ -175,6 +176,24 @@ class TestProblemInstanceValidation:
                     ValueError, match="column 1 has a non-finite entry or overflowing norm"
                 ):
                     ProblemInstance(A=A, b=b)
+
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    @pytest.mark.parametrize(
+        "storage", [DenseMatrix, SparseMatrixCSC.from_dense], ids=["dense", "csc"]
+    )
+    def test_column_norm_is_refused_only_beyond_double_range(self, storage):
+        # column 1's squared norm overflows: its norm is measured again from a
+        # power-of-two multiple, and refused only where it exceeds double range
+        a = np.eye(4)
+        a[:2, 1] = 1e200
+        problem = ProblemInstance(A=storage(a), b=np.ones(4))
+        want = [1.0, np.sqrt(2) * 1e200, 1.0, 1.0]
+        assert problem.column_norms == pytest.approx(want, rel=1e-15)
+        a[:, 1] = 1e308
+        with pytest.raises(
+            ValueError, match="column 1 has a non-finite entry or overflowing norm"
+        ):
+            ProblemInstance(A=storage(a), b=np.ones(4))
 
     @pytest.mark.parametrize("bad", [np.inf, np.nan])
     def test_non_finite_reference_solution_named(self, bad):
@@ -207,6 +226,14 @@ class TestProblemInstanceValidation:
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             cs_prepare(problem, 80, seed=1)
+
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    @pytest.mark.parametrize("noise", [0.0, 1.0])
+    def test_consistency_is_read_where_the_squares_of_b_overflow(self, rng, noise):
+        a = rng.standard_normal((200, 20)) * 1e200
+        x_star = rng.standard_normal(20)
+        b = a @ x_star + noise * 1e200 * rng.standard_normal(200)
+        assert ProblemInstance(A=DenseMatrix(a), b=b, x_star=x_star).consistent == (noise == 0)
 
     def test_perturbed_rhs_is_inconsistent_and_warns(self, rng):
         a = rng.standard_normal((400, 20))

@@ -44,6 +44,20 @@ def blind_problem():
     return ProblemInstance(A=gen_gaussian_dense(300, 40, 11), b=b)
 
 
+def rotated_problem(m, n, kappa, noise, seed):
+    """U diag(logspace(0, -log10 kappa)) V^T with random orthonormal U and V, and
+    b = A x_star plus `noise` ||A x_star|| along a unit vector orthogonal to range(A)."""
+    rng = np.random.default_rng(seed)
+    u, _ = np.linalg.qr(rng.standard_normal((m, n + 1)))
+    v, _ = np.linalg.qr(rng.standard_normal((n, n)))
+    a = (u[:, :n] * np.logspace(0, -np.log10(kappa), n)) @ v.T
+    x_star = rng.standard_normal(n)
+    b = a @ x_star
+    return ProblemInstance(
+        A=DenseMatrix(a), b=b + noise * np.linalg.norm(b) * u[:, n], x_star=x_star
+    )
+
+
 def step(state, A, method, beta=0.0):
     """One step of `method` from `state`, built as run_solver builds it."""
     block = block_rule(MethodParams(method, beta), A.column_norms())(state.grad)
@@ -753,11 +767,14 @@ class TestRunSolver:
             assert k % RESIDUAL_REFRESH == 0
             assert drift <= 1e-8 * b_norm
 
+    @pytest.mark.parametrize("refreshes", [1, 3])
     @pytest.mark.parametrize("method", ["cd", "fbcd", "madbcd", "cs-madbcd"])
-    def test_dense_step_touches_no_m_length_kernel(self, monkeypatch, method):
-        # a dense step reads G = A^T A; only refreshes and stop confirmations
-        # pass over A (cs-madbcd also checks the unsketched system's consistency)
-        problem = make_consistent_problem(gen_gaussian_dense(300, 40, 11), 12)
+    def test_dense_step_touches_no_m_length_kernel(self, monkeypatch, method, refreshes):
+        # a dense step reads G = A^T A, and so does a refresh while s stands
+        # well above the rounding of c - G x, as it does on this slow problem:
+        # a line-search run passes over A once, for the start's s = A^T b.
+        # cs-madbcd also checks the unsketched system's consistency.
+        problem = rotated_problem(300, 40, 100.0, 0.0, 11)
         calls = dict.fromkeys(("transpose_matvec", "restricted_matvec", "matvec"), 0)
         for name in calls:
             original = getattr(DenseMatrix, name)
@@ -771,15 +788,37 @@ class TestRunSolver:
         params = MethodParams(
             method, 0.3 if momentum else 0.0, d_factor=4 if method == "cs-madbcd" else None
         )
-        steps = 2 * RESIDUAL_REFRESH + 7
+        steps = refreshes * RESIDUAL_REFRESH + 7
         report = run_solver(
             problem, params, StoppingRule(rse_threshold=None, max_iterations=steps),
             sketch_seed=3,
         )
         assert report.iterations == steps
-        bound = 2 * math.ceil(steps / RESIDUAL_REFRESH) + 2
+        assert len(report.residual_drift) == refreshes
         assert calls["restricted_matvec"] == 0
-        assert calls["transpose_matvec"] <= bound and calls["matvec"] <= bound, calls
+        if method == "cs-madbcd":
+            bound = 2 * math.ceil(steps / RESIDUAL_REFRESH) + 2
+            assert calls["transpose_matvec"] <= bound and calls["matvec"] <= bound, calls
+        else:
+            assert calls["transpose_matvec"] == 1 and calls["matvec"] == 0, calls
+
+    def test_refresh_reads_g_only_far_above_its_rounding(self, monkeypatch):
+        # c - G x carries rounding of order eps ||G|| ||x||, which G^-1
+        # amplifies by 1/sigma_min^2: refreshing from G all the way down loses
+        # final accuracy that A^T (b - A x) keeps, and the shipped switch keeps it
+        problem = rotated_problem(300, 10, 30.0, 0.1, 3)
+
+        def final_rse(margin):
+            monkeypatch.setattr(solvers, "GRAM_REFRESH_MARGIN", margin)
+            report = run_solver(
+                problem, MethodParams("madbcd", 0.3), StoppingRule(1e-40, 10_000)
+            )
+            return report.records[-1].rse
+
+        shipped = final_rse(solvers.GRAM_REFRESH_MARGIN)
+        m_space = final_rse(math.inf)
+        assert final_rse(0.0) > 100 * m_space
+        assert shipped <= 2 * m_space
 
     @pytest.mark.parametrize("storage", [DenseMatrix, SparseMatrixCSC.from_dense])
     def test_fbcd_reads_the_column_norms_its_problem_holds(self, monkeypatch, storage):
