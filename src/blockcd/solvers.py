@@ -2,16 +2,20 @@
 
 cd, fbcd and madbcd are one step: an exact line search along the direction
 that carries the gradient entries s = A^T r on a block, plus the heavy-ball
-term beta (x_k - x_{k-1}) (beta = 0 for cd and fbcd).  They differ only in
-the block rule: the singleton {argmax |s_j|} (greedy coordinate descent,
-cd), the averaged threshold of the fast block method (fbcd), or the mean
-||s||^2 / n threshold of the adaptive method (madbcd).  The maximal-residual
-block baseline (mrbgs) swaps the line search for an exact least-squares
-subsolve on its block: the corrected semi-normal equations on
-G_tau = A_tau^T A_tau, with LAPACK's blocked Householder QR of [A_tau | r]
-as the rank-revealing fallback.  The oracle keeps its own hand-rolled QR as
-the independent route that audits this subsolve.  cs-madbcd is madbcd on
-(SA, Sb), the problem compressed by a count sketch S with d_factor * n rows.
+term beta (x_k - x_{k-1}) (beta = 0 for cd and fbcd).  Every method's block
+comes from one threshold rule, ``select_block``: with the score s_j^2 / w_j,
+keep every j whose score reaches min(lam max score + mu ||s||^2 / sum w,
+max score).  madbcd's mean ||s||^2 / n threshold is (w, lam, mu) = (1, 0,
+1); the averaged threshold of the fast block method (fbcd) is (||a_j||^2,
+1/2, 1/2); mrbgs's fraction of the largest entry is (1, MRBGS_FRACTION, 0);
+and greedy coordinate descent (cd) takes the first index of (1, 1, 0), which
+is argmax |s_j|.  The maximal-residual block baseline (mrbgs) swaps the
+line search for an exact least-squares subsolve on its block: the corrected
+semi-normal equations on G_tau = A_tau^T A_tau, with LAPACK's blocked
+Householder QR of [A_tau | r] as the rank-revealing fallback.  The oracle
+keeps its own hand-rolled QR as the independent route that audits this
+subsolve.  cs-madbcd is madbcd on (SA, Sb), the problem compressed by a
+count sketch S with d_factor * n rows.
 
 The loop runs in n-space from x = 0.  Its state is (x, x_prev, s, u) with
 s = A^T r and u = A^T A (x - x_prev), and it holds the run's matrix, so a
@@ -36,6 +40,7 @@ from __future__ import annotations
 import math
 import time
 from dataclasses import dataclass, field, replace
+from functools import partial
 from typing import Callable, get_type_hints
 
 import numpy as np
@@ -304,63 +309,56 @@ def rse_to(x_star: np.ndarray) -> Callable[[np.ndarray], float]:
     return rse
 
 
-def select_block_madbcd(s: np.ndarray) -> np.ndarray:
-    """Indices whose squared gradient entry meets the mean ||s||^2 / n.
+def select_block(
+    lam: float, mu: float, s: np.ndarray, weights: np.ndarray | None = None
+) -> np.ndarray:
+    """Every j whose score s_j^2 / w_j reaches min(lam max score + mu ||s||^2 / sum w, max score).
 
-    Inclusive comparison, ties kept, no cap on the block size.  The argmax
-    always qualifies, so the result is nonempty whenever s != 0: the rounded
-    mean can exceed every s_j^2 when they tie, so it is capped at their max.
+    `weights` None stands for w = 1 (sum w = n) and skips the division.  The
+    cap at the max score always admits the argmax, so the block is nonempty
+    whenever s != 0 and tied scores are kept.  Inclusive comparison, no cap
+    on the block size.
     """
     sq = s * s
     s_norm_sq = float(sq.sum())
     if s_norm_sq == 0.0:
         raise ValueError("cannot select a block from a zero gradient")
-    return np.flatnonzero(sq >= min(s_norm_sq / len(s), float(sq.max())))
+    score, weight_sum = (sq, len(s)) if weights is None else (sq / weights, float(weights.sum()))
+    top = float(score.max())
+    return np.flatnonzero(score >= min(lam * top + mu * s_norm_sq / weight_sum, top))
 
 
-def select_block_fbcd(
-    s: np.ndarray, col_norms: np.ndarray, frobenius: float
-) -> tuple[float, np.ndarray]:
-    """Threshold scale delta_k and the block it admits.
-
-    delta_k averages the best column-normalized gradient share with the
-    uniform share 1/||A||_F^2; a column enters when its squared gradient
-    entry reaches delta_k ||s||^2 ||A_j||^2.
-    """
-    sq = s * s
-    s_norm_sq = float(sq.sum())
-    if s_norm_sq == 0.0:
-        raise ValueError("cannot select a block from a zero gradient")
-    cn_sq = col_norms * col_norms
-    ratios = sq / cn_sq
-    delta = 0.5 * (float(ratios.max()) / s_norm_sq + 1.0 / frobenius**2)
-    idx = np.flatnonzero(sq >= delta * s_norm_sq * cn_sq)
-    if idx.size == 0:  # tied ratios can round past every s_j^2; a cap would reround all
-        idx = np.array([int(np.argmax(ratios))], dtype=np.int64)
-    return delta, idx
-
-
-def select_block_mrbgs(s: np.ndarray) -> np.ndarray:
-    """Indices whose squared gradient entry reaches MRBGS_FRACTION of the max."""
-    sq = s * s
-    if float(sq.sum()) == 0.0:
-        raise ValueError("cannot select a block from a zero gradient")
-    return np.flatnonzero(sq >= MRBGS_FRACTION * float(sq.max()))
+# each method's (lam, mu); perfbench's tracer wraps these names, so they stay
+# module globals called positionally: s, then fbcd's w_j = ||a_j||^2
+select_block_madbcd = partial(select_block, 0.0, 1.0)
+select_block_mrbgs = partial(select_block, MRBGS_FRACTION, 0.0)
+select_block_fbcd = partial(select_block, 0.5, 0.5)
 
 
 def block_rule(params: MethodParams, col_norms: np.ndarray) -> Callable[[np.ndarray], np.ndarray]:
-    """The method's block selector s -> column indices; fbcd's binds A's column norms.
+    """The method's block selector s -> column indices, one setting of ``select_block``.
 
-    Looks the selectors up per run, not at import time, so that one rebound on
-    this module (as perfbench's tracer does) is the one used.
+    | method            | w_j       | lam            | mu  |
+    |-------------------|-----------|----------------|-----|
+    | madbcd, cs-madbcd | 1         | 0              | 1   |
+    | mrbgs             | 1         | MRBGS_FRACTION | 0   |
+    | fbcd              | ||a_j||^2 | 1/2            | 1/2 |
+    | cd                | 1         | 1              | 0   |
+
+    cd keeps only the first index of its block, argmax |s_j|, and computes
+    that argmax directly: it is several times cheaper than the general rule,
+    and cd selects once per coordinate step.  fbcd's weights are formed once
+    per run from `col_norms`.  Looks the selectors up per run, not at import
+    time, so that one rebound on this module (as perfbench's tracer does) is
+    the one used.
     """
     if params.method in (MADBCD, CS_MADBCD):
         return select_block_madbcd
-    if params.method == "fbcd":
-        frobenius = float(np.linalg.norm(col_norms))
-        return lambda s: select_block_fbcd(s, col_norms, frobenius)[1]
     if params.method == "mrbgs":
         return select_block_mrbgs
+    if params.method == "fbcd":
+        weights = col_norms * col_norms
+        return lambda s: select_block_fbcd(s, weights)
     return lambda s: np.abs(s).argmax(keepdims=True)
 
 

@@ -23,9 +23,7 @@ from blockcd import (
     make_consistent_problem,
     reference_lsq_solve,
     run_solver,
-    select_block_fbcd,
     select_block_madbcd,
-    select_block_mrbgs,
     subsolve_update,
 )
 from blockcd import oracle, problems, solvers
@@ -66,41 +64,90 @@ def step(state, A, method, beta=0.0):
     return line_search_update(state, block, beta)[0], block
 
 
-class TestSelectMadbcd:
-    def test_all_tie_the_threshold(self):
-        block = select_block_madbcd(np.array([1.0, 1.0, 1.0, 1.0]))
-        assert block.tolist() == [0, 1, 2, 3]
+# each method's (w_j = ||a_j||^2, lam, mu) in the one threshold rule; w = 1 otherwise
+RULES = {
+    "madbcd": (False, 0.0, 1.0),
+    "mrbgs": (False, solvers.MRBGS_FRACTION, 0.0),
+    "fbcd": (True, 0.5, 0.5),
+    "cd": (False, 1.0, 0.0),
+}
 
-    def test_single_support(self):
-        s = np.array([1.0, 0.0, 0.0])
-        block = select_block_madbcd(s)
-        assert block.tolist() == [0]
-        assert s[block].tolist() == [1.0]
 
-    def test_hand_threshold(self):
-        # ||s||^2 = 14, threshold 14/3: only 9 qualifies
-        s = np.array([3.0, 2.0, 1.0])
-        block = select_block_madbcd(s)
-        assert block.tolist() == [0]
-        assert s[block].tolist() == [3.0]
+class TestSelectBlock:
+    @pytest.mark.parametrize("method", RULES)
+    @pytest.mark.parametrize(
+        "s",
+        [
+            *(np.random.default_rng(seed).standard_normal(12) for seed in range(10)),
+            np.array([2.0, -2.0, 1.0, 2.0, 0.5]),
+            np.array([0.0, 0.0, -3.0, 0.0]),
+        ],
+        ids=[*(f"random-{seed}" for seed in range(10)), "tied", "one-nonzero"],
+    )
+    def test_block_is_every_score_reaching_the_threshold(self, method, s, rng):
+        col_norms = rng.uniform(0.5, 2.0, s.size)
+        weighted, lam, mu = RULES[method]
+        w = col_norms**2 if weighted else np.ones(s.size)
+        score = s * s / w
+        cut = min(lam * score.max() + mu * (s * s).sum() / w.sum(), score.max())
+        expected = [j for j in range(s.size) if score[j] >= cut]
+        block = block_rule(MethodParams(method), col_norms)(s)
+        assert block.dtype == np.int64 and block.ndim == 1
+        # cd is the lam = 1 block's first index
+        assert block.tolist() == (expected[:1] if method == "cd" else expected)
+
+    @pytest.mark.parametrize(
+        "method, s, col_norms, expected",
+        [
+            ("madbcd", [1.0, 1.0, 1.0, 1.0], None, [0, 1, 2, 3]),  # all tie the mean 1
+            ("madbcd", [1.0, 0.0, 0.0], None, [0]),
+            ("madbcd", [3.0, 2.0, 1.0], None, [0]),  # mean 14/3: only 9 reaches it
+            ("mrbgs", [3.0, 2.0, 1.0], None, [0, 1]),  # 0.3 * 9 = 2.7 admits 9 and 4
+            ("mrbgs", [2.0, -2.0, 1.0], None, [0, 1]),  # argmax ties are kept
+            ("fbcd", [1.0, 0.0], [1.0, 1.0], [0]),  # min(1/2 + 1/4, 1) = 3/4
+            ("fbcd", [1.0, 1.0], [1.0, 1.0], [0, 1]),  # min(1/2 + 1/2, 1) = 1
+            ("fbcd", [2.0, 1.0, 1.0], [2.0, 1.0, 0.5], [2]),  # scores 1, 1, 4; cut 2 + 4/7
+            ("fbcd", [2.0, 1.0, 1.0], [1.0, 1.0, 2.0], [0]),  # scores 4, 1, 1/4; cut 5/2
+            ("cd", [2.0, -2.0, 1.0], None, [0]),  # first of the tied argmax
+            ("cd", [1.0, -3.0, 2.0], None, [1]),
+        ],
+    )
+    def test_hand_computed_blocks(self, method, s, col_norms, expected):
+        s = np.array(s)
+        col_norms = np.ones(s.size) if col_norms is None else np.array(col_norms)
+        assert block_rule(MethodParams(method), col_norms)(s).tolist() == expected
+
+    @pytest.mark.parametrize(
+        "method, value, norm",
+        [("madbcd", 57.99732627352366, 1.0), ("fbcd", 0.10520315032328138, 1.786106414881354)],
+    )
+    def test_ties_are_kept_where_the_rounded_threshold_exceeds_them(self, method, value, norm):
+        s, col_norms = np.full(3, value), np.full(3, norm)
+        weighted, lam, mu = RULES[method]
+        w = col_norms**2 if weighted else np.ones(3)
+        score = s * s / w
+        assert lam * score.max() + mu * (s * s).sum() / w.sum() > score.max()
+        assert block_rule(MethodParams(method), col_norms)(s).tolist() == [0, 1, 2]
 
     def test_zero_gradient_is_a_signal(self):
         with pytest.raises(ValueError, match="zero gradient"):
-            select_block_madbcd(np.zeros(3))
+            solvers.select_block(0.0, 1.0, np.zeros(3))
 
-    def test_ties_are_kept_when_the_rounded_mean_exceeds_them(self):
-        s = np.full(3, 57.99732627352366)
-        sq = s * s
-        assert sq.sum() / 3 > sq.max()
-        assert select_block_madbcd(s).tolist() == [0, 1, 2]
+    @pytest.mark.parametrize("method", ["madbcd", "fbcd", "mrbgs"])
+    def test_run_calls_the_named_selector_by_position_once_per_step(self, monkeypatch, method):
+        # perfbench's tracer rebinds these module names with wrappers whose
+        # work counters take positional arguments only
+        name = f"select_block_{method}"
+        original, calls = getattr(solvers, name), []
 
-    @pytest.mark.parametrize("seed", range(10))
-    def test_matches_exhaustive_filter(self, seed):
-        s = np.random.default_rng(seed).standard_normal(12)
-        expected = [j for j in range(12) if s[j] ** 2 >= np.dot(s, s) / 12]
-        block = select_block_madbcd(s)
-        assert block.tolist() == expected
-        assert_allclose(s[block], s[expected])
+        def counting(*args):
+            calls.append(1)
+            return original(*args)
+
+        monkeypatch.setattr(solvers, name, counting)
+        problem = make_consistent_problem(gen_gaussian_dense(200, 20, 3), 4)
+        report = run_solver(problem, MethodParams(method), StoppingRule())
+        assert report.converged and len(calls) == report.iterations > 0
 
     def test_values_are_exact_gradient_entries(self, rng):
         # the step moves x only on the block, by c times the gradient entries there
@@ -122,114 +169,24 @@ def test_selectors_are_deterministic(rng):
     # nothing in the selection rules is randomized: same s, same block
     s = rng.standard_normal(15)
     col_norms = np.abs(rng.standard_normal(15)) + 0.5
-    frob = float(np.linalg.norm(col_norms))
-    for _ in range(3):
-        assert np.array_equal(
-            select_block_madbcd(s), select_block_madbcd(s)
-        )
-        assert np.array_equal(
-            select_block_fbcd(s, col_norms, frob)[1],
-            select_block_fbcd(s, col_norms, frob)[1],
-        )
-        assert np.array_equal(
-            select_block_mrbgs(s), select_block_mrbgs(s)
-        )
+    for method in RULES:
+        select = block_rule(MethodParams(method), col_norms)
+        first = select(s)
+        for _ in range(3):
+            assert np.array_equal(select(s), first)
 
 
-def test_blocks_are_int64_index_arrays(rng):
-    s = rng.standard_normal(15)
-    a = rng.standard_normal((40, 15))
-    A = DenseMatrix(a)
-    col_norms = np.linalg.norm(a, axis=0)
-    every_method = [
-        MethodParams(method, d_factor=2 if method == "cs-madbcd" else None)
-        for method in METHODS
-    ]
-    blocks = [
-        select_block_madbcd(s),
-        select_block_fbcd(s, col_norms, float(np.linalg.norm(a)))[1],
-        select_block_mrbgs(s),
-        *(block_rule(params, A.column_norms())(s) for params in every_method),
-    ]
-    problem = make_consistent_problem(A, seed=4)
-    for params in every_method:
+def test_blocks_are_int64_index_arrays():
+    problem = make_consistent_problem(gen_gaussian_dense(40, 15, 2), seed=4)
+    for method in METHODS:
+        params = MethodParams(method, d_factor=2 if method == "cs-madbcd" else None)
         report = run_solver(
             problem, params, StoppingRule(max_iterations=10),
             record_history=True, sketch_seed=5,
         )
         assert len(report.block_history) == report.iterations
-        blocks += report.block_history
-    for block in blocks:
-        assert isinstance(block, np.ndarray)
-        assert block.dtype == np.int64 and block.ndim == 1 and block.size >= 1
-
-
-class TestSelectFbcd:
-    def test_single_support_identity(self):
-        delta, block = select_block_fbcd(
-            np.array([1.0, 0.0]), np.ones(2), np.sqrt(2.0)
-        )
-        assert delta == pytest.approx(0.75)
-        assert block.tolist() == [0]
-
-    def test_symmetric_case(self):
-        delta, block = select_block_fbcd(
-            np.array([1.0, 1.0]), np.ones(2), np.sqrt(2.0)
-        )
-        assert delta == pytest.approx(0.5)
-        assert block.tolist() == [0, 1]
-
-    @pytest.mark.parametrize("seed", range(10))
-    def test_matches_exhaustive_filter(self, seed):
-        rng = np.random.default_rng(seed)
-        a = rng.standard_normal((10, 4))
-        a /= np.linalg.norm(a, axis=0)  # unit columns
-        s = rng.standard_normal(4)
-        col_norms = np.linalg.norm(a, axis=0)
-        frob = np.linalg.norm(a)
-        delta, block = select_block_fbcd(s, col_norms, frob)
-        s_sq = np.dot(s, s)
-        expected = [
-            j
-            for j in range(4)
-            if s[j] ** 2 >= delta * s_sq * col_norms[j] ** 2
-        ]
-        assert block.tolist() == expected
-        assert len(expected) >= 1
-
-    def test_zero_gradient_is_a_signal(self):
-        with pytest.raises(ValueError, match="zero gradient"):
-            select_block_fbcd(np.zeros(3), np.ones(3), np.sqrt(3.0))
-
-    def test_rounding_that_admits_no_column_takes_the_best_ratio(self):
-        s = np.full(2, 0.14415961271963373)
-        col_norms = np.full(2, 0.9486494471372439)
-        delta, block = select_block_fbcd(s, col_norms, float(np.linalg.norm(col_norms)))
-        sq = s * s
-        assert not np.any(sq >= delta * sq.sum() * col_norms**2)
-        assert block.tolist() == [0]
-
-
-class TestSelectMrbgs:
-    def test_hand_cutoff(self):
-        block = select_block_mrbgs(np.array([3.0, 2.0, 1.0]))
-        assert block.tolist() == [0, 1]  # cutoff 2.7 admits 9 and 4
-
-    def test_fraction_one_keeps_argmax_ties(self):
-        block = select_block_mrbgs(np.array([2.0, -2.0, 1.0]))
-        assert block.tolist() == [0, 1]
-
-    @pytest.mark.parametrize("seed", range(10))
-    def test_matches_exhaustive_filter(self, seed):
-        s = np.random.default_rng(seed).standard_normal(12)
-        block = select_block_mrbgs(s)
-        cutoff = 0.3 * np.max(s * s)
-        expected = [j for j in range(12) if s[j] ** 2 >= cutoff]
-        assert block.tolist() == expected
-
-    def test_zero_gradient_is_a_signal(self):
-        with pytest.raises(ValueError, match="zero gradient"):
-            select_block_mrbgs(np.zeros(3))
+        for block in report.block_history:
+            assert block.dtype == np.int64 and block.ndim == 1 and block.size >= 1
 
 
 def test_every_method_moves_by_the_shared_transition():
