@@ -6,10 +6,12 @@ code never branches on the representation.  Column-major / CSC layout is
 deliberate: every solver step works column-wise (gradient entries are column
 dot-products, updates are column gathers).
 
-A solver step needs A only through A^T A_tau, which ``Matrix.normal_kernel``
-supplies per run: by two passes over CSC storage, or from G = A^T A for a
-dense matrix.  The mrbgs subsolve also takes the gathered A_tau and
-G_tau = A_tau^T A_tau from it: read from G, or formed from the gathered block.
+A run reaches A and b only through the kernel that ``Matrix.normal_kernel(b)``
+makes for it.  The kernel forms c = A^T b, and on dense input G = A^T A.  It
+gives a step A^T A_tau v, by two passes over CSC storage or read from G, and
+the mrbgs subsolve the gathered A_tau and G_tau = A_tau^T A_tau.  It also
+decides how a refresh re-derives s = A^T (b - A x): as c - G x while that
+form's rounding is far below ||s||, else by a pass that forms r.
 
 Matrices are immutable after construction and safe to share between
 concurrent runs; every kernel returns a freshly allocated array.
@@ -90,9 +92,9 @@ class Matrix:
         """2^e A, a copy; exact unless an entry leaves the normal range."""
         raise NotImplementedError
 
-    def normal_kernel(self) -> "NormalKernel":
-        """A fresh per-run kernel for the products with A^T A a solver step needs."""
-        return NormalKernel(self)
+    def normal_kernel(self, b: np.ndarray) -> "NormalKernel":
+        """A fresh per-run kernel for the least-squares problem A x = b."""
+        return NormalKernel(self, b)
 
     def _check_vec(self, v: np.ndarray, length: int, op: str) -> np.ndarray:
         v = np.asarray(v, dtype=np.float64)
@@ -163,8 +165,8 @@ class DenseMatrix(Matrix):
     def scaled(self, e):
         return DenseMatrix(np.ldexp(self._a, e))
 
-    def normal_kernel(self) -> "GramKernel":
-        return GramKernel(self)
+    def normal_kernel(self, b) -> "GramKernel":
+        return GramKernel(self, b)
 
 
 class SparseMatrixCSC(Matrix):
@@ -302,17 +304,25 @@ class SparseMatrixCSC(Matrix):
         return len(self.values)
 
 
-class NormalKernel:
-    """The one product with A^T A a solver step needs, by passes over A.
+# a refresh reads s = c - G x only while ||s|| exceeds this times its
+# eps ||G||_F ||x|| rounding
+GRAM_REFRESH_MARGIN = 1e6
 
-    `step(block, v)` returns (A^T A_tau v, ||A_tau v||^2) for the direction
-    carrying `v` on `block`.  A refresh re-derives s = A^T r from the matrix
-    itself, so the kernel needs no full A^T A v.  `block_system(block)`
-    gives the mrbgs subsolve its A_tau and G_tau.
+
+class NormalKernel:
+    """One run's problem A x = b, and the products with A^T A its steps need.
+
+    Making it forms c = A^T b, the start's s.  `step(block, v)` returns
+    (A^T A_tau v, ||A_tau v||^2) for the direction carrying `v` on `block`.
+    `block_system(block)` gives the mrbgs subsolve its A_tau and G_tau.
+    `refresh` re-derives s = A^T r for a fresh r = b - A x by two passes
+    over A, so the kernel needs no full A^T A v.
     """
 
-    def __init__(self, A: Matrix):
+    def __init__(self, A: Matrix, b: np.ndarray):
         self.A = A
+        self.b = b
+        self.c = A.transpose_matvec(b)
 
     def step(self, block: np.ndarray, v: np.ndarray) -> tuple[np.ndarray, float]:
         a_v = self.A.restricted_matvec(block, v)
@@ -323,6 +333,16 @@ class NormalKernel:
         a_tau = self.A.gather_columns(block)
         return a_tau, a_tau.T @ a_tau
 
+    def refresh(self, x, s, floor=0.0, form_r=False) -> tuple[np.ndarray, np.ndarray | None]:
+        """A fresh s = A^T (b - A x) in place of the carried `s`, and the r it formed.
+
+        The kernel picks the form; by passes over A it is always A^T r for a
+        fresh r = b - A x.  `floor` and `form_r` (the caller carries r, so r
+        must be formed again) matter only to a kernel with another form.
+        """
+        r = self.b - self.A.matvec(x)
+        return self.A.transpose_matvec(r), r
+
 
 class GramKernel(NormalKernel):
     """The same products read from G = A^T A, formed once when the kernel is made.
@@ -331,11 +351,10 @@ class GramKernel(NormalKernel):
     never larger than A since problems require m >= n.  Forming it is one
     BLAS-3 pass that each run pays inside its own timing, so the kernel is
     made per run and never stored on the shared, immutable matrix.
-    `gram_residual` gives a refresh s = A^T b - G x without a pass over A.
     """
 
-    def __init__(self, A: DenseMatrix):
-        super().__init__(A)
+    def __init__(self, A: DenseMatrix, b: np.ndarray):
+        super().__init__(A, b)
         a = A.array
         self._g = a.T @ a
 
@@ -347,11 +366,20 @@ class GramKernel(NormalKernel):
     def block_system(self, block):
         return self.A.gather_columns(block), self._g[np.ix_(block, block)]
 
-    def gram_residual(self, c: np.ndarray, x: np.ndarray) -> tuple[np.ndarray, float]:
-        """c - G x, for c = A^T b the s = A^T (b - A x), and eps ||G||_F ||x||, the
-        scale of its rounding; the norm of G is taken on the first call."""
-        return c - self._g @ x, self._rounding * float(np.linalg.norm(x))
+    def refresh(self, x, s, floor=0.0, form_r=False):
+        """s = c - G x, forming no r, unless `form_r` is set or the carried or
+        the fresh ||s|| is at most `floor` or GRAM_REFRESH_MARGIN eps ||G||_F
+        ||x||, the scale of that form's rounding: G^-1 amplifies it by
+        1/sigma_min^2, the rounding of A^T (b - A x) by 1/sigma_min only.
+        Then the pass form, which forms r."""
+        if not form_r:
+            fresh = self.c - self._g @ x
+            cut = max(floor, GRAM_REFRESH_MARGIN * (self._rounding * float(np.linalg.norm(x))))
+            if min(np.linalg.norm(s), np.linalg.norm(fresh)) > cut:
+                return fresh, None
+        return super().refresh(x, s)
 
     @functools.cached_property
     def _rounding(self) -> float:
+        """eps ||G||_F, taken on the first refresh."""
         return float(np.finfo(np.float64).eps * np.linalg.norm(self._g))

@@ -17,22 +17,22 @@ keeps its own hand-rolled QR as the independent route that audits this
 subsolve.  cs-madbcd is madbcd on (SA, Sb), the problem compressed by a
 count sketch S with d_factor * n rows.
 
-The loop runs in n-space from x = 0.  Its state is (x, x_prev, s, u) with
-s = A^T r and u = A^T A (x - x_prev), and it holds the run's matrix, so a
+The loop runs in n-space from x = 0.  Its state is the iterate (x, x_prev,
+s, u) with s = A^T r and u = A^T A (x - x_prev), plus the run's kernel, so a
 step takes only the state and its block: ``line_search_update(state, block,
 beta)`` and ``subsolve_update(state, block)``.  Both go through
 ``SolverState.advance``: x moves by d on the block plus beta (x - x_prev),
-u becomes A^T A_tau d + beta u and s becomes s - u.  The one product a step
-needs, (A^T A_tau v, ||A_tau v||^2), comes from the matrix's per-run
-``normal_kernel``: a dense matrix reads it from G = A^T A, formed once per
-run inside the timed solve, and CSC storage pays a restricted and a
-transpose matvec.  The same kernel gives the mrbgs subsolve A_tau and G_tau.
-Only s accumulates rounding: u is rebuilt from a fresh product every step,
-so its old rounding decays by beta per step.  Every ``RESIDUAL_REFRESH``
-steps, and before a stop on the normal residual is reported,
-``SolverState.refreshed`` re-derives s from x: as c - G x (c = A^T b) on a
-dense line-search run while ||s|| is far above that form's rounding, else,
-and for every stop it confirms, as A^T (b - A x); mrbgs reads that r.
+u becomes A^T A_tau d + beta u and s becomes s - u.  The kernel,
+``Matrix.normal_kernel(b)``, owns the run's linear algebra: it forms
+c = A^T b and, for a dense matrix, G = A^T A once per run inside the timed
+solve; it gives a step (A^T A_tau v, ||A_tau v||^2) and the mrbgs subsolve
+A_tau and G_tau.  Only s accumulates rounding: u is rebuilt from a fresh
+product every step, so its old rounding decays by beta per step.  Every
+``RESIDUAL_REFRESH`` steps, and before a stop on the normal residual is
+reported, ``SolverState.refreshed`` re-derives s from x by the kernel's
+``refresh``: c - G x on a dense line-search run while ||s|| is far above that
+form's rounding, else, and for every stop it confirms, A^T (b - A x); mrbgs
+reads that r.
 """
 
 from __future__ import annotations
@@ -45,7 +45,7 @@ from typing import Callable, get_type_hints
 
 import numpy as np
 
-from .matrix import GramKernel, Matrix, NormalKernel, RankDeficiencyError
+from .matrix import Matrix, NormalKernel, RankDeficiencyError
 from .problems import SCALE_BAND_LOG2, _store_checked
 from .sketch import cs_prepare
 
@@ -71,8 +71,6 @@ METHODS = ("cd", "fbcd", "mrbgs", MADBCD, CS_MADBCD)
 
 # the incremental s is re-derived from x this often
 RESIDUAL_REFRESH = 50
-# s = c - G x only while ||s|| exceeds this times its eps ||G||_F ||x|| rounding
-GRAM_REFRESH_MARGIN = 1e6
 ZERO_RESIDUAL_STOP = "converged: zero normal-equation residual"
 GRADIENT_FALLBACK_STOP = "converged: gradient fallback threshold"
 MRBGS_FRACTION = 0.3  # mrbgs's block: every j with s_j^2 >= this fraction of max_j s_j^2
@@ -151,10 +149,10 @@ class SolverState:
 
     `grad` is s = A^T (b - A x_curr) and `grad_step` is u = A^T A (x_curr -
     x_prev), so each step sets grad to the previous grad - grad_step.  s alone
-    is refreshed: u is rebuilt each step as a fresh product plus beta u.  r
-    is carried (`carried_residual`) where the start, a refresh or a subsolve
-    step formed it; otherwise `residual` computes it from x on read.
-    `normal_rhs` is c = A^T b, the start's s, which a refresh from G reads.
+    is refreshed: u is rebuilt each step as a fresh product plus beta u.
+    `residual` is r = b - A x_curr where the start, a refresh's pass or a
+    subsolve step formed it, and None otherwise.  b, c = A^T b and G belong
+    to the run's `kernel`.
     """
 
     x_curr: np.ndarray
@@ -162,32 +160,21 @@ class SolverState:
     grad: np.ndarray
     grad_step: np.ndarray
     kernel: NormalKernel
-    b: np.ndarray
     k: int = 0
-    carried_residual: np.ndarray | None = None
-    normal_rhs: np.ndarray | None = None
+    residual: np.ndarray | None = None
 
     @classmethod
     def initial(cls, A: Matrix, b: np.ndarray) -> "SolverState":
-        """x_prev = x_curr = 0, so r = b and s = A^T b; makes the run's normal kernel."""
-        c = A.transpose_matvec(b)
+        """x_prev = x_curr = 0, so r = b and s = c; makes the run's normal kernel."""
+        kernel = A.normal_kernel(b)
         return cls(
             x_curr=np.zeros(A.cols),
             x_prev=np.zeros(A.cols),
-            grad=c,
+            grad=kernel.c,
             grad_step=np.zeros(A.cols),
-            kernel=A.normal_kernel(),
-            b=b,
-            carried_residual=b,
-            normal_rhs=c,
+            kernel=kernel,
+            residual=b,
         )
-
-    @property
-    def residual(self) -> np.ndarray:
-        """r = b - A x_curr."""
-        if self.carried_residual is not None:
-            return self.carried_residual
-        return self.b - self.kernel.A.matvec(self.x_curr)
 
     def advance(
         self, block: np.ndarray, d: np.ndarray, g: np.ndarray, beta: float = 0.0
@@ -203,29 +190,17 @@ class SolverState:
             grad=self.grad - u_next,
             grad_step=u_next,
             kernel=self.kernel,
-            b=self.b,
             k=self.k + 1,
-            normal_rhs=self.normal_rhs,
         )
 
     def refreshed(self, floor: float = 0.0) -> tuple["SolverState", float]:
         """This iterate with a fresh s, u kept, and the drift ||s - fresh s||.
 
-        s = c - G x on a GramKernel with c and no r carried, while the carried
-        and the fresh ||s|| exceed `floor` and GRAM_REFRESH_MARGIN eps ||G||_F
-        ||x||: G^-1 amplifies that rounding by 1/sigma_min^2, the rounding of
-        A^T (b - A x) by 1/sigma_min only.  Else s = A^T r for a fresh, kept r.
+        The kernel's ``refresh`` picks the form; `floor` bounds the ||s|| at
+        which it may read s from G.  A state that carries r re-forms it.
         """
-        kernel, c = self.kernel, self.normal_rhs
-        if self.carried_residual is None and c is not None and isinstance(kernel, GramKernel):
-            grad, rounding = kernel.gram_residual(c, self.x_curr)
-            cut = max(floor, GRAM_REFRESH_MARGIN * rounding)
-            if min(np.linalg.norm(self.grad), np.linalg.norm(grad)) > cut:
-                return replace(self, grad=grad), float(np.linalg.norm(self.grad - grad))
-        r = self.b - kernel.A.matvec(self.x_curr)
-        grad = kernel.A.transpose_matvec(r)
-        drift = float(np.linalg.norm(self.grad - grad))
-        return replace(self, grad=grad, carried_residual=r), drift
+        grad, r = self.kernel.refresh(self.x_curr, self.grad, floor, self.residual is not None)
+        return replace(self, grad=grad, residual=r), float(np.linalg.norm(self.grad - grad))
 
 
 @dataclass(frozen=True)
@@ -252,7 +227,7 @@ class ConvergenceReport:
     `residual_drift` holds (k, ||s - fresh s||) once per refreshed iterate:
     every RESIDUAL_REFRESH steps, and where a stop on the normal residual is
     proposed.  It is the drift of the carried s, against the s the refresh
-    took (``SolverState.refreshed``): c - G x_k or A^T (b - A x_k).
+    took (``NormalKernel.refresh``): c - G x_k or A^T (b - A x_k).
     `converged` follows `stop_reason`: derived from it when not given,
     refused when it disagrees.
     """
@@ -450,7 +425,7 @@ def subsolve_update(state: SolverState, block: np.ndarray) -> SolverState:
                 f"|R_jj|={exc.magnitude:.3e} at block position {exc.column}",
             ) from exc
     moved = state.advance(block, d, state.kernel.step(block, d)[0])
-    return replace(moved, carried_residual=r - a_tau @ d)
+    return replace(moved, residual=r - a_tau @ d)
 
 
 def run_solver(
@@ -516,7 +491,7 @@ def run_solver(
         grad_floor = stop.rse_threshold * float(np.linalg.norm(state.grad))
     records: list[IterationRecord] = []
     drift_log: list[tuple[int, float]] = []
-    iterates, blocks = ([state.x_curr.copy()], []) if record_history else (None, None)
+    iterates, blocks = ([state.x_curr], []) if record_history else (None, None)
 
     while True:
         k = state.k
@@ -556,7 +531,7 @@ def run_solver(
         if stop_reason:
             break
         if record_history:
-            iterates.append(state.x_curr.copy())
+            iterates.append(state.x_curr)
             blocks.append(block)
 
     solve_seconds = time.perf_counter() - t0

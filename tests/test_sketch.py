@@ -296,7 +296,7 @@ class TestCsPrepare:
         assert isinstance(problem.A, SparseMatrixCSC)
         sketched, _ = cs_prepare(problem, 4 * 100, seed=6)
         assert type(sketched.A) is DenseMatrix
-        assert type(sketched.A.normal_kernel()) is GramKernel
+        assert type(sketched.A.normal_kernel(sketched.b)) is GramKernel
         stop = StoppingRule(rse_threshold=1e-6, max_iterations=10000)
         report = run_solver(problem, MethodParams("cs-madbcd", 0.3, 4), stop, sketch_seed=6)
         assert report.converged and report.records[-1].rse < 1e-6

@@ -26,7 +26,7 @@ from blockcd import (
     select_block_madbcd,
     subsolve_update,
 )
-from blockcd import oracle, problems, solvers
+from blockcd import matrix, oracle, problems, solvers
 from blockcd.solvers import METHODS, RESIDUAL_REFRESH, householder_lstsq
 
 
@@ -236,7 +236,7 @@ class TestMadbcdStep:
         state, block = step(state, problem.A, "madbcd")
         assert block.tolist() == [1]
         assert_allclose(state.x_curr, [0.0, 2.0])
-        assert_allclose(state.residual, [1.0, 0.0])
+        assert_allclose(problem.b - problem.A.matvec(state.x_curr), [1.0, 0.0])
         # s = (1, 0) -> block {0}, lands on the solution
         state, block = step(state, problem.A, "madbcd")
         assert block.tolist() == [0]
@@ -246,15 +246,14 @@ class TestMadbcdStep:
         )
 
     def test_momentum_arithmetic(self):
-        A = DenseMatrix(np.eye(2))
+        A, b = DenseMatrix(np.eye(2)), np.array([1.0, 2.0])
         # x_curr - x_prev = (0, 2), r = b - x_curr = (1, 0)
         state = SolverState(
             x_curr=np.array([0.0, 2.0]),
             x_prev=np.array([0.0, 0.0]),
             grad=np.array([1.0, 0.0]),
             grad_step=np.array([0.0, 2.0]),
-            kernel=A.normal_kernel(),
-            b=np.array([1.0, 2.0]),
+            kernel=A.normal_kernel(b),
             k=1,
         )
         state, block = step(state, A, "madbcd", beta=0.5)
@@ -262,7 +261,7 @@ class TestMadbcdStep:
         assert_allclose(state.x_curr, [1.0, 3.0])
         assert_allclose(state.grad_step, [1.0, 1.0])
         assert_allclose(state.grad, [0.0, -1.0])
-        assert_allclose(state.grad, A.transpose_matvec(state.residual))
+        assert_allclose(state.grad, A.transpose_matvec(b - A.matvec(state.x_curr)))
 
     def test_beta_zero_ignores_momentum_state(self, rng):
         # beta = 0 takes the general formula, which must leave no trace of a
@@ -271,14 +270,13 @@ class TestMadbcdStep:
         A = DenseMatrix(a)
         x_curr, x_prev = rng.standard_normal(6), rng.standard_normal(6)
         b = rng.standard_normal(15)
-        kernel = A.normal_kernel()
+        kernel = A.normal_kernel(b)
         state = SolverState(
             x_curr=x_curr,
             x_prev=x_prev,
             grad=a.T @ (b - a @ x_curr),
             grad_step=a.T @ (a @ (x_curr - x_prev)),
             kernel=kernel,
-            b=b,
             k=3,
         )
         s = state.grad
@@ -360,7 +358,7 @@ class TestCdStep:
         assert cd_block.tolist() == block.tolist()
         st_mb, _ = step(SolverState.initial(A, b), A, "madbcd")
         assert_allclose(st_cd.x_curr, st_mb.x_curr, rtol=1e-15, atol=0)
-        assert_allclose(st_cd.residual, st_mb.residual, rtol=1e-15, atol=0)
+        assert_allclose(b - A.matvec(st_cd.x_curr), b - A.matvec(st_mb.x_curr), rtol=1e-15, atol=0)
 
 
 class TestMrbgsStep:
@@ -759,6 +757,32 @@ class TestRunSolver:
         else:
             assert calls["transpose_matvec"] == 1 and calls["matvec"] == 0, calls
 
+    @pytest.mark.parametrize("method", ["cd", "fbcd"])
+    def test_csc_refresh_forms_r_by_two_passes(self, monkeypatch, method):
+        # CSC storage has no G: every refresh forms r = b - A x and s = A^T r,
+        # beside the start's A^T b and each step's restricted and transpose matvec
+        problem = problems.build_problem(
+            {"kind": "sparse-gaussian", "m": 4000, "n": 100, "density": 0.05}, 0
+        )
+        calls = dict.fromkeys(("transpose_matvec", "restricted_matvec", "matvec"), 0)
+        for name in calls:
+            original = getattr(SparseMatrixCSC, name)
+
+            def counted(self, *args, _name=name, _original=original):
+                calls[_name] += 1
+                return _original(self, *args)
+
+            monkeypatch.setattr(SparseMatrixCSC, name, counted)
+        report = run_solver(problem, MethodParams(method), StoppingRule(rse_threshold=1e-12))
+        assert report.converged and report.iterations > RESIDUAL_REFRESH
+        drifts = len(report.residual_drift)
+        assert drifts >= report.iterations // RESIDUAL_REFRESH
+        assert calls == {
+            "transpose_matvec": 1 + report.iterations + drifts,
+            "restricted_matvec": report.iterations,
+            "matvec": drifts,
+        }
+
     def test_refresh_reads_g_only_far_above_its_rounding(self, monkeypatch):
         # c - G x carries rounding of order eps ||G|| ||x||, which G^-1
         # amplifies by 1/sigma_min^2: refreshing from G all the way down loses
@@ -766,13 +790,13 @@ class TestRunSolver:
         problem = rotated_problem(300, 10, 30.0, 0.1, 3)
 
         def final_rse(margin):
-            monkeypatch.setattr(solvers, "GRAM_REFRESH_MARGIN", margin)
+            monkeypatch.setattr(matrix, "GRAM_REFRESH_MARGIN", margin)
             report = run_solver(
                 problem, MethodParams("madbcd", 0.3), StoppingRule(1e-40, 10_000)
             )
             return report.records[-1].rse
 
-        shipped = final_rse(solvers.GRAM_REFRESH_MARGIN)
+        shipped = final_rse(matrix.GRAM_REFRESH_MARGIN)
         m_space = final_rse(math.inf)
         assert final_rse(0.0) > 100 * m_space
         assert shipped <= 2 * m_space
@@ -854,8 +878,7 @@ class TestRunSolver:
         assert drift == pytest.approx(np.linalg.norm(state.grad - fresh.grad))
         assert fresh.grad_step is state.grad_step
         # the refresh keeps the r it formed, so mrbgs reads it without a matvec
-        assert np.array_equal(fresh.carried_residual, problem.b - A.matvec(state.x_curr))
-        assert fresh.residual is fresh.carried_residual
+        assert np.array_equal(fresh.residual, problem.b - A.matvec(state.x_curr))
 
     def test_each_refreshed_iterate_logs_one_drift(self, monkeypatch):
         # a periodic refresh that meets a proposed stop on s is one refresh
