@@ -17,7 +17,7 @@ from __future__ import annotations
 import csv
 import json
 import os
-from dataclasses import asdict, dataclass, fields, replace
+from dataclasses import asdict, dataclass, fields
 from typing import get_args, get_type_hints
 
 import numpy as np
@@ -131,53 +131,44 @@ def run_experiment(config: ExperimentConfig):
     """
     ss = np.random.SeedSequence(config.master_seed)
     seed_table = ss.generate_state(config.repeats * 2).reshape(config.repeats, 2)
-    reports: list[list[ConvergenceReport]] = [[] for _ in config.methods]
+    reports: dict[str, list[ConvergenceReport]] = {p.label(): [] for p in config.methods}
     for rep in range(config.repeats):
         problem = build_problem(config.problem, int(seed_table[rep, 0]))
         n = problem.A.cols
         for params in config.methods:  # refuse a bad sketch size before any cell runs
             if params.d_factor is not None:
                 check_sketch_dimension(params.sketch_rows(n), *problem.A.shape)
-        for mi, params in enumerate(config.methods):
+        for mi, (params, runs) in enumerate(zip(config.methods, reports.values())):
             sketch_seed = int(seed_table[rep, 1]) + mi
-            reports[mi].append(
-                run_solver(problem, params, config.stopping, sketch_seed=sketch_seed)
-            )
+            runs.append(run_solver(problem, params, config.stopping, sketch_seed=sketch_seed))
         del problem  # free this realization before the next one is built
 
-    rows: list[BenchRow] = []
-    report_lists: dict[str, list[ConvergenceReport]] = {}
-    for params, runs in zip(config.methods, reports):
-        label = params.label()
-        report_lists[label] = runs
-        prep = float(np.mean([r.prep_seconds for r in runs]))
-        solve = float(np.mean([r.solve_seconds for r in runs]))
-        rows.append(
-            BenchRow(
-                label=label,
-                method=params.method,
-                beta=params.beta,
-                sketch_d=params.sketch_rows(n),
-                repeats=config.repeats,
-                n_converged=sum(r.converged for r in runs),
-                mean_it=float(np.mean([r.iterations for r in runs])),
-                mean_prep_s=prep,
-                mean_solve_s=solve,
-                mean_total_s=prep + solve,
-                speedup_vs_madbcd=None,
-            )
+    prep = {
+        label: float(np.mean([r.prep_seconds for r in runs])) for label, runs in reports.items()
+    }
+    solve = {
+        label: float(np.mean([r.solve_seconds for r in runs])) for label, runs in reports.items()
+    }
+    madbcd = next((p.label() for p in config.methods if p.method == MADBCD), None)
+    rows = [
+        BenchRow(
+            label=label,
+            method=params.method,
+            beta=params.beta,
+            sketch_d=params.sketch_rows(n),
+            repeats=config.repeats,
+            n_converged=sum(r.converged for r in runs),
+            mean_it=float(np.mean([r.iterations for r in runs])),
+            mean_prep_s=prep[label],
+            mean_solve_s=solve[label],
+            mean_total_s=prep[label] + solve[label],
+            speedup_vs_madbcd=None
+            if madbcd is None
+            else compute_speedup(prep[label] + solve[label], prep[madbcd] + solve[madbcd]),
         )
-
-    baseline = next((r for r in rows if r.method == MADBCD), None)
-    if baseline is not None:
-        rows = [
-            replace(
-                row,
-                speedup_vs_madbcd=compute_speedup(row.mean_total_s, baseline.mean_total_s),
-            )
-            for row in rows
-        ]
-    return rows, report_lists
+        for params, (label, runs) in zip(config.methods, reports.items())
+    ]
+    return rows, reports
 
 
 def run_summary(report: ConvergenceReport) -> dict:
@@ -225,7 +216,7 @@ def _fmt(v) -> str:
     return str(v)
 
 
-def emit_outputs(rows, report_lists, config: ExperimentConfig):
+def emit_outputs(rows, reports, config: ExperimentConfig):
     """Write summary.csv, per-method curve CSVs and a manifest under config.output_dir.
 
     Curves come from each method's first repeat (deterministic under a fixed
@@ -238,7 +229,7 @@ def emit_outputs(rows, report_lists, config: ExperimentConfig):
     _write_csv(summary_path, SUMMARY_COLUMNS, rows)
     written = [summary_path]
 
-    for label, runs in report_lists.items():
+    for label, runs in reports.items():
         path = os.path.join(curves_dir, f"{label}.csv")
         write_curve_csv(path, runs[0].records)
         written.append(path)
@@ -248,7 +239,7 @@ def emit_outputs(rows, report_lists, config: ExperimentConfig):
         "config": asdict(config),
         "rows": [asdict(r) for r in rows],
         "runs": {
-            label: [run_summary(r) for r in runs] for label, runs in report_lists.items()
+            label: [run_summary(r) for r in runs] for label, runs in reports.items()
         },
     }
     manifest_path = os.path.join(directory, "manifest.json")

@@ -18,6 +18,7 @@ from blockcd import (
 )
 from blockcd import cli
 from blockcd.cli import main
+from blockcd.problems import parse_problem
 
 
 def test_solve_converges_exit_zero(tmp_path, capsys):
@@ -124,23 +125,34 @@ def test_tomography_solve_emits_reconstruction_grid(tmp_path):
     assert grid.shape == (8, 8)
 
 
-def test_cs_method_through_cli(tmp_path):
+@pytest.mark.parametrize(
+    "problem, d_factor",
+    # sparse: d n = 80000 entries exceed 16 nnz(A) (about 64000), so SA is stored CSC
+    [("gaussian:2000:50", "4"), ("sparse:20000:100:0.002", "8")],
+    ids=["dense", "sparse-to-csc"],
+)
+def test_cs_method_through_cli(tmp_path, problem, d_factor):
     code = main(
         [
             "solve",
             "--problem",
-            "gaussian:2000:50",
+            problem,
             "--method",
             "cs-madbcd",
             "--beta",
             "0.3",
             "--d-factor",
-            "4",
+            d_factor,
             "--seed",
             "2",
+            "--out",
+            str(tmp_path),
         ]
     )
     assert code == 0
+    report = json.loads((tmp_path / "report.json").read_text())
+    assert report["method"] == "cs-madbcd" and report["converged"] is True
+    assert report["prep_seconds"] > 0
 
 
 def test_d_factor_without_sketch_exit_one(capsys):
@@ -152,17 +164,18 @@ def test_d_factor_without_sketch_exit_one(capsys):
 
 
 @pytest.mark.parametrize("method", ["cd", "fbcd", "mrbgs", "madbcd", "cs-madbcd"])
-def test_solve_every_method_reports_its_cell(tmp_path, method):
+# on CSC input every refresh forms r, and cd crosses several
+@pytest.mark.parametrize("problem", ["gaussian:400:40", "sparse:4000:100:0.05"])
+def test_solve_every_method_reports_its_cell(tmp_path, method, problem):
     out = tmp_path / method
     code = main(
-        ["solve", "--problem", "gaussian:400:40", "--method", method, "--seed", "6",
-         "--out", str(out)]
+        ["solve", "--problem", problem, "--method", method, "--seed", "6", "--out", str(out)]
     )
     assert code == 0
     report = json.loads((out / "report.json").read_text())
     # a sketched cell still names the problem it was asked to solve
-    assert report["problem"] == build_problem({"kind": "gaussian", "m": 400, "n": 40}, 6).label
-    assert report["method"] == method
+    assert report["problem"] == build_problem(parse_problem(problem), 6).label
+    assert report["method"] == method and report["converged"] is True
     assert (report["prep_seconds"] > 0) == (method == "cs-madbcd")
     curve = read_curve_csv(out / "curve.csv")
     assert [row["k"] for row in curve] == list(range(report["iterations"] + 1))
@@ -253,14 +266,22 @@ def test_bad_bench_config_exit_one(tmp_path, capsys, change, named):
     assert not (tmp_path / "bench-out").exists()
 
 
-def test_matrix_market_count_beyond_the_file_exit_one(tmp_path, capsys):
-    path = tmp_path / "huge.mtx"
-    path.write_text(
-        "%%MatrixMarket matrix coordinate real general\n"
-        "3 3 100000000000000\n1 1 1.0\n2 2 1.0\n3 3 1.0\n"
-    )
+@pytest.mark.parametrize(
+    "body, message",
+    [
+        ("3 3 100000000000000\n1 1 1.0\n2 2 1.0\n3 3 1.0\n",
+         "declared 100000000000000 entries but only 3 lines follow"),
+        ("3 2 3\n1 1 1.0\n2 2 inf\n3 2 1.0\n", "matrix column 1 has a non-finite entry"),
+        ("3 2 3\n1 1 1.0\n2 2 1e-320\n3 2 1e-320\n",
+         "matrix column 1 has nonzero entries but its norm underflows to zero"),
+    ],
+    ids=["count-beyond-the-file", "inf-entry", "underflowing-column"],
+)
+def test_bad_matrix_market_file_exit_one(tmp_path, capsys, body, message):
+    path = tmp_path / "bad.mtx"
+    path.write_text("%%MatrixMarket matrix coordinate real general\n" + body)
     assert main(["solve", "--problem", str(path)]) == 1
-    assert "declared 100000000000000 entries but only 3 lines follow" in capsys.readouterr().err
+    assert message in capsys.readouterr().err
 
 
 @pytest.mark.parametrize(
@@ -448,8 +469,11 @@ def test_non_finite_tolerance_exit_one(capsys, command, tol):
         (["solve", "--method", "cs-madbcd", "--d-factor", "0"], "--d-factor"),
         (["sweep-beta", "--repeats", "0"], "--repeats"),
         (["solve", "--max-it", "five"], "--max-it"),
+        (["solve", "--method", "cs-madbcd", "--d-factor", "2.5"], "--d-factor"),
+        (["solve", "--max-it", "2.5"], "--max-it"),
     ],
-    ids=["max-it", "time-budget", "tol", "d-factor", "repeats", "max-it-not-a-number"],
+    ids=["max-it", "time-budget", "tol", "d-factor", "repeats", "max-it-not-a-number",
+         "d-factor-not-an-integer", "max-it-not-an-integer"],
 )
 def test_out_of_range_number_refused_naming_the_flag(monkeypatch, capsys, argv, flag):
     built = []
@@ -507,10 +531,12 @@ def test_rank_deficient_block_exit_two(tmp_path, capsys):
     )
 
 
-def test_bundle_scaled_by_1e_minus_100_exit_zero(tmp_path):
-    # too small for doubles as it stands: the run solves its power-of-two rescale
+@pytest.mark.parametrize("factor", [1e-100, 1e60])
+def test_bundle_scaled_far_from_one_exit_zero(tmp_path, factor):
+    # unscaled, a run's squares underflow at 1e-100 (a false stop at step 0) and
+    # overflow at 1e60: the run solves its power-of-two rescale to its threshold
     rng = np.random.default_rng(3)
-    a = rng.standard_normal((200, 20)) * 1e-100
+    a = rng.standard_normal((200, 20)) * factor
     x_star = rng.standard_normal(20)
     write_problem_bundle(tmp_path, ProblemInstance(A=DenseMatrix(a), b=a @ x_star, x_star=x_star))
     proc = subprocess.run(

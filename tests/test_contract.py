@@ -7,20 +7,27 @@ from pathlib import Path
 
 import pytest
 
+from blockcd import IterationRecord, write_curve_csv
+
 ROOT = Path(__file__).resolve().parents[1]
 SCRIPT = ROOT / "scripts" / "contract.py"
 CONTRACT = json.loads((ROOT / "configs" / "contract" / "runs.json").read_text())
 
 
 def bench_output(tmp_path, contract):
-    """A manifest per config whose runs carry the contract's fields plus timings."""
+    """A manifest per config whose runs carry the contract's fields plus timings,
+    and a curve per cell with a row per iterate of its first repeat."""
     for stem, cells in contract.items():
         runs = {
             label: [{**run, "converged": True, "solve_seconds": 0.1} for run in repeats]
             for label, repeats in cells.items()
         }
-        (tmp_path / stem).mkdir()
+        (tmp_path / stem / "curves").mkdir(parents=True)
         (tmp_path / stem / "manifest.json").write_text(json.dumps({"runs": runs}))
+        for label, repeats in cells.items():
+            iterates = range(repeats[0]["iterations"] + 1)
+            records = [IterationRecord(k, 1.0, 1.0, 1, 0.0) for k in iterates]
+            write_curve_csv(tmp_path / stem / "curves" / f"{label}.csv", records)
     return tmp_path
 
 
@@ -56,3 +63,27 @@ def test_one_differing_run_fails_and_is_named(tmp_path, edit):
     assert result.returncode == 1
     assert result.stdout.startswith("table1_desk cd repeat 7: ")
     assert len(result.stdout.splitlines()) == (3 if edit == "missing repeat" else 1)
+
+
+@pytest.mark.parametrize(
+    "edit, named",
+    [
+        ("missing", "table1_desk cd: no curve cd.csv"),
+        ("short", "table1_desk cd: curve has {rows} rows, want {want}"),
+        ("stray", "table1_desk cd_b0.2: curve of no cell"),
+    ],
+    ids=["missing", "short", "stray"],
+)
+def test_missing_short_or_stray_curve_fails_and_is_named(tmp_path, edit, named):
+    out = bench_output(tmp_path, CONTRACT)
+    curve = out / "table1_desk" / "curves" / "cd.csv"
+    want = CONTRACT["table1_desk"]["cd"][0]["iterations"] + 1
+    if edit == "missing":
+        curve.unlink()
+    elif edit == "short":
+        curve.write_text("".join(curve.read_text().splitlines(keepends=True)[:-1]))
+    else:
+        curve.with_name("cd_b0.2.csv").write_text(curve.read_text())
+    result = check(out)
+    assert result.returncode == 1
+    assert result.stdout.splitlines() == [named.format(rows=want - 1, want=want)]

@@ -1,9 +1,14 @@
+import re
 import types
+from pathlib import Path
+
+import numpy as np
 
 import blockcd
 from blockcd import bench, matrix, oracle, problems, sketch, solvers
 
 MODULES = (matrix, oracle, problems, sketch, solvers, bench)
+README = Path(__file__).resolve().parents[1] / "README.md"
 
 
 def test_each_public_name_is_declared_once_in_a_module_all():
@@ -19,3 +24,13 @@ def test_each_public_name_is_declared_once_in_a_module_all():
         if not name.startswith("_") and not isinstance(getattr(blockcd, name), types.ModuleType)
     }
     assert exported == set(listed)
+
+
+def test_readme_library_example_runs_and_its_cs_madbcd_forms_agree_bit_for_bit():
+    library = README.read_text(encoding="utf-8").split("\n## Library\n", 1)[1].split("\n## ", 1)[0]
+    (code,) = re.findall(r"```python\n(.*?)```", library, re.S)
+    namespace = {}
+    exec(compile(code, "README.md, section Library", "exec"), namespace)
+    fast, same = namespace["fast"], namespace["same"]
+    assert fast.converged and fast.iterations == same.iterations
+    assert np.array_equal(fast.x_final, same.x_final)

@@ -1,4 +1,5 @@
 import dataclasses
+import math
 
 import numpy as np
 import pytest
@@ -241,20 +242,30 @@ class TestCsPrepare:
         assert cs.records[-1].rse < 1e-6
         assert plain.iterations <= cs.iterations
 
-    def test_one_call_cs_madbcd_is_madbcd_on_the_sketch(self):
-        problem = make_consistent_problem(gen_gaussian_dense(2000, 50, 21), 22)
+    # far from 1 the run solves its power-of-two rescale, in both forms
+    @pytest.mark.parametrize("scale", [1.0, 1e-120, 1e200])
+    def test_one_call_cs_madbcd_is_madbcd_on_the_sketch(self, scale):
+        a = gen_gaussian_dense(2000, 50, 21).array * scale
+        problem = make_consistent_problem(DenseMatrix(a), 22)
         stop = StoppingRule(rse_threshold=1e-6, max_iterations=10000)
         one = run_solver(problem, MethodParams("cs-madbcd", 0.3, 4), stop, sketch_seed=23)
         sketched, _ = cs_prepare(problem, 4 * 50, seed=23)
         two = run_solver(sketched, MethodParams("madbcd", 0.3), stop)
 
-        assert np.array_equal(one.x_final, two.x_final)
+        assert one.converged and np.array_equal(one.x_final, two.x_final)
         assert (one.iterations, one.stop_reason) == (two.iterations, two.stop_reason)
 
-        def untimed(report):
-            return [repr(dataclasses.replace(r, elapsed_s=0.0)) for r in report.records]
+        # eta_dot_s is in a run's units, 2^(2(p + q)) times the problem's, and each
+        # form takes (p, q) from the problem it solves; both are 0 in the scale band
+        shift = 2 * (sum(problem.scale_exponents) - sum(sketched.scale_exponents))
 
-        assert untimed(one) == untimed(two)
+        def untimed(report, k=0):
+            return [
+                repr(dataclasses.replace(r, elapsed_s=0.0, eta_dot_s=math.ldexp(r.eta_dot_s, k)))
+                for r in report.records
+            ]
+
+        assert untimed(one) == untimed(two, shift)
         assert one.method == "cs-madbcd" and one.problem_label == problem.label
         assert one.prep_seconds > 0.0
 
