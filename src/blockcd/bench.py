@@ -180,6 +180,7 @@ def run_summary(report: ConvergenceReport) -> dict:
         "stop_reason": report.stop_reason,
         "prep_seconds": report.prep_seconds,
         "solve_seconds": report.solve_seconds,
+        "kernel_seconds": report.kernel_seconds,
     }
 
 

@@ -8,10 +8,11 @@ dot-products, updates are column gathers).
 
 A run reaches A and b only through the kernel that ``Matrix.normal_kernel(b)``
 makes for it.  The kernel forms c = A^T b, and on dense input G = A^T A.  It
-gives a step A^T A_tau v, by two passes over CSC storage or read from G, and
-the mrbgs subsolve the gathered A_tau and G_tau = A_tau^T A_tau.  It also
-decides how a refresh re-derives s = A^T (b - A x): as c - G x while that
-form's rounding is far below ||s||, else by a pass that forms r.
+gives a step A^T A_tau v, by two passes over CSC storage or read from G (one
+row of it for a one-column step), and the mrbgs subsolve the gathered A_tau
+and G_tau = A_tau^T A_tau.  It also decides how a refresh re-derives
+s = A^T (b - A x): as c - G x while that form's rounding is far below ||s||,
+else by a pass that forms r.
 
 Matrices are immutable after construction and safe to share between
 concurrent runs; every kernel returns a freshly allocated array.
@@ -126,7 +127,18 @@ class DenseMatrix(Matrix):
     """Column-major (Fortran-order) dense matrix of 64-bit floats."""
 
     def __init__(self, values):
-        a = np.array(values, dtype=np.float64, order="F")
+        """A copy of `values`, so that the caller's array may change afterwards."""
+        self._hold(np.array(values, dtype=np.float64, order="F"))
+
+    @classmethod
+    def _adopt(cls, a: np.ndarray) -> "DenseMatrix":
+        """The matrix over `a` itself, not a copy: for a Fortran-ordered float64
+        array that blockcd has just filled and that nothing else holds."""
+        matrix = cls.__new__(cls)
+        matrix._hold(np.asarray(a, dtype=np.float64, order="F"))
+        return matrix
+
+    def _hold(self, a: np.ndarray) -> None:
         if a.ndim != 2:
             raise ValueError(f"dense matrix needs a 2-D array, got ndim={a.ndim}")
         if a.shape[0] < 1 or a.shape[1] < 1:
@@ -163,7 +175,7 @@ class DenseMatrix(Matrix):
         return self._a
 
     def scaled(self, e):
-        return DenseMatrix(np.ldexp(self._a, e))
+        return DenseMatrix._adopt(np.ldexp(self._a, e))
 
     def normal_kernel(self, b) -> "GramKernel":
         return GramKernel(self, b)
@@ -313,7 +325,8 @@ class NormalKernel:
     """One run's problem A x = b, and the products with A^T A its steps need.
 
     Making it forms c = A^T b, the start's s.  `step(block, v)` returns
-    (A^T A_tau v, ||A_tau v||^2) for the direction carrying `v` on `block`.
+    (A^T A_tau v, ||A_tau v||^2) for the direction carrying `v` on `block`,
+    or on the one column of an int `block` with a scalar `v`.
     `block_system(block)` gives the mrbgs subsolve its A_tau and G_tau.
     `refresh` re-derives s = A^T r for a fresh r = b - A x by two passes
     over A, so the kernel needs no full A^T A v.
@@ -324,8 +337,9 @@ class NormalKernel:
         self.b = b
         self.c = A.transpose_matvec(b)
 
-    def step(self, block: np.ndarray, v: np.ndarray) -> tuple[np.ndarray, float]:
-        a_v = self.A.restricted_matvec(block, v)
+    def step(self, block, v) -> tuple[np.ndarray, float]:
+        """(A^T A_tau v, ||A_tau v||^2); the first is a fresh array."""
+        a_v = self.A.restricted_matvec(np.atleast_1d(block), np.atleast_1d(v))
         return self.A.transpose_matvec(a_v), float(np.dot(a_v, a_v))
 
     def block_system(self, block: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -359,7 +373,12 @@ class GramKernel(NormalKernel):
         self._g = a.T @ a
 
     def step(self, block, v):
-        # G is symmetric, so its rows on the block are the columns A^T A_tau
+        # G is symmetric, so its rows on the block are the columns A^T A_tau.
+        # A coordinate step reads row j in place: v G_j and v (v G_j)_j are
+        # the single products that v @ G[[j]] and v . g[[j]] form
+        if isinstance(block, (int, np.integer)):
+            g = v * self._g[block]
+            return g, v * float(g[block])
         g = v @ self._g[block]
         return g, float(np.dot(v, g[block]))
 

@@ -145,14 +145,28 @@ class ProblemInstance:
         )
 
 
+# gen_gaussian_dense draws this many entries at a time, a cache-sized chunk
+GAUSSIAN_CHUNK_ENTRIES = 1 << 17
+
+
 def gen_gaussian_dense(m: int, n: int, seed: int) -> DenseMatrix:
-    """i.i.d. standard-normal dense matrix (ziggurat draws from a seeded PCG64)."""
+    """i.i.d. standard-normal dense matrix (ziggurat draws from a seeded PCG64).
+
+    Equal to ``default_rng(seed).standard_normal((m, n))``: row chunks of
+    that one row-major stream are drawn straight into the column-major
+    matrix, so no m-by-n temporary is made.
+    """
     if m < n:
         raise ValueError(f"overdetermined contract requires m >= n, got {m} < {n}")
     if n < 1:
         raise ValueError("need at least one column")
     rng = np.random.default_rng(seed)
-    return DenseMatrix(rng.standard_normal((m, n)))
+    a = np.empty((m, n), order="F")
+    rows = max(1, GAUSSIAN_CHUNK_ENTRIES // n)
+    for lo in range(0, m, rows):
+        hi = min(lo + rows, m)
+        a[lo:hi] = rng.standard_normal((hi - lo, n))
+    return DenseMatrix._adopt(a)
 
 
 def gen_sparse_gaussian(m: int, n: int, density: float, seed: int) -> SparseMatrixCSC:

@@ -120,7 +120,7 @@ def sketch_apply_matrix(sketch: CountSketch, A: Matrix) -> Matrix:
     out = np.empty((sketch.d, A.cols), order="F")
     for j, (buckets, signs, values) in enumerate(columns):
         out[:, j] = np.bincount(buckets, weights=signs * values, minlength=sketch.d)
-    return DenseMatrix(out)
+    return DenseMatrix._adopt(out)
 
 
 def check_sketch_dimension(d: int, m: int, n: int) -> None:

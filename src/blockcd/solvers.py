@@ -17,22 +17,27 @@ keeps its own hand-rolled QR as the independent route that audits this
 subsolve.  cs-madbcd is madbcd on (SA, Sb), the problem compressed by a
 count sketch S with d_factor * n rows.
 
-The loop runs in n-space from x = 0.  Its state is the iterate (x, x_prev,
-s, u) with s = A^T r and u = A^T A (x - x_prev), plus the run's kernel, so a
-step takes only the state and its block: ``line_search_update(state, block,
-beta)`` and ``subsolve_update(state, block)``.  Both go through
-``SolverState.advance``: x moves by d on the block plus beta (x - x_prev),
-u becomes A^T A_tau d + beta u and s becomes s - u.  The kernel,
-``Matrix.normal_kernel(b)``, owns the run's linear algebra: it forms
-c = A^T b and, for a dense matrix, G = A^T A once per run inside the timed
-solve; it gives a step (A^T A_tau v, ||A_tau v||^2) and the mrbgs subsolve
-A_tau and G_tau.  Only s accumulates rounding: u is rebuilt from a fresh
-product every step, so its old rounding decays by beta per step.  Every
-``RESIDUAL_REFRESH`` steps, and before a stop on the normal residual is
-reported, ``SolverState.refreshed`` re-derives s from x by the kernel's
-``refresh``: c - G x on a dense line-search run while ||s|| is far above that
-form's rounding, else, and for every stop it confirms, A^T (b - A x); mrbgs
-reads that r.
+The loop runs in n-space from x = 0.  The iterate is (x, x_prev, s, u)
+with s = A^T r and u = A^T A (x - x_prev).  ``run_solver`` keeps these as
+local arrays, moves x in place at beta = 0 (nothing else holds it there)
+and keeps each record field in its own list, so a step costs its
+arithmetic.  Every step goes through ``move``: x moves by d on the block
+plus beta (x - x_prev), u becomes A^T A_tau d + beta u and s becomes s - u.
+The public ``SolverState`` holds the same iterate for a step taken on its
+own, ``line_search_update(state, block, beta)`` or ``subsolve_update(state,
+block)``, both through ``move``; the loop builds one only for the mrbgs
+subsolve.  The kernel, ``Matrix.normal_kernel(b)``, owns the run's linear
+algebra: it forms c = A^T b and, for a dense matrix, G = A^T A once per run
+inside the timed solve (reported as ``kernel_seconds``); it gives a step
+(A^T A_tau v, ||A_tau v||^2) and the mrbgs subsolve A_tau and G_tau.  A
+one-column block is a coordinate step: the kernel gets the column's int
+index j and the scalar s_j, and a dense kernel reads row j of G in place.
+Only s accumulates rounding: u is rebuilt from a fresh product every step,
+so its old rounding decays by beta per step.  Every ``RESIDUAL_REFRESH``
+steps, and before a stop on the normal residual is reported,
+``refresh_grad`` re-derives s from x by the kernel's ``refresh``: c - G x
+on a dense line-search run while ||s|| is far above that form's rounding,
+else, and for every stop it confirms, A^T (b - A x); mrbgs reads that r.
 """
 
 from __future__ import annotations
@@ -177,30 +182,18 @@ class SolverState:
         )
 
     def advance(
-        self, block: np.ndarray, d: np.ndarray, g: np.ndarray, beta: float = 0.0
+        self, where, d: np.ndarray | float, g: np.ndarray, beta: float = 0.0
     ) -> "SolverState":
-        """x + beta (x - x_prev) + d on `block`, with u = g + beta u for g = A^T A_tau d."""
-        # beta = 0 gives the same values without the temporaries
-        x_next = self.x_curr + beta * (self.x_curr - self.x_prev) if beta else self.x_curr.copy()
-        x_next[block] += d
-        u_next = g + beta * self.grad_step if beta else g
+        """The next state by ``move``: x + beta (x - x_prev) + d on `where`, u = g + beta u."""
+        x, s, u = move(self.x_curr, self.x_prev, self.grad, self.grad_step, where, d, g, beta)
         return SolverState(
-            x_curr=x_next,
-            x_prev=self.x_curr,
-            grad=self.grad - u_next,
-            grad_step=u_next,
-            kernel=self.kernel,
-            k=self.k + 1,
+            x_curr=x, x_prev=self.x_curr, grad=s, grad_step=u, kernel=self.kernel, k=self.k + 1
         )
 
     def refreshed(self, floor: float = 0.0) -> tuple["SolverState", float]:
-        """This iterate with a fresh s, u kept, and the drift ||s - fresh s||.
-
-        The kernel's ``refresh`` picks the form; `floor` bounds the ||s|| at
-        which it may read s from G.  A state that carries r re-forms it.
-        """
-        grad, r = self.kernel.refresh(self.x_curr, self.grad, floor, self.residual is not None)
-        return replace(self, grad=grad, residual=r), float(np.linalg.norm(self.grad - grad))
+        """This iterate with a fresh s, u kept, and the drift ||s - fresh s||, by ``refresh_grad``."""
+        grad, r, drift = refresh_grad(self.kernel, self.x_curr, self.grad, self.residual, floor)
+        return replace(self, grad=grad, residual=r), drift
 
 
 @dataclass(frozen=True)
@@ -228,6 +221,8 @@ class ConvergenceReport:
     every RESIDUAL_REFRESH steps, and where a stop on the normal residual is
     proposed.  It is the drift of the carried s, against the s the refresh
     took (``NormalKernel.refresh``): c - G x_k or A^T (b - A x_k).
+    `kernel_seconds` is the part of `solve_seconds` spent making the run's
+    kernel (c = A^T b, and G on dense input); the rest is the steps.
     `converged` follows `stop_reason`: derived from it when not given,
     refused when it disagrees.
     """
@@ -240,6 +235,7 @@ class ConvergenceReport:
     solve_seconds: float
     converged: bool | None = None
     prep_seconds: float = 0.0
+    kernel_seconds: float = 0.0
     problem_label: str = ""
     residual_drift: list[tuple[int, float]] = field(default_factory=list)
     iterate_history: list[np.ndarray] | None = None
@@ -337,17 +333,54 @@ def block_rule(params: MethodParams, col_norms: np.ndarray) -> Callable[[np.ndar
     return lambda s: np.abs(s).argmax(keepdims=True)
 
 
-def line_search_update(
-    state: SolverState, block: np.ndarray, beta: float = 0.0
-) -> tuple[SolverState, float]:
-    """Exact line search along eta = s[block] on the block's columns, plus momentum.
+def move(
+    x: np.ndarray, x_prev: np.ndarray, s: np.ndarray, u: np.ndarray,
+    where, d, g: np.ndarray, beta: float = 0.0, in_place: bool = False,
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Every method's step: (x + beta (x - x_prev) + d on `where`, s - u', u' = g + beta u).
 
-    s is the state's `grad`.  Returns the next state and eta^T s.  With
-    beta = 0 this is the plain block step; on a singleton block it is the
-    coordinate step s_j / ||a_j||^2.
+    `g` is A^T A_tau d.  `where` is an index array with `d` its values, or
+    one column's int index with a scalar `d`.  At beta = 0, `in_place`
+    moves x itself, for a caller that holds no other reference to it;
+    otherwise x, s and u are left as they are.
     """
-    eta = state.grad[block]
-    g, denom = state.kernel.step(block, eta)
+    if beta:
+        x = x + beta * (x - x_prev)
+        g = g + beta * u
+    elif not in_place:
+        x = x.copy()
+    x[where] += d
+    return x, s - g, g
+
+
+def refresh_grad(
+    kernel: NormalKernel, x: np.ndarray, s: np.ndarray, r: np.ndarray | None, floor: float = 0.0
+) -> tuple[np.ndarray, np.ndarray | None, float]:
+    """A fresh s by the kernel's ``refresh``, the r it formed, and the drift ||s - fresh s||.
+
+    `floor` bounds the ||s|| at which it may read s from G; a carried r is formed again.
+    """
+    fresh, r = kernel.refresh(x, s, floor, r is not None)
+    return fresh, r, float(np.linalg.norm(s - fresh))
+
+
+def line_search(
+    kernel: NormalKernel, s: np.ndarray, block: np.ndarray
+) -> tuple[int | np.ndarray, np.ndarray | float, np.ndarray, float]:
+    """The exact line search along eta = s[block]: (where, c eta, c A^T A_tau eta, eta^T s).
+
+    c = eta^T s / ||A_tau eta||^2.  A one-column block is a coordinate
+    step: `where` is its int index j and eta the scalar s_j, so that a
+    dense kernel reads one row of G.  Otherwise `where` is the block.
+    """
+    if block.size == 1:
+        where = int(block[0])
+        eta = float(s[where])
+        eta_dot_s = eta * eta
+    else:
+        where, eta = block, s[block]
+        eta_dot_s = float(np.dot(eta, eta))
+    g, denom = kernel.step(where, eta)
     if not denom > 0.0:
         # eta = A_tau^T r, so ||A_tau eta||^2 = 0 only if eta = 0, which the
         # block rule excludes: the product underflowed
@@ -357,9 +390,22 @@ def line_search_update(
             f"the step's squared norm ||A_tau eta||^2 underflowed to {denom:.3e} on a "
             f"block of {block.size} column(s); rescale the problem's columns",
         )
-    eta_dot_s = float(np.dot(eta, eta))
     c = eta_dot_s / denom
-    return state.advance(block, c * eta, c * g, beta), eta_dot_s
+    g *= c  # the kernel's product is fresh
+    return where, c * eta, g, eta_dot_s
+
+
+def line_search_update(
+    state: SolverState, block: np.ndarray, beta: float = 0.0
+) -> tuple[SolverState, float]:
+    """Exact line search along eta = s[block] on the block's columns, plus momentum.
+
+    s is the state's `grad`.  Returns the next state and eta^T s.  With
+    beta = 0 this is the plain block step; on a singleton block it is the
+    coordinate step s_j / ||a_j||^2.
+    """
+    where, d, g, eta_dot_s = line_search(state.kernel, state.grad, block)
+    return state.advance(where, d, g, beta), eta_dot_s
 
 
 def householder_lstsq(a: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -438,14 +484,15 @@ def run_solver(
 ) -> ConvergenceReport:
     """Iterate `params.method` on `problem` until a stopping limit fires.
 
-    Starts from x_prev = x_curr = 0 and steps with ``line_search_update(state,
-    block, beta)`` or ``subsolve_update(state, block)``.  Records one
-    IterationRecord per iterate including the initial one, so a run of IT
-    steps yields IT + 1 records; `record_history` also keeps every iterate and
-    block, for the oracle's audits.  Non-convergence by iteration or time limit
-    is a reported outcome, not an error.  A problem with nonzero `scale_exponents`
-    (p, q) is solved as 2^p A x = 2^q b, in the same steps, and x maps back by
-    2^(p - q) and ||s|| by 2^-(p + q).
+    Starts from x_prev = x_curr = 0 and takes, bit for bit, the steps of
+    ``line_search_update(state, block, beta)`` or ``subsolve_update(state,
+    block)``.  Records one IterationRecord per iterate including the initial
+    one, so a run of IT steps yields IT + 1 records; `record_history` also
+    keeps a copy of every iterate and every block, for the oracle's audits.
+    Non-convergence by iteration or time limit is a reported outcome, not an
+    error.  A problem with nonzero `scale_exponents` (p, q) is solved as
+    2^p A x = 2^q b, in the same steps, and x maps back by 2^(p - q) and
+    ||s|| by 2^-(p + q).
 
     cs-madbcd first compresses `problem` with a count sketch drawn from
     `sketch_seed` (which it requires, and the other methods ignore); its
@@ -483,20 +530,27 @@ def run_solver(
 
     # G = A^T A of a dense matrix is formed here, so the solve time pays for it
     t0 = time.perf_counter()
-    state = SolverState.initial(A, problem.b)
+    kernel = A.normal_kernel(problem.b)
+    kernel_seconds = time.perf_counter() - t0
+    # the iterate from x_prev = x = 0: s = c, u = 0 and r = b.  s, u and r
+    # are replaced, never written, so s may start as the kernel's c; x moves
+    # in place at beta = 0, where nothing else holds it
+    n, beta, mrbgs = A.cols, params.beta, params.method == "mrbgs"
+    x, x_prev, s, u, r = np.zeros(n), np.zeros(n), kernel.c, np.zeros(n), problem.b
     # no ground truth: rse_threshold bounds ||A^T r|| / ||A^T b|| instead,
     # and the start's s is A^T b
     grad_floor = None
     if rse_of is None and stop.rse_threshold is not None:
-        grad_floor = stop.rse_threshold * float(np.linalg.norm(state.grad))
-    records: list[IterationRecord] = []
+        grad_floor = stop.rse_threshold * float(np.linalg.norm(s))
+    # one list per IterationRecord field; the records are built after the loop
+    rses, norms, sizes, times, etas = [], [], [], [], []
     drift_log: list[tuple[int, float]] = []
-    iterates, blocks = ([state.x_curr], []) if record_history else (None, None)
+    iterates, blocks = ([x.copy()], []) if record_history else (None, None)
 
+    k = 0
     while True:
-        k = state.k
-        rse = None if rse_of is None else rse_of(state.x_curr)
-        s_norm_sq = float(np.dot(state.grad, state.grad))
+        rse = None if rse_of is None else rse_of(x)
+        s_norm_sq = float(np.dot(s, s))
         elapsed = time.perf_counter() - t0
         stop_reason = verdict(s_norm_sq, rse, k, elapsed)
         if stop_reason in (ZERO_RESIDUAL_STOP, GRADIENT_FALLBACK_STOP) or (
@@ -505,52 +559,53 @@ def run_solver(
             # the incremental s may have drifted: re-derive it, and stop on
             # it only if the fresh A^T (b - A x) agrees (a refresh from G
             # never admits a stop on s)
-            state, drift = state.refreshed(grad_floor or 0.0)
+            s, r, drift = refresh_grad(kernel, x, s, r, grad_floor or 0.0)
             drift_log.append((k, drift))
-            s_norm_sq = float(np.dot(state.grad, state.grad))
+            s_norm_sq = float(np.dot(s, s))
             stop_reason = verdict(s_norm_sq, rse, k, elapsed)
-
-        block_size, eta_dot_s = 0, math.nan
-        if not stop_reason:
-            block = select(state.grad)
-            if params.method == "mrbgs":
-                state = subsolve_update(state, block)
-            else:
-                state, eta_dot_s = line_search_update(state, block, params.beta)
-            block_size = block.size
-        records.append(
-            IterationRecord(
-                k=k,
-                rse=rse,
-                normal_residual=math.sqrt(s_norm_sq),
-                block_size=block_size,
-                elapsed_s=elapsed,
-                eta_dot_s=eta_dot_s,
-            )
-        )
+        rses.append(rse)
+        norms.append(math.sqrt(s_norm_sq))
+        times.append(elapsed)
         if stop_reason:
+            sizes.append(0)
+            etas.append(math.nan)
             break
+
+        block = select(s)
+        if mrbgs:
+            state = subsolve_update(SolverState(x, x_prev, s, u, kernel, k, r), block)
+            x, x_prev, s, u = state.x_curr, state.x_prev, state.grad, state.grad_step
+            r = state.residual
+            eta_dot_s = math.nan
+        else:
+            where, d, g, eta_dot_s = line_search(kernel, s, block)
+            x_next, s, u = move(x, x_prev, s, u, where, d, g, beta, in_place=True)
+            x_prev, x, r = x, x_next, None
+        sizes.append(block.size)
+        etas.append(eta_dot_s)
+        k += 1
         if record_history:
-            iterates.append(state.x_curr)
+            iterates.append(x.copy())
             blocks.append(block)
 
     solve_seconds = time.perf_counter() - t0
     if p or q:  # a norm beyond double range in the problem's units reads inf there
         iterates = iterates and [np.ldexp(x, p - q) for x in iterates]
         with np.errstate(over="ignore"):
-            records = [
-                replace(r, normal_residual=float(np.ldexp(r.normal_residual, -p - q)))
-                for r in records
-            ]
+            norms = np.ldexp(norms, -p - q).tolist()
             drift_log = [(k, float(np.ldexp(v, -p - q))) for k, v in drift_log]
+    records = [
+        IterationRecord(k, *fields) for k, fields in enumerate(zip(rses, norms, sizes, times, etas))
+    ]
     return ConvergenceReport(
         method=params.method,
         beta=params.beta,
         records=records,
-        x_final=np.ldexp(state.x_curr, p - q),
+        x_final=np.ldexp(x, p - q),
         stop_reason=stop_reason,
         solve_seconds=solve_seconds,
         prep_seconds=prep_seconds,
+        kernel_seconds=kernel_seconds,
         problem_label=problem_label,
         residual_drift=drift_log,
         iterate_history=iterates,

@@ -334,7 +334,7 @@ def test_report_json_and_manifest_share_run_fields(tmp_path):
     (run,) = manifest["runs"]["madbcd_b0.1"]
     assert list(report) == [
         "method", "problem", "iterations", "converged", "stop_reason",
-        "prep_seconds", "solve_seconds",
+        "prep_seconds", "solve_seconds", "kernel_seconds",
     ]
     assert set(run) == set(report) - {"method"}
 

@@ -285,3 +285,30 @@ class TestConstruction:
             dn.array[0, 0] = 9.0
         with pytest.raises(ValueError):
             sp.values[0] = 9.0
+
+    @pytest.mark.parametrize("order", ["C", "F"])
+    def test_dense_matrix_copies_the_callers_array(self, order):
+        a = np.asarray(np.arange(6.0).reshape(3, 2), order=order)
+        A = DenseMatrix(a)
+        a[0, 0] = 9.0
+        assert A.array[0, 0] == 0.0
+        assert a.flags.writeable
+
+
+@pytest.mark.parametrize("storage", [DenseMatrix, SparseMatrixCSC.from_dense])
+def test_coordinate_step_is_the_one_column_block_step(storage):
+    # an int column with a scalar value gives the one-column block's
+    # products bit for bit; a dense kernel reads them from one row of G
+    rng = np.random.default_rng(8)
+    a = rng.standard_normal((30, 7)) * (rng.random((30, 7)) < 0.6)
+    A = storage(a)
+    kernel = A.normal_kernel(rng.standard_normal(30))
+    for j, v in enumerate(rng.standard_normal(7)):
+        g, denom = kernel.step(j, float(v))
+        want_g, want_denom = kernel.step(np.array([j]), np.array([v]))
+        assert np.array_equal(g, want_g) and denom == want_denom
+        assert np.array_equal(kernel.step(np.int64(j), v)[0], g)
+        if storage is DenseMatrix:
+            gram = A.array.T @ A.array  # G as the kernel forms it
+            assert np.array_equal(g, np.array([v]) @ gram[[j]])
+            assert denom == float(np.dot([v], g[[j]]))

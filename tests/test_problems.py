@@ -29,6 +29,7 @@ from blockcd import (
 from conftest import random_sparse
 from blockcd.problems import (
     CLI_FORMS,
+    GAUSSIAN_CHUNK_ENTRIES,
     PROBLEM_FIELDS,
     ZeroColumnError,
     _problem_spec,
@@ -55,6 +56,13 @@ class TestGaussianDense:
     def test_overdetermined_contract(self):
         with pytest.raises(ValueError, match="m >= n"):
             gen_gaussian_dense(5, 6, seed=0)
+
+    @pytest.mark.parametrize("n", [1, 7, 300])
+    def test_chunked_draw_is_the_one_row_major_draw(self, n):
+        # 2.5 chunks of rows: the last chunk is a partial one
+        m = 5 * max(1, GAUSSIAN_CHUNK_ENTRIES // n) // 2
+        want = np.random.default_rng(4).standard_normal((m, n))
+        assert np.array_equal(gen_gaussian_dense(m, n, seed=4).array, want)
 
 
 class TestSparseGaussian:

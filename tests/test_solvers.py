@@ -228,6 +228,105 @@ def test_every_method_moves_by_the_shared_transition():
             assert np.array_equal(got, want), method
 
 
+def replay(problem, params, stop, sketch_seed):
+    """run_solver's run stepped through the public step functions: the
+    records' (k, rse, normal_residual, block_size, eta_dot_s), the drift
+    log and the final iterate."""
+    if params.d_factor is not None:
+        problem, _ = cs_prepare(problem, params.sketch_rows(problem.A.cols), sketch_seed)
+    select = block_rule(params, problem.column_norms)
+    rse_of = None if problem.x_star is None else solvers.rse_to(problem.x_star)
+    state = SolverState.initial(problem.A, problem.b)
+    floor = None
+    if rse_of is None:
+        floor = stop.rse_threshold * float(np.linalg.norm(state.grad))
+    records, drifts = [], []
+    while True:
+        rse = None if rse_of is None else rse_of(state.x_curr)
+        norm = math.sqrt(float(np.dot(state.grad, state.grad)))
+        proposed = floor is not None and norm <= floor
+        if proposed or (state.k and state.k % RESIDUAL_REFRESH == 0):
+            state, drift = state.refreshed(floor or 0.0)
+            drifts.append((state.k, drift))
+            norm = math.sqrt(float(np.dot(state.grad, state.grad)))
+        if (
+            (rse is not None and rse < stop.rse_threshold)
+            or (floor is not None and norm <= floor)
+            or state.k >= stop.max_iterations
+        ):
+            records.append((state.k, rse, norm, 0, math.nan))
+            return records, drifts, state.x_curr
+        block = select(state.grad)
+        k = state.k
+        if params.method == "mrbgs":
+            state, eta_dot_s = subsolve_update(state, block), math.nan
+        else:
+            state, eta_dot_s = line_search_update(state, block, params.beta)
+        records.append((k, rse, norm, block.size, eta_dot_s))
+
+
+@pytest.mark.filterwarnings("ignore:count-sketch preprocessing:UserWarning")
+@pytest.mark.parametrize("blind", [False, True], ids=["x_star", "blind"])
+@pytest.mark.parametrize(
+    "storage", [DenseMatrix, SparseMatrixCSC.from_dense], ids=["dense", "csc"]
+)
+@pytest.mark.parametrize(
+    "method, beta, d_factor",
+    [
+        ("cd", 0.0, None),
+        ("fbcd", 0.0, None),
+        ("madbcd", 0.0, None),
+        ("madbcd", 0.3, None),
+        ("mrbgs", 0.0, None),
+        ("cs-madbcd", 0.3, 2),
+    ],
+)
+def test_run_is_the_replay_through_the_step_functions(storage, blind, method, beta, d_factor):
+    # the loop keeps its iterate in place and steps a one-column block as a
+    # coordinate step; it must take the public functions' arithmetic bit for
+    # bit.  Correlated columns slow every method down to cross a refresh
+    rng = np.random.default_rng(21)
+    a = rng.standard_normal((240, 1)) + 0.3 * rng.standard_normal((240, 24))
+    a *= rng.random((240, 24)) < 0.5
+    problem = make_consistent_problem(storage(a), 22)
+    if blind:
+        problem = ProblemInstance(A=problem.A, b=problem.b)
+    params = MethodParams(method, beta, d_factor)
+    stop = StoppingRule(rse_threshold=1e-12, max_iterations=400)
+    report = run_solver(problem, params, stop, sketch_seed=23)
+    records, drifts, x = replay(problem, params, stop, sketch_seed=23)
+    assert report.residual_drift, "the run must cross a refresh"
+    got = [(r.k, r.rse, r.normal_residual, r.block_size, r.eta_dot_s) for r in report.records]
+    assert len(got) == len(records)
+    for g, w in zip(got, records):
+        assert g[:4] == w[:4] and (g[4] == w[4] or math.isnan(g[4]) and math.isnan(w[4])), (g, w)
+    assert report.residual_drift == drifts
+    assert np.array_equal(report.x_final, x)
+
+
+@pytest.mark.parametrize("storage", [DenseMatrix, SparseMatrixCSC.from_dense])
+@pytest.mark.parametrize(
+    "method, beta", [("cd", 0.0), ("madbcd", 0.0), ("madbcd", 0.3), ("mrbgs", 0.0)]
+)
+def test_run_writes_neither_its_kernel_nor_its_problem(monkeypatch, storage, method, beta):
+    # s starts as the kernel's c and x moves in place: neither may reach c, b or x_star
+    problem = make_consistent_problem(storage(gen_gaussian_dense(80, 10, 4).to_dense()), 5)
+    b, x_star = problem.b.copy(), problem.x_star.copy()
+    kernels = []
+    for cls in (matrix.Matrix, matrix.DenseMatrix):
+        original = cls.normal_kernel
+        monkeypatch.setattr(
+            cls, "normal_kernel", lambda self, b, f=original: kernels.append(f(self, b)) or kernels[-1]
+        )
+    stop = StoppingRule(rse_threshold=None, max_iterations=RESIDUAL_REFRESH + 7)
+    report = run_solver(problem, MethodParams(method, beta), stop)
+    (kernel,) = kernels
+    assert report.iterations > RESIDUAL_REFRESH
+    assert np.array_equal(kernel.c, problem.A.transpose_matvec(b))
+    assert np.array_equal(problem.b, b) and np.array_equal(problem.x_star, x_star)
+    assert 0.0 < report.kernel_seconds < report.solve_seconds
+
+
 class TestMadbcdStep:
     def test_two_step_identity_trace(self):
         problem = identity_problem([1.0, 2.0])
@@ -338,6 +437,28 @@ class TestCdStep:
         state, block = step(state, problem.A, "cd")
         assert block.tolist() == [1]
         assert_allclose(state.x_curr, [0.0, 2.0])
+
+    @pytest.mark.parametrize("storage", [DenseMatrix, SparseMatrixCSC.from_dense])
+    @pytest.mark.parametrize("beta", [0.0, 0.4])
+    def test_coordinate_step_is_the_block_formula_bit_for_bit(self, rng, storage, beta):
+        # a one-column block steps by its int index and scalar s_j; the
+        # result is the array formula's on the one-element block
+        a = rng.standard_normal((25, 6))
+        kernel = storage(a).normal_kernel(rng.standard_normal(25))
+        x_curr, x_prev, u = (rng.standard_normal(6) for _ in range(3))
+        s = kernel.c
+        state = SolverState(x_curr, x_prev, s, u, kernel, k=2)
+        block = np.array([int(np.abs(s).argmax())])
+        nxt, eta_dot_s = line_search_update(state, block, beta)
+        eta = s[block]
+        g, denom = kernel.step(block, eta)
+        c = float(np.dot(eta, eta)) / denom
+        x = x_curr + beta * (x_curr - x_prev) if beta else x_curr.copy()
+        x[block] += c * eta
+        u_next = c * g + beta * u if beta else c * g
+        assert eta_dot_s == float(np.dot(eta, eta))
+        assert np.array_equal(nxt.x_curr, x) and np.array_equal(nxt.x_prev, x_curr)
+        assert np.array_equal(nxt.grad_step, u_next) and np.array_equal(nxt.grad, s - u_next)
 
     def test_rank_one_averaging(self):
         A = DenseMatrix([[1.0], [1.0]])
@@ -978,13 +1099,16 @@ class TestRunSolver:
         assert report.records[-1].rse > 1e-6
 
     def test_non_finite_iterates_stop_the_run(self, monkeypatch):
-        # the rescale keeps the squares of finite data in range, so a step
-        # that overflows s is injected: the run stops as diverged, not by the cap
-        def overflowing(state, block, beta):
-            moved, eta_dot_s = line_search_update(state, block, beta)
-            return replace(moved, grad=np.full_like(moved.grad, np.inf)), eta_dot_s
+        # the rescale keeps the squares of finite data in range, so a kernel
+        # step that overflows A^T A_tau eta, and with it s, is injected: the
+        # run stops as diverged, not by the cap
+        original = matrix.GramKernel.step
 
-        monkeypatch.setattr(solvers, "line_search_update", overflowing)
+        def overflowing(self, block, v):
+            g, denom = original(self, block, v)
+            return np.full_like(g, np.inf), denom
+
+        monkeypatch.setattr(matrix.GramKernel, "step", overflowing)
         problem = make_consistent_problem(gen_gaussian_dense(30, 6, 1), 2)
         report = run_solver(problem, MethodParams("madbcd"), StoppingRule(rse_threshold=1e-6))
         assert not report.converged
