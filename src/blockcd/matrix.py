@@ -9,10 +9,9 @@ dot-products, updates are column gathers).
 A run reaches A and b only through the kernel that ``Matrix.normal_kernel(b)``
 makes for it.  The kernel forms c = A^T b, and on dense input G = A^T A.  It
 gives a step A^T A_tau v, by two passes over CSC storage or read from G (one
-row of it for a one-column step), and the mrbgs subsolve the gathered A_tau
-and G_tau = A_tau^T A_tau.  It also decides how a refresh re-derives
-s = A^T (b - A x): as c - G x while that form's rounding is far below ||s||,
-else by a pass that forms r.
+row of it for a one-column step), and the mrbgs subsolve G_tau = A_tau^T A_tau.
+It also decides how a refresh re-derives s = A^T (b - A x): as c - G x while
+that form's rounding is far below ||s||, else by a pass that forms r.
 
 Matrices are immutable after construction and safe to share between
 concurrent runs; every kernel returns a freshly allocated array.
@@ -40,7 +39,7 @@ class RankDeficiencyError(ValueError):
     A pivot of a factorization falls below its tolerance (mrbgs's QR
     fallback, the oracle's QR); `column` is the first dependent column.  Or
     a step's squared norm ||A_tau eta||^2 underflows
-    (``line_search_update``); `column` is the block's first.
+    (``solvers.line_search``); `column` is the block's first.
     """
 
     def __init__(self, column: int, magnitude: float, message: str | None = None):
@@ -327,9 +326,11 @@ class NormalKernel:
     Making it forms c = A^T b, the start's s.  `step(block, v)` returns
     (A^T A_tau v, ||A_tau v||^2) for the direction carrying `v` on `block`,
     or on the one column of an int `block` with a scalar `v`.
-    `block_system(block)` gives the mrbgs subsolve its A_tau and G_tau.
-    `refresh` re-derives s = A^T r for a fresh r = b - A x by two passes
-    over A, so the kernel needs no full A^T A v.
+    `block_system(block)` gives the mrbgs subsolve its G_tau.  `refresh`
+    re-derives s = A^T r for a fresh r = b - A x by two passes over A, so
+    the kernel needs no full A^T A v.  These are the only products the
+    solvers' step functions and their one driver take; the kernel holds no
+    iterate.
     """
 
     def __init__(self, A: Matrix, b: np.ndarray):
@@ -342,20 +343,18 @@ class NormalKernel:
         a_v = self.A.restricted_matvec(np.atleast_1d(block), np.atleast_1d(v))
         return self.A.transpose_matvec(a_v), float(np.dot(a_v, a_v))
 
-    def block_system(self, block: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """The block's columns A_tau, gathered dense, and G_tau = A_tau^T A_tau."""
+    def block_system(self, block: np.ndarray) -> np.ndarray:
+        """G_tau = A_tau^T A_tau, formed from the block's columns gathered dense."""
         a_tau = self.A.gather_columns(block)
-        return a_tau, a_tau.T @ a_tau
+        return a_tau.T @ a_tau
 
-    def refresh(self, x, s, floor=0.0, form_r=False) -> tuple[np.ndarray, np.ndarray | None]:
-        """A fresh s = A^T (b - A x) in place of the carried `s`, and the r it formed.
+    def refresh(self, x, s, floor=0.0) -> np.ndarray:
+        """A fresh s = A^T (b - A x) in place of the carried `s`.
 
         The kernel picks the form; by passes over A it is always A^T r for a
-        fresh r = b - A x.  `floor` and `form_r` (the caller carries r, so r
-        must be formed again) matter only to a kernel with another form.
+        fresh r = b - A x.  `floor` matters only to a kernel with another form.
         """
-        r = self.b - self.A.matvec(x)
-        return self.A.transpose_matvec(r), r
+        return self.A.transpose_matvec(self.b - self.A.matvec(x))
 
 
 class GramKernel(NormalKernel):
@@ -383,19 +382,17 @@ class GramKernel(NormalKernel):
         return g, float(np.dot(v, g[block]))
 
     def block_system(self, block):
-        return self.A.gather_columns(block), self._g[np.ix_(block, block)]
+        return self._g[np.ix_(block, block)]
 
-    def refresh(self, x, s, floor=0.0, form_r=False):
-        """s = c - G x, forming no r, unless `form_r` is set or the carried or
-        the fresh ||s|| is at most `floor` or GRAM_REFRESH_MARGIN eps ||G||_F
-        ||x||, the scale of that form's rounding: G^-1 amplifies it by
-        1/sigma_min^2, the rounding of A^T (b - A x) by 1/sigma_min only.
-        Then the pass form, which forms r."""
-        if not form_r:
-            fresh = self.c - self._g @ x
-            cut = max(floor, GRAM_REFRESH_MARGIN * (self._rounding * float(np.linalg.norm(x))))
-            if min(np.linalg.norm(s), np.linalg.norm(fresh)) > cut:
-                return fresh, None
+    def refresh(self, x, s, floor=0.0):
+        """s = c - G x, unless the carried or the fresh ||s|| is at most
+        `floor` or GRAM_REFRESH_MARGIN eps ||G||_F ||x||, the scale of that
+        form's rounding: G^-1 amplifies it by 1/sigma_min^2, the rounding of
+        A^T (b - A x) by 1/sigma_min only.  Then the pass form."""
+        fresh = self.c - self._g @ x
+        cut = max(floor, GRAM_REFRESH_MARGIN * (self._rounding * float(np.linalg.norm(x))))
+        if min(np.linalg.norm(s), np.linalg.norm(fresh)) > cut:
+            return fresh
         return super().refresh(x, s)
 
     @functools.cached_property

@@ -10,34 +10,37 @@ max score).  madbcd's mean ||s||^2 / n threshold is (w, lam, mu) = (1, 0,
 1/2, 1/2); mrbgs's fraction of the largest entry is (1, MRBGS_FRACTION, 0);
 and greedy coordinate descent (cd) takes the first index of (1, 1, 0), which
 is argmax |s_j|.  The maximal-residual block baseline (mrbgs) swaps the
-line search for an exact least-squares subsolve on its block: the corrected
-semi-normal equations on G_tau = A_tau^T A_tau, with LAPACK's blocked
-Householder QR of [A_tau | r] as the rank-revealing fallback.  The oracle
-keeps its own hand-rolled QR as the independent route that audits this
-subsolve.  cs-madbcd is madbcd on (SA, Sb), the problem compressed by a
-count sketch S with d_factor * n rows.
+line search for an exact least-squares subsolve on its block: it solves
+G_tau d = s_tau on the carried s, with G_tau = A_tau^T A_tau from the run's
+kernel, and LAPACK's blocked Householder QR of [A_tau | r] on a fresh
+r = b - A x is the rank-revealing fallback.  The oracle keeps its own
+hand-rolled QR as the independent route that audits this subsolve.
+cs-madbcd is madbcd on (SA, Sb), the problem compressed by a count sketch S
+with d_factor * n rows.
 
-The loop runs in n-space from x = 0.  The iterate is (x, x_prev, s, u)
-with s = A^T r and u = A^T A (x - x_prev).  ``run_solver`` keeps these as
-local arrays, moves x in place at beta = 0 (nothing else holds it there)
-and keeps each record field in its own list, so a step costs its
-arithmetic.  Every step goes through ``move``: x moves by d on the block
-plus beta (x - x_prev), u becomes A^T A_tau d + beta u and s becomes s - u.
-The public ``SolverState`` holds the same iterate for a step taken on its
-own, ``line_search_update(state, block, beta)`` or ``subsolve_update(state,
-block)``, both through ``move``; the loop builds one only for the mrbgs
-subsolve.  The kernel, ``Matrix.normal_kernel(b)``, owns the run's linear
-algebra: it forms c = A^T b and, for a dense matrix, G = A^T A once per run
-inside the timed solve (reported as ``kernel_seconds``); it gives a step
-(A^T A_tau v, ||A_tau v||^2) and the mrbgs subsolve A_tau and G_tau.  A
-one-column block is a coordinate step: the kernel gets the column's int
-index j and the scalar s_j, and a dense kernel reads row j of G in place.
-Only s accumulates rounding: u is rebuilt from a fresh product every step,
-so its old rounding decays by beta per step.  Every ``RESIDUAL_REFRESH``
-steps, and before a stop on the normal residual is reported,
-``refresh_grad`` re-derives s from x by the kernel's ``refresh``: c - G x
-on a dense line-search run while ||s|| is far above that form's rounding,
-else, and for every stop it confirms, A^T (b - A x); mrbgs reads that r.
+One driver, ``run_solver``, runs every method in n-space from x = 0.  The
+iterate is (x, x_prev, s, u) with s = A^T r and u = A^T A (x - x_prev); no
+run carries r.  The loop keeps these as local arrays, moves x in place at
+beta = 0 (nothing else holds it there) and keeps each record field in its
+own list, so a step costs its arithmetic.  A method's step is a function of
+(kernel, x, s, block) that returns (where, d, g, eta^T s) with
+g = A^T A_tau d: ``line_search`` for cd, fbcd, madbcd and cs-madbcd,
+``subsolve`` for mrbgs, picked once per run as ``block_rule`` picks the
+block selector.  ``move`` applies it: x moves by d on the block plus
+beta (x - x_prev), u becomes g + beta u and s becomes s - u.  These three
+functions are public, so a run can be replayed step by step.  The kernel,
+``Matrix.normal_kernel(b)``, owns the run's linear algebra: it forms
+c = A^T b and, for a dense matrix, G = A^T A once per run inside the timed
+solve (reported as ``kernel_seconds``); it gives a step
+(A^T A_tau v, ||A_tau v||^2) and the subsolve G_tau.  A one-column block of
+a line search is a coordinate step: the kernel gets the column's int index
+j and the scalar s_j, and a dense kernel reads row j of G in place.  Only s
+accumulates rounding: u is rebuilt from a fresh product every step, so its
+old rounding decays by beta per step.  Every ``RESIDUAL_REFRESH`` steps, and
+before a stop on the normal residual is reported, the loop re-derives s
+from x by the kernel's ``refresh``: c - G x on dense input while ||s|| is
+far above that form's rounding, else, and for every stop it confirms,
+A^T (b - A x).
 """
 
 from __future__ import annotations
@@ -57,15 +60,15 @@ from .sketch import cs_prepare
 __all__ = [
     "MethodParams",
     "StoppingRule",
-    "SolverState",
     "IterationRecord",
     "ConvergenceReport",
     "select_block_madbcd",
     "select_block_fbcd",
     "select_block_mrbgs",
     "block_rule",
-    "line_search_update",
-    "subsolve_update",
+    "line_search",
+    "subsolve",
+    "move",
     "run_solver",
     "compute_rse",
 ]
@@ -80,9 +83,13 @@ ZERO_RESIDUAL_STOP = "converged: zero normal-equation residual"
 GRADIENT_FALLBACK_STOP = "converged: gradient fallback threshold"
 MRBGS_FRACTION = 0.3  # mrbgs's block: every j with s_j^2 >= this fraction of max_j s_j^2
 # a Cholesky factor of G_tau whose smallest pivot is below this fraction of
-# its largest leaves the mrbgs block to the QR, which solves it or names the
-# dependent column
-CSNE_PIVOT_RATIO = 1e-6
+# its largest leaves the mrbgs block to the QR on a fresh r, which solves it
+# or names the dependent column.  The pivots spread about as far as the
+# singular values of A_tau.  d is read from the carried s, with no correction
+# on a fresh r, and a step formed from G leaves rounding of about
+# eps ||G|| ||d|| in that s: so a block with cond(A_tau) above about 1e3
+# must go to the QR, or the run can stall short of its threshold
+SUBSOLVE_PIVOT_RATIO = 3e-4
 
 
 @dataclass(frozen=True)
@@ -146,54 +153,6 @@ class StoppingRule:
                 raise ValueError(f"{name} must be finite and positive, got {v}")
         if self.max_iterations < 1:
             raise ValueError("max_iterations must be >= 1")
-
-
-@dataclass
-class SolverState:
-    """One iterate of any method, with the incrementally maintained n-vectors.
-
-    `grad` is s = A^T (b - A x_curr) and `grad_step` is u = A^T A (x_curr -
-    x_prev), so each step sets grad to the previous grad - grad_step.  s alone
-    is refreshed: u is rebuilt each step as a fresh product plus beta u.
-    `residual` is r = b - A x_curr where the start, a refresh's pass or a
-    subsolve step formed it, and None otherwise.  b, c = A^T b and G belong
-    to the run's `kernel`.
-    """
-
-    x_curr: np.ndarray
-    x_prev: np.ndarray
-    grad: np.ndarray
-    grad_step: np.ndarray
-    kernel: NormalKernel
-    k: int = 0
-    residual: np.ndarray | None = None
-
-    @classmethod
-    def initial(cls, A: Matrix, b: np.ndarray) -> "SolverState":
-        """x_prev = x_curr = 0, so r = b and s = c; makes the run's normal kernel."""
-        kernel = A.normal_kernel(b)
-        return cls(
-            x_curr=np.zeros(A.cols),
-            x_prev=np.zeros(A.cols),
-            grad=kernel.c,
-            grad_step=np.zeros(A.cols),
-            kernel=kernel,
-            residual=b,
-        )
-
-    def advance(
-        self, where, d: np.ndarray | float, g: np.ndarray, beta: float = 0.0
-    ) -> "SolverState":
-        """The next state by ``move``: x + beta (x - x_prev) + d on `where`, u = g + beta u."""
-        x, s, u = move(self.x_curr, self.x_prev, self.grad, self.grad_step, where, d, g, beta)
-        return SolverState(
-            x_curr=x, x_prev=self.x_curr, grad=s, grad_step=u, kernel=self.kernel, k=self.k + 1
-        )
-
-    def refreshed(self, floor: float = 0.0) -> tuple["SolverState", float]:
-        """This iterate with a fresh s, u kept, and the drift ||s - fresh s||, by ``refresh_grad``."""
-        grad, r, drift = refresh_grad(self.kernel, self.x_curr, self.grad, self.residual, floor)
-        return replace(self, grad=grad, residual=r), drift
 
 
 @dataclass(frozen=True)
@@ -353,25 +312,15 @@ def move(
     return x, s - g, g
 
 
-def refresh_grad(
-    kernel: NormalKernel, x: np.ndarray, s: np.ndarray, r: np.ndarray | None, floor: float = 0.0
-) -> tuple[np.ndarray, np.ndarray | None, float]:
-    """A fresh s by the kernel's ``refresh``, the r it formed, and the drift ||s - fresh s||.
-
-    `floor` bounds the ||s|| at which it may read s from G; a carried r is formed again.
-    """
-    fresh, r = kernel.refresh(x, s, floor, r is not None)
-    return fresh, r, float(np.linalg.norm(s - fresh))
-
-
 def line_search(
-    kernel: NormalKernel, s: np.ndarray, block: np.ndarray
+    kernel: NormalKernel, x: np.ndarray, s: np.ndarray, block: np.ndarray
 ) -> tuple[int | np.ndarray, np.ndarray | float, np.ndarray, float]:
     """The exact line search along eta = s[block]: (where, c eta, c A^T A_tau eta, eta^T s).
 
-    c = eta^T s / ||A_tau eta||^2.  A one-column block is a coordinate
-    step: `where` is its int index j and eta the scalar s_j, so that a
-    dense kernel reads one row of G.  Otherwise `where` is the block.
+    c = eta^T s / ||A_tau eta||^2; the iterate `x` is not read.  A
+    one-column block is a coordinate step: `where` is its int index j and
+    eta the scalar s_j, so that a dense kernel reads one row of G.
+    Otherwise `where` is the block.
     """
     if block.size == 1:
         where = int(block[0])
@@ -395,19 +344,6 @@ def line_search(
     return where, c * eta, g, eta_dot_s
 
 
-def line_search_update(
-    state: SolverState, block: np.ndarray, beta: float = 0.0
-) -> tuple[SolverState, float]:
-    """Exact line search along eta = s[block] on the block's columns, plus momentum.
-
-    s is the state's `grad`.  Returns the next state and eta^T s.  With
-    beta = 0 this is the plain block step; on a singleton block it is the
-    coordinate step s_j / ||a_j||^2.
-    """
-    where, d, g, eta_dot_s = line_search(state.kernel, state.grad, block)
-    return state.advance(where, d, g, beta), eta_dot_s
-
-
 def householder_lstsq(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """Minimize ||b - a x||_2 on a dense m-by-k block; b has length m, and m >= k.
 
@@ -428,41 +364,31 @@ def householder_lstsq(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return np.linalg.solve(r[:k, :k], r[:k, k])
 
 
-def csne_lstsq(a: np.ndarray, g: np.ndarray, b: np.ndarray) -> np.ndarray | None:
-    """Minimize ||b - a x||_2 by the corrected semi-normal equations on g = a^T a.
+def subsolve(
+    kernel: NormalKernel, x: np.ndarray, s: np.ndarray, block: np.ndarray
+) -> tuple[np.ndarray, np.ndarray, np.ndarray, float]:
+    """mrbgs's step, the exact least-squares subsolve on the block: (block, d, A^T A_tau d, nan).
 
-    Solves g x = a^T b, then makes one correction x += g^-1 a^T (b - a x)
-    (Bjorck, Linear Algebra Appl. 1987): the first solve alone loses accuracy
-    with the square of the condition number of a.  Returns None, leaving the
-    block to a QR, when g is not safely positive definite: its Cholesky
-    factorization fails, or its smallest pivot is below CSNE_PIVOT_RATIO of
-    its largest.
+    d minimizes ||r - A_tau d|| for r = b - A x, so G_tau d = A_tau^T r,
+    which is s_tau: it is solved on the kernel's G_tau and the carried s.  A
+    G_tau with no Cholesky factor, or whose smallest pivot is below
+    SUBSOLVE_PIVOT_RATIO of its largest, leaves the block to
+    ``householder_lstsq`` on A_tau and r, formed from `x` by one pass over
+    A; its RankDeficiencyError names the global column.  The step has no
+    eta^T s.
     """
+    g_tau = kernel.block_system(block)
     try:
-        pivots = np.diagonal(np.linalg.cholesky(g))
+        pivots = np.diagonal(np.linalg.cholesky(g_tau))
+        factored = pivots.min() >= SUBSOLVE_PIVOT_RATIO * pivots.max()
     except np.linalg.LinAlgError:
-        return None
-    if not pivots.min() >= CSNE_PIVOT_RATIO * pivots.max():
-        return None
-    x = np.linalg.solve(g, a.T @ b)
-    return x + np.linalg.solve(g, a.T @ (b - a @ x))
-
-
-def subsolve_update(state: SolverState, block: np.ndarray) -> SolverState:
-    """Maximal-residual block step: exact least-squares subsolve on the block's columns.
-
-    Solves by ``csne_lstsq`` on the kernel's G_tau; a block it leaves goes to
-    ``householder_lstsq``, whose RankDeficiencyError names the global column.
-    r stays incremental, r - A_tau d: near convergence a residual recomputed
-    from x is rounding noise relative to the r the subsolve must make
-    orthogonal to A_tau.
-    """
-    a_tau, g_tau = state.kernel.block_system(block)
-    r = state.residual
-    d = csne_lstsq(a_tau, g_tau, r)
-    if d is None:
+        factored = False
+    if factored:
+        d = np.linalg.solve(g_tau, s[block])
+    else:
+        r = kernel.b - kernel.A.matvec(x)
         try:
-            d = householder_lstsq(a_tau, r)
+            d = householder_lstsq(kernel.A.gather_columns(block), r)
         except RankDeficiencyError as exc:
             raise RankDeficiencyError(
                 int(block[exc.column]),
@@ -470,8 +396,7 @@ def subsolve_update(state: SolverState, block: np.ndarray) -> SolverState:
                 f"rank-deficient subproblem on block {block.tolist()}: "
                 f"|R_jj|={exc.magnitude:.3e} at block position {exc.column}",
             ) from exc
-    moved = state.advance(block, d, state.kernel.step(block, d)[0])
-    return replace(moved, residual=r - a_tau @ d)
+    return block, d, kernel.step(block, d)[0], math.nan
 
 
 def run_solver(
@@ -484,9 +409,9 @@ def run_solver(
 ) -> ConvergenceReport:
     """Iterate `params.method` on `problem` until a stopping limit fires.
 
-    Starts from x_prev = x_curr = 0 and takes, bit for bit, the steps of
-    ``line_search_update(state, block, beta)`` or ``subsolve_update(state,
-    block)``.  Records one IterationRecord per iterate including the initial
+    Starts from x_prev = x = 0.  Each step is the method's step function,
+    ``subsolve`` for mrbgs and ``line_search`` otherwise, applied by
+    ``move``.  Records one IterationRecord per iterate including the initial
     one, so a run of IT steps yields IT + 1 records; `record_history` also
     keeps a copy of every iterate and every block, for the oracle's audits.
     Non-convergence by iteration or time limit is a reported outcome, not an
@@ -532,11 +457,12 @@ def run_solver(
     t0 = time.perf_counter()
     kernel = A.normal_kernel(problem.b)
     kernel_seconds = time.perf_counter() - t0
-    # the iterate from x_prev = x = 0: s = c, u = 0 and r = b.  s, u and r
-    # are replaced, never written, so s may start as the kernel's c; x moves
-    # in place at beta = 0, where nothing else holds it
-    n, beta, mrbgs = A.cols, params.beta, params.method == "mrbgs"
-    x, x_prev, s, u, r = np.zeros(n), np.zeros(n), kernel.c, np.zeros(n), problem.b
+    # the iterate from x_prev = x = 0: s = c and u = 0.  s and u are
+    # replaced, never written, so s may start as the kernel's c; x moves in
+    # place at beta = 0, where nothing else holds it
+    n, beta = A.cols, params.beta
+    x, x_prev, s, u = np.zeros(n), np.zeros(n), kernel.c, np.zeros(n)
+    step = subsolve if params.method == "mrbgs" else line_search
     # no ground truth: rse_threshold bounds ||A^T r|| / ||A^T b|| instead,
     # and the start's s is A^T b
     grad_floor = None
@@ -559,8 +485,9 @@ def run_solver(
             # the incremental s may have drifted: re-derive it, and stop on
             # it only if the fresh A^T (b - A x) agrees (a refresh from G
             # never admits a stop on s)
-            s, r, drift = refresh_grad(kernel, x, s, r, grad_floor or 0.0)
-            drift_log.append((k, drift))
+            fresh = kernel.refresh(x, s, grad_floor or 0.0)
+            drift_log.append((k, float(np.linalg.norm(s - fresh))))
+            s = fresh
             s_norm_sq = float(np.dot(s, s))
             stop_reason = verdict(s_norm_sq, rse, k, elapsed)
         rses.append(rse)
@@ -572,15 +499,9 @@ def run_solver(
             break
 
         block = select(s)
-        if mrbgs:
-            state = subsolve_update(SolverState(x, x_prev, s, u, kernel, k, r), block)
-            x, x_prev, s, u = state.x_curr, state.x_prev, state.grad, state.grad_step
-            r = state.residual
-            eta_dot_s = math.nan
-        else:
-            where, d, g, eta_dot_s = line_search(kernel, s, block)
-            x_next, s, u = move(x, x_prev, s, u, where, d, g, beta, in_place=True)
-            x_prev, x, r = x, x_next, None
+        where, d, g, eta_dot_s = step(kernel, x, s, block)
+        x_next, s, u = move(x, x_prev, s, u, where, d, g, beta, in_place=True)
+        x_prev, x = x, x_next
         sizes.append(block.size)
         etas.append(eta_dot_s)
         k += 1

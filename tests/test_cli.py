@@ -520,11 +520,16 @@ def test_verify_subcommand(capsys):
     )
 
 
-def test_rank_deficient_block_exit_two(tmp_path, capsys):
+@pytest.mark.parametrize("storage", ["csc", "dense"])
+def test_rank_deficient_block_exit_two(tmp_path, capsys, monkeypatch, storage):
     rng = np.random.default_rng(3)
     a = rng.standard_normal((200, 20))
     a[:, 7] = a[:, 3]  # mrbgs's first block holds both copies
-    write_problem_bundle(tmp_path, ProblemInstance(A=DenseMatrix(a), b=a @ rng.standard_normal(20)))
+    problem = ProblemInstance(A=DenseMatrix(a), b=a @ rng.standard_normal(20))
+    write_problem_bundle(tmp_path, problem)
+    if storage == "dense":
+        # a bundle's A.mtx reads back as CSC storage; this run gets the dense matrix
+        monkeypatch.setattr(cli, "build_problem", lambda spec, seed: problem)
     assert main(["solve", "--problem", str(tmp_path), "--method", "mrbgs"]) == 2
     assert capsys.readouterr().err.startswith(
         "numerical failure: rank-deficient subproblem on block [3, 5, 7, 15]: "

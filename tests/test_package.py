@@ -34,3 +34,7 @@ def test_readme_library_example_runs_and_its_cs_madbcd_forms_agree_bit_for_bit()
     fast, same = namespace["fast"], namespace["same"]
     assert fast.converged and fast.iterations == same.iterations
     assert np.array_equal(fast.x_final, same.x_final)
+    # its step-by-step replay is the run capped at five steps
+    stop = blockcd.StoppingRule(rse_threshold=None, max_iterations=5)
+    capped = blockcd.run_solver(namespace["problem"], blockcd.MethodParams("madbcd"), stop)
+    assert np.array_equal(namespace["x"], capped.x_final)

@@ -1,5 +1,4 @@
 import math
-from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -12,19 +11,19 @@ from blockcd import (
     MethodParams,
     ProblemInstance,
     RankDeficiencyError,
-    SolverState,
     SparseMatrixCSC,
     StoppingRule,
     block_rule,
     compute_rse,
     cs_prepare,
     gen_gaussian_dense,
-    line_search_update,
+    line_search,
     make_consistent_problem,
+    move,
     reference_lsq_solve,
     run_solver,
     select_block_madbcd,
-    subsolve_update,
+    subsolve,
 )
 from blockcd import matrix, oracle, problems, solvers
 from blockcd.solvers import METHODS, RESIDUAL_REFRESH, householder_lstsq
@@ -56,12 +55,20 @@ def rotated_problem(m, n, kappa, noise, seed):
     )
 
 
-def step(state, A, method, beta=0.0):
-    """One step of `method` from `state`, built as run_solver builds it."""
-    block = block_rule(MethodParams(method, beta), A.column_norms())(state.grad)
-    if method == "mrbgs":
-        return subsolve_update(state, block), block
-    return line_search_update(state, block, beta)[0], block
+def start(A, b):
+    """The run's kernel and its first iterate (x, x_prev, s, u): x = 0, s = A^T b."""
+    kernel = A.normal_kernel(b)
+    return kernel, (np.zeros(A.cols), np.zeros(A.cols), kernel.c, np.zeros(A.cols))
+
+
+def step(kernel, iterate, method, beta=0.0):
+    """One step of `method` from `iterate` = (x, x_prev, s, u), taken as run_solver
+    takes it: the next iterate, the block and eta^T s."""
+    x, x_prev, s, u = iterate
+    block = block_rule(MethodParams(method, beta), kernel.A.column_norms())(s)
+    where, d, g, eta_dot_s = (subsolve if method == "mrbgs" else line_search)(kernel, x, s, block)
+    x_next, s_next, u_next = move(x, x_prev, s, u, where, d, g, beta)
+    return (x_next, x, s_next, u_next), block, eta_dot_s
 
 
 # each method's (w_j = ||a_j||^2, lam, mu) in the one threshold rule; w = 1 otherwise
@@ -152,12 +159,12 @@ class TestSelectBlock:
     def test_values_are_exact_gradient_entries(self, rng):
         # the step moves x only on the block, by c times the gradient entries there
         a = rng.standard_normal((20, 9))
-        A = DenseMatrix(a)
-        state = SolverState.initial(A, rng.standard_normal(20))
-        s = A.transpose_matvec(state.residual)
-        block = select_block_madbcd(s)
-        nxt, eta_dot_s = line_search_update(state, block)
-        step_ = nxt.x_curr - state.x_curr
+        b = rng.standard_normal(20)
+        kernel, iterate = start(DenseMatrix(a), b)
+        (x, *_), block, eta_dot_s = step(kernel, iterate, "madbcd")
+        s = a.T @ b
+        assert block.tolist() == select_block_madbcd(s).tolist()
+        step_ = x - iterate[0]
         off_block = np.setdiff1d(np.arange(9), block)
         assert np.all(step_[off_block] == 0.0)
         assert np.all(step_[block] != 0.0)
@@ -190,79 +197,57 @@ def test_blocks_are_int64_index_arrays():
 
 
 def test_every_method_moves_by_the_shared_transition():
+    # every step function's g is A^T A_tau d, and move makes it u = A^T A (x - x_prev)
     problem = make_consistent_problem(gen_gaussian_dense(60, 12, 7), 8)
-    for method in METHODS:
-        momentum = method in ("madbcd", "cs-madbcd")
-        params = MethodParams(
-            method, 0.3 if momentum else 0.0, d_factor=2 if method == "cs-madbcd" else None
-        )
-        A, b = problem.A, problem.b
-        if params.d_factor is not None:
-            sketched, _ = cs_prepare(problem, params.sketch_rows(A.cols), seed=5)
-            A, b = sketched.A, sketched.b
-        select = block_rule(params, A.column_norms())
-        state = SolverState.initial(A, b)
-        a = A.to_dense()
-        iterates = [state.x_curr]
+    a = problem.A.to_dense()
+    for method, beta in [("cd", 0.0), ("fbcd", 0.0), ("madbcd", 0.3), ("mrbgs", 0.0)]:
+        kernel, iterate = start(problem.A, problem.b)
         for _ in range(6):
-            s = state.grad
-            block = select(s)
-            if method == "mrbgs":
-                nxt = subsolve_update(state, block)
-            else:
-                nxt = line_search_update(state, block, params.beta)[0]
-            assert np.array_equal(nxt.x_prev, state.x_curr), method
-            assert np.array_equal(nxt.grad, state.grad - nxt.grad_step), method
-            image = a.T @ (a @ (nxt.x_curr - nxt.x_prev))
-            err = np.linalg.norm(nxt.grad_step - image)
-            assert err <= 1e-12 * np.linalg.norm(image), method
-            state = nxt
-            iterates.append(state.x_curr)
-        # the loop above steps exactly as run_solver does
-        report = run_solver(
-            problem, params, StoppingRule(max_iterations=6), record_history=True,
-            sketch_seed=5,
-        )
-        assert report.iterations == 6
-        for got, want in zip(report.iterate_history, iterates, strict=True):
-            assert np.array_equal(got, want), method
+            nxt, _, _ = step(kernel, iterate, method, beta)
+            x, x_prev, s, u = nxt
+            assert np.array_equal(x_prev, iterate[0]), method
+            assert np.array_equal(s, iterate[2] - u), method
+            image = a.T @ (a @ (x - x_prev))
+            assert np.linalg.norm(u - image) <= 1e-12 * np.linalg.norm(image), method
+            iterate = nxt
 
 
 def replay(problem, params, stop, sketch_seed):
-    """run_solver's run stepped through the public step functions: the
-    records' (k, rse, normal_residual, block_size, eta_dot_s), the drift
-    log and the final iterate."""
+    """run_solver's run stepped through the public step functions, ``move`` and
+    the kernel's refresh: the records' (k, rse, normal_residual, block_size,
+    eta_dot_s), the drift log and the final iterate."""
     if params.d_factor is not None:
         problem, _ = cs_prepare(problem, params.sketch_rows(problem.A.cols), sketch_seed)
     select = block_rule(params, problem.column_norms)
+    take = subsolve if params.method == "mrbgs" else line_search
     rse_of = None if problem.x_star is None else solvers.rse_to(problem.x_star)
-    state = SolverState.initial(problem.A, problem.b)
+    kernel, (x, x_prev, s, u) = start(problem.A, problem.b)
     floor = None
     if rse_of is None:
-        floor = stop.rse_threshold * float(np.linalg.norm(state.grad))
-    records, drifts = [], []
+        floor = stop.rse_threshold * float(np.linalg.norm(s))
+    records, drifts, k = [], [], 0
     while True:
-        rse = None if rse_of is None else rse_of(state.x_curr)
-        norm = math.sqrt(float(np.dot(state.grad, state.grad)))
+        rse = None if rse_of is None else rse_of(x)
+        norm = math.sqrt(float(np.dot(s, s)))
         proposed = floor is not None and norm <= floor
-        if proposed or (state.k and state.k % RESIDUAL_REFRESH == 0):
-            state, drift = state.refreshed(floor or 0.0)
-            drifts.append((state.k, drift))
-            norm = math.sqrt(float(np.dot(state.grad, state.grad)))
+        if proposed or (k and k % RESIDUAL_REFRESH == 0):
+            fresh = kernel.refresh(x, s, floor or 0.0)
+            drifts.append((k, float(np.linalg.norm(s - fresh))))
+            s = fresh
+            norm = math.sqrt(float(np.dot(s, s)))
         if (
             (rse is not None and rse < stop.rse_threshold)
             or (floor is not None and norm <= floor)
-            or state.k >= stop.max_iterations
+            or k >= stop.max_iterations
         ):
-            records.append((state.k, rse, norm, 0, math.nan))
-            return records, drifts, state.x_curr
-        block = select(state.grad)
-        k = state.k
-        if params.method == "mrbgs":
-            state, eta_dot_s = subsolve_update(state, block), math.nan
-        else:
-            state, eta_dot_s = line_search_update(state, block, params.beta)
+            records.append((k, rse, norm, 0, math.nan))
+            return records, drifts, x
+        block = select(s)
+        where, d, g, eta_dot_s = take(kernel, x, s, block)
+        x_next, s, u = move(x, x_prev, s, u, where, d, g, params.beta)
+        x_prev, x = x, x_next
         records.append((k, rse, norm, block.size, eta_dot_s))
+        k += 1
 
 
 @pytest.mark.filterwarnings("ignore:count-sketch preprocessing:UserWarning")
@@ -330,73 +315,54 @@ def test_run_writes_neither_its_kernel_nor_its_problem(monkeypatch, storage, met
 class TestMadbcdStep:
     def test_two_step_identity_trace(self):
         problem = identity_problem([1.0, 2.0])
-        state = SolverState.initial(problem.A, problem.b)
+        kernel, iterate = start(problem.A, problem.b)
         # s = (1, 2), threshold 2.5 -> block {1}, step length 1
-        state, block = step(state, problem.A, "madbcd")
+        iterate, block, _ = step(kernel, iterate, "madbcd")
         assert block.tolist() == [1]
-        assert_allclose(state.x_curr, [0.0, 2.0])
-        assert_allclose(problem.b - problem.A.matvec(state.x_curr), [1.0, 0.0])
+        assert_allclose(iterate[0], [0.0, 2.0])
+        assert_allclose(problem.b - problem.A.matvec(iterate[0]), [1.0, 0.0])
         # s = (1, 0) -> block {0}, lands on the solution
-        state, block = step(state, problem.A, "madbcd")
+        iterate, block, _ = step(kernel, iterate, "madbcd")
         assert block.tolist() == [0]
-        assert_allclose(state.x_curr, [1.0, 2.0])
-        assert_allclose(
-            state.x_curr, reference_lsq_solve(problem.A, problem.b), atol=1e-15
-        )
+        assert_allclose(iterate[0], [1.0, 2.0])
+        assert_allclose(iterate[0], reference_lsq_solve(problem.A, problem.b), atol=1e-15)
 
     def test_momentum_arithmetic(self):
         A, b = DenseMatrix(np.eye(2)), np.array([1.0, 2.0])
-        # x_curr - x_prev = (0, 2), r = b - x_curr = (1, 0)
-        state = SolverState(
-            x_curr=np.array([0.0, 2.0]),
-            x_prev=np.array([0.0, 0.0]),
-            grad=np.array([1.0, 0.0]),
-            grad_step=np.array([0.0, 2.0]),
-            kernel=A.normal_kernel(b),
-            k=1,
-        )
-        state, block = step(state, A, "madbcd", beta=0.5)
+        # x - x_prev = (0, 2), r = b - x = (1, 0), s = (1, 0), u = (0, 2)
+        iterate = (np.array([0.0, 2.0]), np.zeros(2), np.array([1.0, 0.0]), np.array([0.0, 2.0]))
+        (x, _, s, u), block, _ = step(A.normal_kernel(b), iterate, "madbcd", beta=0.5)
         assert block.tolist() == [0]
-        assert_allclose(state.x_curr, [1.0, 3.0])
-        assert_allclose(state.grad_step, [1.0, 1.0])
-        assert_allclose(state.grad, [0.0, -1.0])
-        assert_allclose(state.grad, A.transpose_matvec(b - A.matvec(state.x_curr)))
+        assert_allclose(x, [1.0, 3.0])
+        assert_allclose(u, [1.0, 1.0])
+        assert_allclose(s, [0.0, -1.0])
+        assert_allclose(s, A.transpose_matvec(b - A.matvec(x)))
 
     def test_beta_zero_ignores_momentum_state(self, rng):
         # beta = 0 takes the general formula, which must leave no trace of a
-        # nonzero x_curr - x_prev or u in the result, bit for bit
+        # nonzero x - x_prev or u in the result, bit for bit
         a = rng.standard_normal((15, 6))
-        A = DenseMatrix(a)
         x_curr, x_prev = rng.standard_normal(6), rng.standard_normal(6)
         b = rng.standard_normal(15)
-        kernel = A.normal_kernel(b)
-        state = SolverState(
-            x_curr=x_curr,
-            x_prev=x_prev,
-            grad=a.T @ (b - a @ x_curr),
-            grad_step=a.T @ (a @ (x_curr - x_prev)),
-            kernel=kernel,
-            k=3,
-        )
-        s = state.grad
-        block = select_block_madbcd(s)
-        nxt, eta_dot_s = line_search_update(state, block)
+        kernel = DenseMatrix(a).normal_kernel(b)
+        s = a.T @ (b - a @ x_curr)
+        iterate = (x_curr, x_prev, s, a.T @ (a @ (x_curr - x_prev)))
+        (x, x_prev_next, s_next, u), block, eta_dot_s = step(kernel, iterate, "madbcd")
         g, denom = kernel.step(block, s[block])
         c = eta_dot_s / denom
         expected = x_curr.copy()
         expected[block] += c * s[block]
-        assert np.array_equal(nxt.x_curr, expected)
-        assert np.array_equal(nxt.grad_step, c * g)
-        assert np.array_equal(nxt.grad, s - c * g)
-        assert np.array_equal(nxt.x_prev, x_curr)
+        assert np.array_equal(x, expected)
+        assert np.array_equal(u, c * g)
+        assert np.array_equal(s_next, s - c * g)
+        assert np.array_equal(x_prev_next, x_curr)
 
     @pytest.mark.parametrize("storage", [DenseMatrix, SparseMatrixCSC.from_dense])
     def test_underflowing_step_is_named_as_underflow(self, storage):
         # one nonzero column: ||A_tau eta||^2 = 1e-600 underflows to zero
         A = storage(np.array([[1e-150], [0.0]]))
-        state = SolverState.initial(A, np.array([1.0, 0.0]))
         with pytest.raises(RankDeficiencyError, match="underflowed .* rescale the problem"):
-            step(state, A, "madbcd")
+            step(*start(A, np.array([1.0, 0.0])), "madbcd")
 
     def test_fixed_point_stops_driver(self):
         # b = 0 makes the start x = 0 a solution: s = A^T b is exactly zero
@@ -414,29 +380,24 @@ class TestMadbcdStep:
 class TestFbcdStep:
     def test_orthonormal_one_step(self):
         problem = identity_problem([1.0, 0.0])
-        state = SolverState.initial(problem.A, problem.b)
-        state, _ = step(state, problem.A, "fbcd")
-        assert_allclose(state.x_curr, [1.0, 0.0])
+        (x, *_), _, _ = step(*start(problem.A, problem.b), "fbcd")
+        assert_allclose(x, [1.0, 0.0])
 
     def test_energy_decrease_against_reference(self, rng):
         a = rng.standard_normal((6, 3))
         x_star = rng.standard_normal(3)
-        problem = ProblemInstance(A=DenseMatrix(a), b=a @ x_star, x_star=x_star)
-        x_ref = reference_lsq_solve(a, problem.b)
-        state = SolverState.initial(problem.A, problem.b)
-        before = np.linalg.norm(a @ (state.x_curr - x_ref))
-        state, _ = step(state, problem.A, "fbcd")
-        after = np.linalg.norm(a @ (state.x_curr - x_ref))
-        assert after < before
+        b = a @ x_star
+        x_ref = reference_lsq_solve(a, b)
+        (x, *_), _, _ = step(*start(DenseMatrix(a), b), "fbcd")
+        assert np.linalg.norm(a @ (x - x_ref)) < np.linalg.norm(a @ x_ref)
 
 
 class TestCdStep:
     def test_identity_single_coordinate(self):
         problem = identity_problem([1.0, 2.0])
-        state = SolverState.initial(problem.A, problem.b)
-        state, block = step(state, problem.A, "cd")
+        (x, *_), block, _ = step(*start(problem.A, problem.b), "cd")
         assert block.tolist() == [1]
-        assert_allclose(state.x_curr, [0.0, 2.0])
+        assert_allclose(x, [0.0, 2.0])
 
     @pytest.mark.parametrize("storage", [DenseMatrix, SparseMatrixCSC.from_dense])
     @pytest.mark.parametrize("beta", [0.0, 0.4])
@@ -447,76 +408,69 @@ class TestCdStep:
         kernel = storage(a).normal_kernel(rng.standard_normal(25))
         x_curr, x_prev, u = (rng.standard_normal(6) for _ in range(3))
         s = kernel.c
-        state = SolverState(x_curr, x_prev, s, u, kernel, k=2)
         block = np.array([int(np.abs(s).argmax())])
-        nxt, eta_dot_s = line_search_update(state, block, beta)
+        where, d, g_c, eta_dot_s = line_search(kernel, x_curr, s, block)
+        assert where == block[0] and isinstance(where, int)
+        x_next, s_next, u_next = move(x_curr, x_prev, s, u, where, d, g_c, beta)
         eta = s[block]
         g, denom = kernel.step(block, eta)
         c = float(np.dot(eta, eta)) / denom
         x = x_curr + beta * (x_curr - x_prev) if beta else x_curr.copy()
         x[block] += c * eta
-        u_next = c * g + beta * u if beta else c * g
+        u_want = c * g + beta * u if beta else c * g
         assert eta_dot_s == float(np.dot(eta, eta))
-        assert np.array_equal(nxt.x_curr, x) and np.array_equal(nxt.x_prev, x_curr)
-        assert np.array_equal(nxt.grad_step, u_next) and np.array_equal(nxt.grad, s - u_next)
+        assert np.array_equal(x_next, x)
+        assert np.array_equal(u_next, u_want) and np.array_equal(s_next, s - u_want)
 
     def test_rank_one_averaging(self):
-        A = DenseMatrix([[1.0], [1.0]])
-        state = SolverState.initial(A, np.array([0.0, 2.0]))
-        state, _ = step(state, A, "cd")
-        assert_allclose(state.x_curr, [1.0])
+        (x, *_), _, _ = step(*start(DenseMatrix([[1.0], [1.0]]), np.array([0.0, 2.0])), "cd")
+        assert_allclose(x, [1.0])
 
     def test_matches_madbcd_on_singleton_blocks(self):
         # s = (10, 1, 1): threshold 34 admits only the first coordinate
         a = np.vstack([np.eye(3), np.zeros((1, 3))])
         A = DenseMatrix(a)
         b = np.array([10.0, 1.0, 1.0, 0.0])
-        s0 = A.transpose_matvec(b)
-        block = select_block_madbcd(s0)
+        block = select_block_madbcd(A.transpose_matvec(b))
         assert len(block) == 1
 
-        st_cd, cd_block = step(SolverState.initial(A, b), A, "cd")
+        (x_cd, *_), cd_block, _ = step(*start(A, b), "cd")
         assert cd_block.tolist() == block.tolist()
-        st_mb, _ = step(SolverState.initial(A, b), A, "madbcd")
-        assert_allclose(st_cd.x_curr, st_mb.x_curr, rtol=1e-15, atol=0)
-        assert_allclose(b - A.matvec(st_cd.x_curr), b - A.matvec(st_mb.x_curr), rtol=1e-15, atol=0)
+        (x_mb, *_), _, _ = step(*start(A, b), "madbcd")
+        assert_allclose(x_cd, x_mb, rtol=1e-15, atol=0)
+        assert_allclose(b - A.matvec(x_cd), b - A.matvec(x_mb), rtol=1e-15, atol=0)
 
 
 class TestMrbgsStep:
     def test_singleton_block_for_uneven_gradient(self):
         # s = (1, 2): cutoff 0.3 * 4 = 1.2 excludes the first coordinate
         problem = identity_problem([1.0, 2.0])
-        state = SolverState.initial(problem.A, problem.b)
-        state, block = step(state, problem.A, "mrbgs")
+        (x, *_), block, _ = step(*start(problem.A, problem.b), "mrbgs")
         assert block.tolist() == [1]
-        assert_allclose(state.x_curr, [0.0, 2.0])
+        assert_allclose(x, [0.0, 2.0])
 
     def test_orthonormal_one_step(self):
         problem = identity_problem([1.0, 1.0])
-        state = SolverState.initial(problem.A, problem.b)
-        state, block = step(state, problem.A, "mrbgs")
+        (x, *_), block, _ = step(*start(problem.A, problem.b), "mrbgs")
         assert block.tolist() == [0, 1]
-        assert_allclose(state.x_curr, [1.0, 1.0])
+        assert_allclose(x, [1.0, 1.0])
 
     def test_singleton_equals_cd(self):
         problem = identity_problem([1.0, 2.0])
-        st_m, block = step(SolverState.initial(problem.A, problem.b), problem.A, "mrbgs")
-        st_c, cd_block = step(SolverState.initial(problem.A, problem.b), problem.A, "cd")
+        (x_m, *_), block, _ = step(*start(problem.A, problem.b), "mrbgs")
+        (x_c, *_), cd_block, _ = step(*start(problem.A, problem.b), "cd")
         assert cd_block.tolist() == block.tolist()
-        assert_allclose(st_m.x_curr, st_c.x_curr, rtol=1e-14)
+        assert_allclose(x_m, x_c, rtol=1e-14)
 
     @pytest.mark.parametrize("seed", range(5))
     def test_subsolve_orthogonality(self, seed):
+        # the step leaves the carried s_tau = A_tau^T r orthogonal to A_tau
         rng = np.random.default_rng(seed)
         a = rng.standard_normal((12, 5))
-        A = DenseMatrix(a)
         b = rng.standard_normal(12)
-        state = SolverState.initial(A, b)
-        r_before = np.linalg.norm(state.residual)
-        state, block = step(state, A, "mrbgs")
-        a_tau = a[:, block]
-        bound = 1e-10 * np.linalg.norm(a_tau) * r_before
-        assert np.linalg.norm(a_tau.T @ state.residual) <= bound
+        (_, _, s, _), block, _ = step(*start(DenseMatrix(a), b), "mrbgs")
+        bound = 1e-10 * np.linalg.norm(a[:, block]) * np.linalg.norm(b)
+        assert np.linalg.norm(s[block]) <= bound
 
 
 class TestSubsolveQr:
@@ -544,10 +498,9 @@ class TestSubsolveQr:
     def test_subsolve_names_the_global_column(self, rng):
         a = rng.standard_normal((30, 8))
         a[:, 5] = a[:, 2]
-        A = DenseMatrix(a)
-        state = SolverState.initial(A, rng.standard_normal(30))
+        kernel, (x, _, s, _) = start(DenseMatrix(a), rng.standard_normal(30))
         with pytest.raises(RankDeficiencyError) as exc:
-            subsolve_update(state, np.array([0, 2, 5, 7], dtype=np.int64))
+            subsolve(kernel, x, s, np.array([0, 2, 5, 7], dtype=np.int64))
         assert exc.value.column == 5
 
     def test_solver_does_not_use_the_oracle(self, monkeypatch):
@@ -563,6 +516,20 @@ class TestSubsolveQr:
         assert report.converged
 
 
+def count_calls(monkeypatch, cls, *names):
+    """{name: calls so far} for each of `cls`'s methods `names`, counted as they run."""
+    calls = dict.fromkeys(names, 0)
+    for name in names:
+        original = getattr(cls, name)
+
+        def counted(self, *args, _name=name, _original=original):
+            calls[_name] += 1
+            return _original(self, *args)
+
+        monkeypatch.setattr(cls, name, counted)
+    return calls
+
+
 @pytest.fixture
 def qr_calls(monkeypatch):
     """Counts the subsolve's calls to the QR fallback, solving as before."""
@@ -576,8 +543,24 @@ def qr_calls(monkeypatch):
     return calls
 
 
-class TestSubsolveCsne:
-    """The corrected semi-normal equations on G_tau, and their QR fallback."""
+def first_subsolve(A, b, block):
+    """The subsolve's d on `block` from x = 0."""
+    kernel, (x, _, s, _) = start(A, b)
+    return subsolve(kernel, x, s, block)[1]
+
+
+# mrbgs on 80x6 Gaussians whose column 3 lies within 1e-4 of column 0, per
+# (storage, threshold): the steps of seeds 0-7 to "converged: rse threshold"
+NEAR_DUPLICATE_STEPS = {
+    ("dense", 1e-12): [23, 24, 24, 28, 21, 22, 33, 35],
+    ("dense", 1e-10): [19, 20, 21, 24, 19, 19, 29, 32],
+    ("csc", 1e-12): [23, 19, 24, 25, 20, 23, 20, 18],
+    ("csc", 1e-10): [20, 17, 20, 22, 15, 21, 17, 18],
+}
+
+
+class TestSubsolve:
+    """The subsolve on (G_tau, s_tau), and its QR fallback on a fresh r."""
 
     @pytest.mark.parametrize("storage", ["dense", "csc"])
     @pytest.mark.parametrize("top", [0, 6])
@@ -589,21 +572,21 @@ class TestSubsolveCsne:
         a *= scales
         b = rng.standard_normal(80)
         A = DenseMatrix(a) if storage == "dense" else SparseMatrixCSC.from_dense(a)
-        # the last block spans the whole 1e6 and may fall back to the QR
+        # each block spans at least 1e3 of the 1e6 and falls back to the QR
         for block in ([0, 3, 5, 7], [2, 9], [0, 4, 8, 11]):
             block = np.array(block)
-            d = subsolve_update(SolverState.initial(A, b), block).x_curr[block]
+            d = first_subsolve(A, b, block)
             want = oracle.householder_lstsq(a[:, block], b)
             # compared on the equilibrated columns, where both solves are accurate
             err = np.linalg.norm((d - want) * scales[block])
             assert err <= 1e-12 * np.linalg.norm(want * scales[block]), block
-            if block[-1] != 11:
-                assert qr_calls == [], block
+            assert qr_calls == ([block.size] if top else []), block
+            qr_calls.clear()
 
     @pytest.mark.parametrize("storage", ["dense", "csc"])
-    def test_correction_step_keeps_qr_accuracy(self, rng, qr_calls, storage):
-        # column 3 lies within 1e-4 of column 0: cond(A_tau) is about 2e4, so the
-        # uncorrected solve of G_tau would err by about cond^2 u, near 1e-8
+    def test_ill_conditioned_block_keeps_qr_accuracy(self, rng, qr_calls, storage):
+        # column 3 lies within 1e-4 of column 0: cond(A_tau) is about 2e4, past
+        # the pivot cut, and a solve of G_tau would err by about cond^2 u, near 1e-8
         a = rng.standard_normal((80, 6))
         if storage == "csc":
             a *= rng.random(a.shape) < 0.4
@@ -612,8 +595,8 @@ class TestSubsolveCsne:
         x = rng.standard_normal(4)
         b = a[:, block] @ x
         A = DenseMatrix(a) if storage == "dense" else SparseMatrixCSC.from_dense(a)
-        d = subsolve_update(SolverState.initial(A, b), block).x_curr[block]
-        assert qr_calls == []
+        d = first_subsolve(A, b, block)
+        assert qr_calls == [4]
         want = oracle.householder_lstsq(a[:, block], b)
         assert np.linalg.norm(d - want) <= 1e-11 * np.linalg.norm(want)
         assert np.linalg.norm(d - x) <= 1e-11 * np.linalg.norm(x)
@@ -630,17 +613,16 @@ class TestSubsolveCsne:
         a = rng.standard_normal((30, 3))
         a[:, 2] = a[:, 0] + 1e-7 * rng.standard_normal(30)
         b = rng.standard_normal(30)
-        assert solvers.csne_lstsq(a, a.T @ a, b) is None
-        state = SolverState.initial(DenseMatrix(a), b)
-        d = subsolve_update(state, np.arange(3)).x_curr
+        d = first_subsolve(DenseMatrix(a), b, np.arange(3))
         assert qr_calls == [3]
         want = oracle.householder_lstsq(a, b)
         assert_allclose(d, want, rtol=1e-6)
 
     @pytest.mark.parametrize("top, steps", [(3, 276), (6, 1484), (9, 4496)])
     def test_pinned_counts_on_scaled_columns(self, qr_calls, top, steps):
-        # the counts of the QR-only subsolve, which CSNE keeps; under the wider
-        # scalings some blocks' Cholesky pivots spread past CSNE_PIVOT_RATIO
+        # the counts of the QR-only subsolve, which the solve of G_tau keeps;
+        # under the wider scalings some blocks' Cholesky pivots spread past
+        # SUBSOLVE_PIVOT_RATIO
         rng = np.random.default_rng(0)
         a = rng.standard_normal((200, 20)) * np.logspace(0, top, 20)
         b = rng.standard_normal(200)
@@ -652,6 +634,28 @@ class TestSubsolveCsne:
         assert report.stop_reason == "converged: gradient fallback threshold"
         assert report.iterations == steps
         assert (len(qr_calls) > 0) == (top > 3)
+
+    @pytest.mark.parametrize("seed", range(8))
+    @pytest.mark.parametrize("storage, threshold", NEAR_DUPLICATE_STEPS)
+    def test_pinned_counts_on_a_near_duplicate_column(self, storage, threshold, seed):
+        # d is read from the carried s, whose rounding a step from G_tau sets
+        # near eps ||G|| ||d||: a block this ill-conditioned must take the QR,
+        # or the dense runs stall short of 1e-12 (at a cut of 1e-6, seeds 0
+        # and 3 end on the cap)
+        rng = np.random.default_rng(seed)
+        x_star = rng.standard_normal(6)
+        a = rng.standard_normal((80, 6))
+        if storage == "csc":
+            a *= rng.random(a.shape) < 0.4
+        a[:, 3] = a[:, 0] + 1e-4 * rng.standard_normal(80)
+        A = DenseMatrix(a) if storage == "dense" else SparseMatrixCSC.from_dense(a)
+        report = run_solver(
+            ProblemInstance(A=A, b=a @ x_star, x_star=x_star),
+            MethodParams("mrbgs"),
+            StoppingRule(rse_threshold=threshold, max_iterations=5000),
+        )
+        assert report.stop_reason == "converged: rse threshold"
+        assert report.iterations == NEAR_DUPLICATE_STEPS[storage, threshold][seed]
 
 
 class TestComputeRse:
@@ -851,15 +855,7 @@ class TestRunSolver:
         # a line-search run passes over A once, for the start's s = A^T b.
         # cs-madbcd also checks the unsketched system's consistency.
         problem = rotated_problem(300, 40, 100.0, 0.0, 11)
-        calls = dict.fromkeys(("transpose_matvec", "restricted_matvec", "matvec"), 0)
-        for name in calls:
-            original = getattr(DenseMatrix, name)
-
-            def counted(self, *args, _name=name, _original=original):
-                calls[_name] += 1
-                return _original(self, *args)
-
-            monkeypatch.setattr(DenseMatrix, name, counted)
+        calls = count_calls(monkeypatch, DenseMatrix, "transpose_matvec", "restricted_matvec", "matvec")
         momentum = method in ("madbcd", "cs-madbcd")
         params = MethodParams(
             method, 0.3 if momentum else 0.0, d_factor=4 if method == "cs-madbcd" else None
@@ -885,15 +881,7 @@ class TestRunSolver:
         problem = problems.build_problem(
             {"kind": "sparse-gaussian", "m": 4000, "n": 100, "density": 0.05}, 0
         )
-        calls = dict.fromkeys(("transpose_matvec", "restricted_matvec", "matvec"), 0)
-        for name in calls:
-            original = getattr(SparseMatrixCSC, name)
-
-            def counted(self, *args, _name=name, _original=original):
-                calls[_name] += 1
-                return _original(self, *args)
-
-            monkeypatch.setattr(SparseMatrixCSC, name, counted)
+        calls = count_calls(monkeypatch, SparseMatrixCSC, "transpose_matvec", "restricted_matvec", "matvec")
         report = run_solver(problem, MethodParams(method), StoppingRule(rse_threshold=1e-12))
         assert report.converged and report.iterations > RESIDUAL_REFRESH
         drifts = len(report.residual_drift)
@@ -939,23 +927,22 @@ class TestRunSolver:
             report = run_solver(problem, MethodParams("fbcd"), StoppingRule())
             assert report.converged and len(calls) == want
 
-    @pytest.mark.parametrize("blind", [False, True])
-    def test_mrbgs_forms_r_once_per_refresh(self, monkeypatch, blind):
-        # r starts as b and each refresh, periodic or confirming a stop, keeps
-        # the r it forms, so the refresh's matvec is the run's only one
-        if blind:
-            problem, stop = blind_problem(), StoppingRule(rse_threshold=1e-10)
-        else:
-            problem = make_consistent_problem(gen_gaussian_dense(300, 40, 11), 12)
-            stop = StoppingRule(rse_threshold=None, max_iterations=2 * RESIDUAL_REFRESH + 7)
-        calls = []
-        original = DenseMatrix.matvec
-        monkeypatch.setattr(
-            DenseMatrix, "matvec", lambda self, x: calls.append(1) or original(self, x)
-        )
-        report = run_solver(problem, MethodParams("mrbgs"), stop)
-        assert len(report.residual_drift) >= 2
-        assert len(calls) == len(report.residual_drift)
+    def test_mrbgs_reads_no_length_m_vector_until_a_block_falls_back(self, monkeypatch, qr_calls):
+        # a dense subsolve reads G_tau from G and s_tau from s: a run that stops
+        # on its rse threshold before its first refresh passes over A only for
+        # c = A^T b.  A block that falls back forms r = b - A x once, for the QR
+        problem = make_consistent_problem(gen_gaussian_dense(200, 20, 3), 4)
+        calls = count_calls(monkeypatch, DenseMatrix, "matvec", "gather_columns", "restricted_matvec")
+        report = run_solver(problem, MethodParams("mrbgs"), StoppingRule(rse_threshold=1e-12))
+        assert report.stop_reason == "converged: rse threshold"
+        assert 5 < report.iterations < RESIDUAL_REFRESH
+        assert calls == dict.fromkeys(calls, 0) and qr_calls == []
+        rng = np.random.default_rng(2)
+        a = rng.standard_normal((30, 3))
+        a[:, 2] = a[:, 0] + 1e-7 * rng.standard_normal(30)
+        first_subsolve(DenseMatrix(a), np.ones(30), np.arange(3))
+        assert calls == {"matvec": 1, "gather_columns": 1, "restricted_matvec": 0}
+        assert qr_calls == [3]
 
     def test_blind_run_passes_over_a_once_to_start(self, monkeypatch):
         # the gradient-fallback floor reads ||A^T b|| from the start's s
@@ -986,20 +973,15 @@ class TestRunSolver:
         assert report.residual_drift
         assert report.residual_drift[-1][0] == report.iterations
 
-    def test_refresh_rederives_s_and_keeps_u(self, rng):
+    def test_refresh_rederives_s(self, rng):
         problem = make_consistent_problem(gen_gaussian_dense(60, 12, 3), 4)
-        A, a = problem.A, problem.A.to_dense()
-        state = SolverState.initial(A, problem.b)
+        a = problem.A.to_dense()
+        kernel, iterate = start(problem.A, problem.b)
         for _ in range(3):
-            state, _ = step(state, A, "mrbgs")
-        state = replace(state, grad=state.grad + 1e-3 * rng.standard_normal(12))
-        fresh, drift = state.refreshed()
-        want = a.T @ (problem.b - a @ state.x_curr)
-        assert_allclose(fresh.grad, want, rtol=1e-12, atol=1e-12 * np.linalg.norm(want))
-        assert drift == pytest.approx(np.linalg.norm(state.grad - fresh.grad))
-        assert fresh.grad_step is state.grad_step
-        # the refresh keeps the r it formed, so mrbgs reads it without a matvec
-        assert np.array_equal(fresh.residual, problem.b - A.matvec(state.x_curr))
+            iterate, _, _ = step(kernel, iterate, "mrbgs")
+        x, s = iterate[0], iterate[2] + 1e-3 * rng.standard_normal(12)
+        want = a.T @ (problem.b - a @ x)
+        assert_allclose(kernel.refresh(x, s), want, rtol=1e-12, atol=1e-12 * np.linalg.norm(want))
 
     def test_each_refreshed_iterate_logs_one_drift(self, monkeypatch):
         # a periodic refresh that meets a proposed stop on s is one refresh
@@ -1025,16 +1007,16 @@ class TestRunSolver:
             record_history=True,
         )
         assert report.converged and len(report.residual_drift) >= 5
-        state = SolverState.initial(A, problem.b)
-        replayed = [state.x_curr]
-        while compute_rse(state.x_curr, problem.x_star) >= threshold:
-            state, _ = step(state, A, "madbcd", beta=0.5)
-            if state.k % RESIDUAL_REFRESH == 0:
-                state, _ = state.refreshed()
-                u = a.T @ (a @ (state.x_curr - state.x_prev))
-                state = replace(state, grad_step=u)
-            replayed.append(state.x_curr)
-        assert state.k == report.iterations
+        kernel, iterate = start(A, problem.b)
+        replayed, k = [iterate[0]], 0
+        while compute_rse(iterate[0], problem.x_star) >= threshold:
+            iterate, _, _ = step(kernel, iterate, "madbcd", beta=0.5)
+            k += 1
+            if k % RESIDUAL_REFRESH == 0:
+                x, x_prev, s, _ = iterate
+                iterate = (x, x_prev, kernel.refresh(x, s), a.T @ (a @ (x - x_prev)))
+            replayed.append(iterate[0])
+        assert k == report.iterations
         for x, y in zip(report.iterate_history[1:], replayed[1:]):
             assert np.linalg.norm(x - y) <= 1e-12 * np.linalg.norm(y)
 
