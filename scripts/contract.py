@@ -4,10 +4,11 @@
 to its cells, and each cell to its repeats' iteration counts and stop
 reasons, as `blockcd bench` records them in `manifest.json`.  Curve values
 stay out: their last bits may differ between BLAS builds.  `check` also
-reads back each cell's `curves/<label>.csv`, which must hold one row per
-iterate of the cell's first repeat (its iterations + 1, k=0 included), and
-refuses a curve file of no cell.  With each config's bench output in
-OUT/<stem> (`blockcd bench --config configs/<stem>.json --out OUT/<stem>`):
+reads back each cell's `curves/<label>.csv`, which must have the columns
+`read_curve_csv` reads and one row per iterate of the cell's first repeat
+(its iterations + 1, k=0 included), and refuses a curve file of no cell.
+With each config's bench output in OUT/<stem>
+(`blockcd bench --config configs/<stem>.json --out OUT/<stem>`):
 
     python scripts/contract.py check OUT   # name every differing run or curve; exit 1 if any
     python scripts/contract.py write OUT   # regenerate the contract from OUT
@@ -62,8 +63,9 @@ def differences(want: dict, got: dict) -> list[str]:
 
 
 def curve_errors(out: pathlib.Path, runs: dict) -> list[str]:
-    """One line per cell whose curve is missing or has a row count other
-    than its first repeat's iterations + 1, and per curve file of no cell."""
+    """One line per cell whose curve is missing, does not read back (other
+    columns, or a cell of the wrong type) or has a row count other than its
+    first repeat's iterations + 1, and per curve file of no cell."""
     lines = []
     for stem, cells in runs.items():
         curves = out / stem / "curves"
@@ -72,7 +74,12 @@ def curve_errors(out: pathlib.Path, runs: dict) -> list[str]:
             if not path.exists():
                 lines.append(f"{stem} {label}: no curve {path.name}")
                 continue
-            got, want = len(read_curve_csv(path)), repeats[0]["iterations"] + 1
+            try:
+                got = len(read_curve_csv(path))
+            except ValueError as exc:
+                lines.append(f"{stem} {label}: {exc}")
+                continue
+            want = repeats[0]["iterations"] + 1
             if got != want:
                 lines.append(f"{stem} {label}: curve has {got} rows, want {want}")
         lines += [

@@ -46,8 +46,7 @@ __all__ = [
     "read_curve_csv",
 ]
 
-# IterationRecord fields, one curve column each
-CURVE_COLUMNS = ["k", "rse", "normal_residual", "block_size", "elapsed_s"]
+CURVE_COLUMNS = [f.name for f in fields(IterationRecord)]
 
 # columns derived from wall-clock measurements, exempt from byte-reproducibility
 TIMING_COLUMNS = ("mean_prep_s", "mean_solve_s", "mean_total_s", "speedup_vs_madbcd", "elapsed_s")
@@ -181,6 +180,7 @@ def run_summary(report: ConvergenceReport) -> dict:
         "prep_seconds": report.prep_seconds,
         "solve_seconds": report.solve_seconds,
         "kernel_seconds": report.kernel_seconds,
+        "scale_exponents": report.scale_exponents,
     }
 
 

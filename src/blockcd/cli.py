@@ -155,7 +155,7 @@ def _cmd_solve(args) -> int:
     final = report.records[-1]
     rse_txt = (
         f"rse={final.rse:.3e}" if final.rse is not None
-        else f"grad={final.normal_residual:.3e}"
+        else f"grad/grad0={final.normal_residual / (report.records[0].normal_residual or 1.0):.3e}"
     )
     print(
         f"{report.method} on {report.problem_label}: {report.stop_reason} after "

@@ -66,8 +66,9 @@ class ZeroColumnError(ValueError):
 class ProblemInstance:
     """A least-squares instance: coefficients, right-hand side, optional truth.
 
-    Construction keeps A's `column_norms`, read-only, for fbcd's block rule,
-    and derives `scale_exponents` (p, q): run_solver solves 2^p A x = 2^q b.
+    Construction keeps A's `column_norms` for fbcd's block rule, and copies
+    of `b` and `x_star`, all read-only, so the cached facts stay true; it
+    derives `scale_exponents` (p, q): run_solver solves 2^p A x = 2^q b.
     """
 
     A: Matrix
@@ -76,7 +77,7 @@ class ProblemInstance:
     label: str = ""
 
     def __post_init__(self):
-        self.b = np.asarray(self.b, dtype=np.float64)
+        self.b = np.array(self.b, dtype=np.float64)
         if self.A.rows < self.A.cols:
             raise ValueError(
                 f"matrix is wider than tall ({self.A.rows}x{self.A.cols}); the "
@@ -114,11 +115,13 @@ class ProblemInstance:
                 )
             raise ZeroColumnError(j)
         _refuse_non_finite("right-hand side", self.b)
+        self.b.flags.writeable = False
         # out of band, 2^p max_j ||a_j|| and 2^q max_i |b_i| lie in [1/2, 1)
         p, q = (-math.frexp(float(v.max()))[1] for v in (norms, np.abs(self.b)))
         self.scale_exponents = (0, 0) if max(abs(p), abs(q)) <= SCALE_BAND_LOG2 else (p, q)
         if self.x_star is not None:
-            self.x_star = np.asarray(self.x_star, dtype=np.float64)
+            self.x_star = np.array(self.x_star, dtype=np.float64)
+            self.x_star.flags.writeable = False
             if self.x_star.shape != (self.A.cols,):
                 raise ValueError(
                     f"reference solution must have length {self.A.cols}, "

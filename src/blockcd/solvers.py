@@ -47,7 +47,7 @@ from __future__ import annotations
 
 import math
 import time
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 from functools import partial
 from typing import Callable, get_type_hints
 
@@ -159,9 +159,10 @@ class StoppingRule:
 class IterationRecord:
     """Per-iterate trace entry; block fields describe the step leaving it.
 
-    `normal_residual` is ||s||, the incrementally carried s = A^T r (fresh
-    at a refresh and at a stop on it).  Each curve column is one of these fields.
-    A rescaled run (`run_solver`) keeps `eta_dot_s`, a square, in its own units.
+    Each field is a curve column, in the units of the system the run
+    iterated on.  `normal_residual` is ||s||, the incrementally carried
+    s = A^T r (fresh at a refresh and at a stop on it); `drift` is
+    ||s - fresh s|| where a refresh ran (``NormalKernel.refresh``), else NaN.
     """
 
     k: int
@@ -170,16 +171,16 @@ class IterationRecord:
     block_size: int
     elapsed_s: float
     eta_dot_s: float = math.nan
+    drift: float = math.nan
 
 
 @dataclass
 class ConvergenceReport:
     """Everything a run produced: history, final iterate, and why it stopped.
 
-    `residual_drift` holds (k, ||s - fresh s||) once per refreshed iterate:
-    every RESIDUAL_REFRESH steps, and where a stop on the normal residual is
-    proposed.  It is the drift of the carried s, against the s the refresh
-    took (``NormalKernel.refresh``): c - G x_k or A^T (b - A x_k).
+    `x_final` and `iterate_history` are in the problem's units, `records`
+    in the run's: with (p, q) its `scale_exponents`, a norm of s there is
+    2^(p + q) times the problem's, and eta^T s 2^(2(p + q)) times.
     `kernel_seconds` is the part of `solve_seconds` spent making the run's
     kernel (c = A^T b, and G on dense input); the rest is the steps.
     `converged` follows `stop_reason`: derived from it when not given,
@@ -196,7 +197,7 @@ class ConvergenceReport:
     prep_seconds: float = 0.0
     kernel_seconds: float = 0.0
     problem_label: str = ""
-    residual_drift: list[tuple[int, float]] = field(default_factory=list)
+    scale_exponents: tuple[int, int] = (0, 0)
     iterate_history: list[np.ndarray] | None = None
     block_history: list[np.ndarray] | None = None
 
@@ -416,8 +417,8 @@ def run_solver(
     keeps a copy of every iterate and every block, for the oracle's audits.
     Non-convergence by iteration or time limit is a reported outcome, not an
     error.  A problem with nonzero `scale_exponents` (p, q) is solved as
-    2^p A x = 2^q b, in the same steps, and x maps back by 2^(p - q) and
-    ||s|| by 2^-(p + q).
+    2^p A x = 2^q b, in the same steps; x maps back by 2^(p - q), and the
+    records stay in the run's units.
 
     cs-madbcd first compresses `problem` with a count sketch drawn from
     `sketch_seed` (which it requires, and the other methods ignore); its
@@ -469,8 +470,7 @@ def run_solver(
     if rse_of is None and stop.rse_threshold is not None:
         grad_floor = stop.rse_threshold * float(np.linalg.norm(s))
     # one list per IterationRecord field; the records are built after the loop
-    rses, norms, sizes, times, etas = [], [], [], [], []
-    drift_log: list[tuple[int, float]] = []
+    rses, norms, sizes, times, etas, drifts = [], [], [], [], [], []
     iterates, blocks = ([x.copy()], []) if record_history else (None, None)
 
     k = 0
@@ -479,6 +479,7 @@ def run_solver(
         s_norm_sq = float(np.dot(s, s))
         elapsed = time.perf_counter() - t0
         stop_reason = verdict(s_norm_sq, rse, k, elapsed)
+        drift = math.nan
         if stop_reason in (ZERO_RESIDUAL_STOP, GRADIENT_FALLBACK_STOP) or (
             k > 0 and k % RESIDUAL_REFRESH == 0
         ):
@@ -486,13 +487,14 @@ def run_solver(
             # it only if the fresh A^T (b - A x) agrees (a refresh from G
             # never admits a stop on s)
             fresh = kernel.refresh(x, s, grad_floor or 0.0)
-            drift_log.append((k, float(np.linalg.norm(s - fresh))))
+            drift = float(np.linalg.norm(s - fresh))
             s = fresh
             s_norm_sq = float(np.dot(s, s))
             stop_reason = verdict(s_norm_sq, rse, k, elapsed)
         rses.append(rse)
         norms.append(math.sqrt(s_norm_sq))
         times.append(elapsed)
+        drifts.append(drift)
         if stop_reason:
             sizes.append(0)
             etas.append(math.nan)
@@ -510,14 +512,9 @@ def run_solver(
             blocks.append(block)
 
     solve_seconds = time.perf_counter() - t0
-    if p or q:  # a norm beyond double range in the problem's units reads inf there
+    if p or q:
         iterates = iterates and [np.ldexp(x, p - q) for x in iterates]
-        with np.errstate(over="ignore"):
-            norms = np.ldexp(norms, -p - q).tolist()
-            drift_log = [(k, float(np.ldexp(v, -p - q))) for k, v in drift_log]
-    records = [
-        IterationRecord(k, *fields) for k, fields in enumerate(zip(rses, norms, sizes, times, etas))
-    ]
+    records = list(map(IterationRecord, range(k + 1), rses, norms, sizes, times, etas, drifts))
     return ConvergenceReport(
         method=params.method,
         beta=params.beta,
@@ -528,7 +525,7 @@ def run_solver(
         prep_seconds=prep_seconds,
         kernel_seconds=kernel_seconds,
         problem_label=problem_label,
-        residual_drift=drift_log,
+        scale_exponents=(p, q),
         iterate_history=iterates,
         block_history=blocks,
     )

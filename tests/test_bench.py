@@ -2,6 +2,7 @@ import csv
 import dataclasses
 import io
 import json
+import math
 import weakref
 from pathlib import Path
 
@@ -10,8 +11,8 @@ import pytest
 
 from blockcd import (
     ExperimentConfig,
-    IterationRecord,
     MethodParams,
+    ProblemInstance,
     StoppingRule,
     beta_sweep_config,
     build_problem,
@@ -20,6 +21,8 @@ from blockcd import (
     read_curve_csv,
     read_summary_csv,
     run_experiment,
+    run_solver,
+    write_curve_csv,
 )
 from blockcd import bench
 from blockcd.bench import CURVE_COLUMNS, SUMMARY_COLUMNS, TIMING_COLUMNS
@@ -348,8 +351,18 @@ class TestSpeedup:
 
 
 class TestEmitOutputs:
-    def test_every_curve_column_is_a_record_field(self):
-        assert set(CURVE_COLUMNS) <= {f.name for f in dataclasses.fields(IterationRecord)}
+    def test_curve_round_trips_every_record_field(self, tmp_path):
+        # a run without x_star confirms its stop on a refreshed s, so its last
+        # record carries a drift and its rse cells are empty
+        problem = build_problem({"kind": "gaussian", "m": 200, "n": 30}, 7)
+        blind = ProblemInstance(A=problem.A, b=problem.b)
+        report = run_solver(blind, MethodParams("madbcd", 0.1), StoppingRule(1e-8))
+        assert not math.isnan(report.records[-1].drift)
+        write_curve_csv(tmp_path / "curve.csv", report.records)
+        back = read_curve_csv(tmp_path / "curve.csv")
+        assert list(back[0]) == CURVE_COLUMNS
+        # repr is exact on floats and reads NaN equal to NaN
+        assert repr(back) == repr([dataclasses.asdict(r) for r in report.records])
 
     def test_round_trip_summary(self, tmp_path):
         cfg = small_config(tmp_path)

@@ -198,6 +198,19 @@ def test_gen_then_solve_bundle(tmp_path, capsys):
     assert main(["solve", "--problem", str(bundle), "--method", "fbcd"]) == 0
 
 
+def test_solve_without_x_star_prints_its_gradient_relative_to_the_start(tmp_path, capsys):
+    # a ratio of two norms of s is the same in a rescaled run's units as in
+    # the problem's, so a run on b times 1e200 prints it below --tol too
+    bundle = tmp_path / "bundle"
+    assert main(["gen", "--problem", "gaussian:200:20", "--seed", "1", "--out", str(bundle)]) == 0
+    np.savetxt(bundle / "b.txt", 1e200 * np.loadtxt(bundle / "b.txt"))
+    (bundle / "x_star.txt").unlink()
+    capsys.readouterr()
+    assert main(["solve", "--problem", str(bundle), "--method", "madbcd"]) == 0
+    (ratio,) = re.findall(r"grad/grad0=(\S+),", capsys.readouterr().out)
+    assert 0.0 < float(ratio) <= 1e-6
+
+
 def test_solve_matrix_market_file_of_a_bundle(tmp_path):
     bundle = tmp_path / "bundle"
     assert main(["gen", "--problem", "sparse:80:12:0.2", "--seed", "5", "--out", str(bundle)]) == 0
@@ -334,8 +347,9 @@ def test_report_json_and_manifest_share_run_fields(tmp_path):
     (run,) = manifest["runs"]["madbcd_b0.1"]
     assert list(report) == [
         "method", "problem", "iterations", "converged", "stop_reason",
-        "prep_seconds", "solve_seconds", "kernel_seconds",
+        "prep_seconds", "solve_seconds", "kernel_seconds", "scale_exponents",
     ]
+    assert report["scale_exponents"] == [0, 0]
     assert set(run) == set(report) - {"method"}
 
 

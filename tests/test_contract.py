@@ -8,6 +8,7 @@ from pathlib import Path
 import pytest
 
 from blockcd import IterationRecord, write_curve_csv
+from blockcd.bench import CURVE_COLUMNS
 
 ROOT = Path(__file__).resolve().parents[1]
 SCRIPT = ROOT / "scripts" / "contract.py"
@@ -71,8 +72,9 @@ def test_one_differing_run_fails_and_is_named(tmp_path, edit):
         ("missing", "table1_desk cd: no curve cd.csv"),
         ("short", "table1_desk cd: curve has {rows} rows, want {want}"),
         ("stray", "table1_desk cd_b0.2: curve of no cell"),
+        ("header", "table1_desk cd: unexpected columns {stale} in {curve}, want {columns}"),
     ],
-    ids=["missing", "short", "stray"],
+    ids=["missing", "short", "stray", "header"],
 )
 def test_missing_short_or_stray_curve_fails_and_is_named(tmp_path, edit, named):
     out = bench_output(tmp_path, CONTRACT)
@@ -82,8 +84,15 @@ def test_missing_short_or_stray_curve_fails_and_is_named(tmp_path, edit, named):
         curve.unlink()
     elif edit == "short":
         curve.write_text("".join(curve.read_text().splitlines(keepends=True)[:-1]))
-    else:
+    elif edit == "stray":
         curve.with_name("cd_b0.2.csv").write_text(curve.read_text())
+    else:  # a curve without its last two columns, as an older bench wrote it
+        lines = curve.read_text().splitlines(keepends=True)
+        curve.write_text("".join(",".join(line.split(",")[:5]) + "\n" for line in lines))
     result = check(out)
     assert result.returncode == 1
-    assert result.stdout.splitlines() == [named.format(rows=want - 1, want=want)]
+    assert result.stdout.splitlines() == [
+        named.format(
+            rows=want - 1, want=want, stale=CURVE_COLUMNS[:5], curve=curve, columns=CURVE_COLUMNS
+        )
+    ]

@@ -6,6 +6,7 @@ import numpy as np
 
 import blockcd
 from blockcd import bench, matrix, oracle, problems, sketch, solvers
+from blockcd.bench import CURVE_COLUMNS
 
 MODULES = (matrix, oracle, problems, sketch, solvers, bench)
 README = Path(__file__).resolve().parents[1] / "README.md"
@@ -38,3 +39,9 @@ def test_readme_library_example_runs_and_its_cs_madbcd_forms_agree_bit_for_bit()
     stop = blockcd.StoppingRule(rse_threshold=None, max_iterations=5)
     capped = blockcd.run_solver(namespace["problem"], blockcd.MethodParams("madbcd"), stop)
     assert np.array_equal(namespace["x"], capped.x_final)
+
+
+def test_readme_curve_header_is_curve_columns():
+    readme = README.read_text(encoding="utf-8")
+    (header,) = re.findall(r"`curves/<method>\.csv`\s+\(`([^`]*)`", readme)
+    assert header == ",".join(CURVE_COLUMNS)

@@ -279,6 +279,27 @@ class TestConsistentIsComputedOnFirstRead:
         assert problem.consistent and problem.consistent
         assert calls == [1]
 
+    def test_callers_arrays_may_change_under_a_built_problem(self):
+        # the problem holds read-only copies of b and x_star: an edit of the
+        # caller's arrays changes neither its cached facts nor a run on it
+        A = gen_gaussian_dense(200, 20, 1)
+        x_star = np.random.default_rng(0).standard_normal(20)
+        b = A.matvec(x_star)
+        params, stop = MethodParams("madbcd", 0.1), StoppingRule()
+        want = run_solver(ProblemInstance(A=A, b=b.copy(), x_star=x_star.copy()), params, stop)
+        problem = ProblemInstance(A=A, b=b, x_star=x_star)
+        assert problem.consistent
+        b[:] = 0.0
+        x_star[:] = 1.0
+        assert np.array_equal(problem.b, A.matvec(problem.x_star)) and problem.x_star[0] != 1.0
+        got = run_solver(problem, params, stop)
+        assert got.stop_reason == want.stop_reason == "converged: rse threshold"
+        assert got.iterations == want.iterations > 0
+        assert np.array_equal(got.x_final, want.x_final)
+        for v in (problem.b, problem.x_star):
+            with pytest.raises(ValueError, match="read-only"):
+                v[0] = 0.0
+
     def test_consistent_cannot_be_declared(self):
         with pytest.raises(TypeError):
             ProblemInstance(A=DenseMatrix(np.eye(3)), b=np.ones(3), consistent=True)

@@ -255,13 +255,22 @@ class TestCsPrepare:
         assert one.converged and np.array_equal(one.x_final, two.x_final)
         assert (one.iterations, one.stop_reason) == (two.iterations, two.stop_reason)
 
-        # eta_dot_s is in a run's units, 2^(2(p + q)) times the problem's, and each
-        # form takes (p, q) from the problem it solves; both are 0 in the scale band
-        shift = 2 * (sum(problem.scale_exponents) - sum(sketched.scale_exponents))
+        # records are in a run's units: a norm of s is 2^(p + q) times the
+        # problem's, eta^T s 2^(2(p + q)) times, and each form takes (p, q) from
+        # the problem it solves; both are 0 in the scale band
+        assert one.scale_exponents == problem.scale_exponents
+        assert two.scale_exponents == sketched.scale_exponents
+        shift = sum(one.scale_exponents) - sum(two.scale_exponents)
 
         def untimed(report, k=0):
             return [
-                repr(dataclasses.replace(r, elapsed_s=0.0, eta_dot_s=math.ldexp(r.eta_dot_s, k)))
+                repr(dataclasses.replace(
+                    r,
+                    elapsed_s=0.0,
+                    normal_residual=math.ldexp(r.normal_residual, k),
+                    drift=math.ldexp(r.drift, k),
+                    eta_dot_s=math.ldexp(r.eta_dot_s, 2 * k),
+                ))
                 for r in report.records
             ]
 

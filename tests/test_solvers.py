@@ -212,10 +212,15 @@ def test_every_method_moves_by_the_shared_transition():
             iterate = nxt
 
 
+def refreshed(report):
+    """The (k, drift) of every record whose s was refreshed."""
+    return [(r.k, r.drift) for r in report.records if not math.isnan(r.drift)]
+
+
 def replay(problem, params, stop, sketch_seed):
     """run_solver's run stepped through the public step functions, ``move`` and
     the kernel's refresh: the records' (k, rse, normal_residual, block_size,
-    eta_dot_s), the drift log and the final iterate."""
+    eta_dot_s, drift) and the final iterate."""
     if params.d_factor is not None:
         problem, _ = cs_prepare(problem, params.sketch_rows(problem.A.cols), sketch_seed)
     select = block_rule(params, problem.column_norms)
@@ -225,14 +230,15 @@ def replay(problem, params, stop, sketch_seed):
     floor = None
     if rse_of is None:
         floor = stop.rse_threshold * float(np.linalg.norm(s))
-    records, drifts, k = [], [], 0
+    records, k = [], 0
     while True:
         rse = None if rse_of is None else rse_of(x)
         norm = math.sqrt(float(np.dot(s, s)))
         proposed = floor is not None and norm <= floor
+        drift = math.nan
         if proposed or (k and k % RESIDUAL_REFRESH == 0):
             fresh = kernel.refresh(x, s, floor or 0.0)
-            drifts.append((k, float(np.linalg.norm(s - fresh))))
+            drift = float(np.linalg.norm(s - fresh))
             s = fresh
             norm = math.sqrt(float(np.dot(s, s)))
         if (
@@ -240,13 +246,13 @@ def replay(problem, params, stop, sketch_seed):
             or (floor is not None and norm <= floor)
             or k >= stop.max_iterations
         ):
-            records.append((k, rse, norm, 0, math.nan))
-            return records, drifts, x
+            records.append((k, rse, norm, 0, math.nan, drift))
+            return records, x
         block = select(s)
         where, d, g, eta_dot_s = take(kernel, x, s, block)
         x_next, s, u = move(x, x_prev, s, u, where, d, g, params.beta)
         x_prev, x = x, x_next
-        records.append((k, rse, norm, block.size, eta_dot_s))
+        records.append((k, rse, norm, block.size, eta_dot_s, drift))
         k += 1
 
 
@@ -279,13 +285,16 @@ def test_run_is_the_replay_through_the_step_functions(storage, blind, method, be
     params = MethodParams(method, beta, d_factor)
     stop = StoppingRule(rse_threshold=1e-12, max_iterations=400)
     report = run_solver(problem, params, stop, sketch_seed=23)
-    records, drifts, x = replay(problem, params, stop, sketch_seed=23)
-    assert report.residual_drift, "the run must cross a refresh"
-    got = [(r.k, r.rse, r.normal_residual, r.block_size, r.eta_dot_s) for r in report.records]
+    records, x = replay(problem, params, stop, sketch_seed=23)
+    assert refreshed(report), "the run must cross a refresh"
+    got = [
+        (r.k, r.rse, r.normal_residual, r.block_size, r.eta_dot_s, r.drift)
+        for r in report.records
+    ]
     assert len(got) == len(records)
     for g, w in zip(got, records):
-        assert g[:4] == w[:4] and (g[4] == w[4] or math.isnan(g[4]) and math.isnan(w[4])), (g, w)
-    assert report.residual_drift == drifts
+        # repr is exact on floats and reads NaN equal to NaN
+        assert repr(g) == repr(w), (g, w)
     assert np.array_equal(report.x_final, x)
 
 
@@ -841,9 +850,9 @@ class TestRunSolver:
             MethodParams("madbcd", 0.0),
             StoppingRule(rse_threshold=1e-12, max_iterations=3 * RESIDUAL_REFRESH + 1),
         )
-        assert len(report.residual_drift) >= 1
+        assert len(refreshed(report)) >= 1
         b_norm = np.linalg.norm(problem.b)
-        for k, drift in report.residual_drift:
+        for k, drift in refreshed(report):
             assert k % RESIDUAL_REFRESH == 0
             assert drift <= 1e-8 * b_norm
 
@@ -866,7 +875,7 @@ class TestRunSolver:
             sketch_seed=3,
         )
         assert report.iterations == steps
-        assert len(report.residual_drift) == refreshes
+        assert len(refreshed(report)) == refreshes
         assert calls["restricted_matvec"] == 0
         if method == "cs-madbcd":
             bound = 2 * math.ceil(steps / RESIDUAL_REFRESH) + 2
@@ -884,7 +893,7 @@ class TestRunSolver:
         calls = count_calls(monkeypatch, SparseMatrixCSC, "transpose_matvec", "restricted_matvec", "matvec")
         report = run_solver(problem, MethodParams(method), StoppingRule(rse_threshold=1e-12))
         assert report.converged and report.iterations > RESIDUAL_REFRESH
-        drifts = len(report.residual_drift)
+        drifts = len(refreshed(report))
         assert drifts >= report.iterations // RESIDUAL_REFRESH
         assert calls == {
             "transpose_matvec": 1 + report.iterations + drifts,
@@ -970,8 +979,8 @@ class TestRunSolver:
             StoppingRule(rse_threshold=1e-10, max_iterations=5000),
         )
         assert report.stop_reason == "converged: gradient fallback threshold"
-        assert report.residual_drift
-        assert report.residual_drift[-1][0] == report.iterations
+        assert refreshed(report)
+        assert refreshed(report)[-1][0] == report.iterations
 
     def test_refresh_rederives_s(self, rng):
         problem = make_consistent_problem(gen_gaussian_dense(60, 12, 3), 4)
@@ -992,7 +1001,7 @@ class TestRunSolver:
             StoppingRule(rse_threshold=1e-10, max_iterations=5000),
         )
         assert report.stop_reason == "converged: gradient fallback threshold"
-        ks = [k for k, _ in report.residual_drift]
+        ks = [k for k, _ in refreshed(report)]
         assert ks == list(range(1, report.iterations + 1))
 
     def test_momentum_run_matches_a_replay_that_refreshes_u(self):
@@ -1006,7 +1015,7 @@ class TestRunSolver:
             StoppingRule(rse_threshold=threshold, max_iterations=5000),
             record_history=True,
         )
-        assert report.converged and len(report.residual_drift) >= 5
+        assert report.converged and len(refreshed(report)) >= 5
         kernel, iterate = start(A, problem.b)
         replayed, k = [iterate[0]], 0
         while compute_rse(iterate[0], problem.x_star) >= threshold:
@@ -1110,12 +1119,18 @@ class TestRunSolver:
         assert_allclose(report.x_final, x_star, rtol=1e-2)
 
     @pytest.mark.filterwarnings("error::RuntimeWarning")
-    def test_normal_residual_beyond_double_range_reads_inf(self):
+    def test_normal_residual_beyond_double_range_is_recorded_in_run_units(self):
         A = gen_gaussian_dense(200, 20, 1)
         b = 1e307 * np.random.default_rng(0).standard_normal(200)
-        report = run_solver(ProblemInstance(A=A, b=b), MethodParams("madbcd"), StoppingRule())
+        problem = ProblemInstance(A=A, b=b)
+        report = run_solver(problem, MethodParams("madbcd"), StoppingRule())
         assert report.stop_reason == "converged: gradient fallback threshold"
-        assert report.records[0].normal_residual == np.inf
+        assert report.scale_exponents == problem.scale_exponents
+        # ||A^T b|| = 2^-(p + q) times record 0's, beyond the largest double,
+        # 2^1024; every record is finite in the run's units
+        p, q = report.scale_exponents
+        assert math.log2(report.records[0].normal_residual) - (p + q) > 1024
+        assert all(math.isfinite(r.normal_residual) for r in report.records)
         assert np.isfinite(report.x_final).all()
 
     def test_time_budget_fires(self):
@@ -1184,15 +1199,14 @@ class TestRunSolver:
 
 
 def rescale_cell(problem, cell):
-    """Run one cell of the forced-rescale check; returns the exponents of the run too."""
+    """Run one cell of the forced-rescale check."""
     stop = StoppingRule(rse_threshold=1e-12, max_iterations=5000)
     if cell == "cs-madbcd-two-call":
         problem, _ = cs_prepare(problem, 4 * problem.A.cols, seed=1)
         cell = "madbcd"
     beta = 0.3 if cell in ("madbcd", "cs-madbcd") else 0.0
     params = MethodParams(cell, beta, 4 if cell == "cs-madbcd" else None)
-    report = run_solver(problem, params, stop, record_history=True, sketch_seed=1)
-    return report, problem.scale_exponents
+    return run_solver(problem, params, stop, record_history=True, sketch_seed=1)
 
 
 class TestRescale:
@@ -1204,29 +1218,31 @@ class TestRescale:
     )
     def test_forced_rescale_maps_back_bit_for_bit(self, monkeypatch, storage, cell):
         # a power-of-two rescale changes no rounding, so the rescaled run takes
-        # the same steps; its x and ||s|| map back exactly
+        # the same steps; its x maps back exactly, and its records, in the
+        # run's units, are the plain run's times a power of two
         a = gen_gaussian_dense(200, 20, 5).to_dense()
         x_star = 10.0 * np.random.default_rng(6).standard_normal(20)  # so that p != q
 
         def problem():
             return ProblemInstance(A=storage(a), b=a @ x_star, x_star=x_star)
 
-        plain, exps = rescale_cell(problem(), cell)
-        assert exps == (0, 0)
+        plain = rescale_cell(problem(), cell)
+        assert plain.scale_exponents == (0, 0)
         monkeypatch.setattr(problems, "SCALE_BAND_LOG2", -1)
-        scaled, (p, q) = rescale_cell(problem(), cell)
+        scaled = rescale_cell(problem(), cell)
+        p, q = scaled.scale_exponents
         assert p != q and p + q != 0
         assert plain.stop_reason == scaled.stop_reason == "converged: rse threshold"
         assert plain.iterations == scaled.iterations
         assert np.array_equal(plain.x_final, scaled.x_final)
         for x, y in zip(plain.iterate_history, scaled.iterate_history, strict=True):
             assert np.array_equal(x, y)
-        for field in ("rse", "normal_residual", "block_size"):
+        for field in ("rse", "block_size"):
             curve = [getattr(r, field) for r in plain.records]
             assert curve == [getattr(r, field) for r in scaled.records], field
-        assert plain.residual_drift == scaled.residual_drift
-        # eta_dot_s, a square, stays in the run's units
-        eta = np.array([r.eta_dot_s for r in plain.records])
-        assert np.array_equal(
-            np.ldexp(eta, 2 * (p + q)), [r.eta_dot_s for r in scaled.records], equal_nan=True
-        )
+        # norms of s are 2^(p + q) times the plain run's, eta^T s, a square,
+        # 2^(2(p + q)) times
+        for field, power in (("normal_residual", 1), ("drift", 1), ("eta_dot_s", 2)):
+            curve = np.array([getattr(r, field) for r in plain.records])
+            got = [getattr(r, field) for r in scaled.records]
+            assert np.array_equal(np.ldexp(curve, power * (p + q)), got, equal_nan=True), field
